@@ -15,6 +15,23 @@ of drawing fresh randomness. The repetition count per level is a caller
 parameter; the per-sweep progress guarantee is what makes a finite count
 sufficient.
 
+``assign_set`` has two engines with bit-identical output, the same pairs
+and the same per-round trace:
+
+* the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
+  round. It is the reference, and the only engine for stages built from
+  callables, so the explicit variant always runs on it;
+* the array engine (``_run_arrays``) reads the schedule's seeds and bin
+  counts as uint64 arrays (``RoundSchedule.round_arrays``). While more than
+  ``_TAIL_N`` workers remain it runs one numpy round at a time. Below that
+  it hashes the residual under a block of upcoming rounds at once and
+  visits only the rounds where some worker shares a bin with some task;
+  every other round is recorded as matching nothing without being run.
+
+``assign_set`` picks the array engine when the schedule has at least
+``ARRAY_MIN_W`` workers and ``round_arrays`` exists (every round seeded,
+``n < 2**63`` and ``w < 2**31``), and the scalar loop otherwise.
+
 Schedules and families are immutable; ``assign``, ``assign_set``, and
 ``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
 """
@@ -25,9 +42,11 @@ from functools import cached_property
 from random import Random
 from typing import Sequence
 
+import numpy as np
+
 from .binhash import BinHash, StageOutcome, compose
 from .core import Assignment, TaskMultiset, WorkerTaskInput
-from .hashing import derive
+from .hashing import bins_np, derive
 from .reduction import decode, lift
 
 __all__ = [
@@ -104,6 +123,23 @@ class RoundSchedule:
     def total_rounds(self) -> int:
         return len(self.rounds)
 
+    @cached_property
+    def round_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Every round's seeds and bin count as uint64 arrays, for the array engine.
+
+        ``seeds[0]`` holds the worker seeds and ``seeds[1]`` the task seeds of
+        the rounds' :meth:`BinHash.from_seed` hashes; ``ks`` holds their ``k``.
+        None when some round's hash is not seeded, or when ``n >= 2**63`` or
+        ``w >= 2**31``: past those, ids or the engine's sort keys (below
+        ``4 * w * w``) no longer fit in a uint64. Built on first use, so
+        :func:`build_schedule` does not pay for it.
+        """
+        seeds = [r.hash.seeds for r in self.rounds]
+        if None in seeds or self.n >= 1 << 63 or self.w >= 1 << 31:
+            return None
+        ks = np.array([r.k for r in self.rounds], dtype=np.uint64)
+        return np.array(seeds, dtype=np.uint64).T.copy(), ks
+
 
 def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSchedule:
     """Construct the round grid for ``w`` workers over ``t`` task kinds."""
@@ -162,6 +198,143 @@ def _run_stages(
     return pairs, per_round
 
 
+# ``assign_set`` runs schedules for fewer workers on the scalar loop. The array
+# engine pays a fixed numpy cost per round or block, which loses where
+# schedules are short and most rounds match. Speed-up of a whole ``assign``
+# call (scalar time over array time), both engines alternating on the same
+# random multisets with t = 4w, of random size / of size w, on a 2-core
+# x86-64 VM with Python 3.11.7 and numpy 2.4.6: w=4 0.80 / 0.77, w=8
+# 1.05 / 0.92, w=16 1.17 / 1.03, w=32 1.52 (random size), w=64 1.91 / 1.81,
+# w=1024 4.9 (size w), w=16384 10.8 (size w).
+ARRAY_MIN_W = 16
+# Residuals of more than this many workers run one round at a time.
+_TAIL_N = 64
+# A tail block of B rounds over a residual of n makes B * n * n bin
+# comparisons, at most ``_TAIL_BUDGET``. A round of k bins has about n*n/k
+# colliding pairs, so blocks also stop at about ``_TAIL_HITS`` expected
+# collisions: rounds that match a lot shrink the residual and go in short
+# blocks, rounds that rarely match go in long ones.
+_TAIL_BUDGET = 1 << 16
+_TAIL_HITS = 16
+_NO_PAIRS: frozenset[tuple[int, int]] = frozenset()
+
+
+def _run_arrays(
+    arrays: tuple[np.ndarray, np.ndarray], workers: set[int], tasks: set[int]
+) -> tuple[list[tuple[int, int]], list[frozenset[tuple[int, int]]]]:
+    """Array engine over a seeded schedule, bit-identical to :func:`_run_stages`.
+
+    Same contract: mutates the given sets and returns the same pairs and
+    per-round trace, including an empty entry for every executed round that
+    matched nothing. The residual is one uint64 array, sorted workers in row 0
+    and sorted tasks in row 1, so each hash call covers both sides.
+    """
+    seeds, ks = arrays
+    rounds = len(ks)
+    pairs: list[tuple[int, int]] = []
+    per_round: list[frozenset[tuple[int, int]]] = []
+    wt = np.array([sorted(workers), sorted(tasks)], dtype=np.uint64)
+    r = 0
+    while r < rounds and wt.shape[1]:
+        n = wt.shape[1]
+        if n > _TAIL_N:
+            keep = _head_round(seeds[:, r, None], wt, ks[r], pairs, per_round)
+            r += 1
+        else:
+            cap = min(_TAIL_BUDGET, _TAIL_HITS * int(ks[r]))
+            block = min(rounds - r, max(1, cap // (n * n)))
+            rows = slice(r, r + block)
+            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], pairs, per_round)
+            r += block
+        wt = wt[keep].reshape(2, -1)
+    workers.intersection_update(wt[0].tolist())
+    tasks.intersection_update(wt[1].tolist())
+    return pairs, per_round
+
+
+def _head_round(
+    seeds: np.ndarray,
+    wt: np.ndarray,
+    k: np.uint64,
+    pairs: list[tuple[int, int]],
+    per_round: list[frozenset[tuple[int, int]]],
+) -> np.ndarray:
+    """Run one round over a large residual; returns the mask of ids left unmatched.
+
+    Entry ``p`` of the flattened residual gets key ``2*bin + side``, and
+    sorting ``key * 2n + p`` puts each key's smallest id first, since the
+    rows are sorted. A bin matches where key ``2b`` is followed by ``2b+1``.
+    """
+    size = wt.size
+    keys = bins_np(seeds, wt, k) << np.uint64(1)
+    keys[1] |= np.uint64(1)
+    order = np.sort(keys.ravel() * np.uint64(size) + np.arange(size, dtype=np.uint64))
+    keys, pos = np.divmod(order, np.uint64(size))
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys, pos = keys[first], pos[first]
+    both = np.flatnonzero(keys[1:] - keys[:-1] == (keys[1:] & np.uint64(1)))
+    pos_w, pos_t = pos[both], pos[both + 1]
+    flat = wt.ravel()
+    got = list(zip(flat[pos_w].tolist(), flat[pos_t].tolist()))
+    pairs.extend(got)
+    per_round.append(frozenset(got))
+    keep = np.ones(size, dtype=bool)
+    keep[pos_w] = keep[pos_t] = False
+    return keep.reshape(wt.shape)
+
+
+def _tail_block(
+    seeds: np.ndarray,
+    wt: np.ndarray,
+    ks: np.ndarray,
+    pairs: list[tuple[int, int]],
+    per_round: list[frozenset[tuple[int, int]]],
+) -> np.ndarray:
+    """Run a block of rounds over a small residual; returns the mask of ids left unmatched.
+
+    The residual is hashed under every round of the block at once, and only
+    colliding (worker, task) index pairs, those sharing a bin, are visited.
+    In each round the first live collision of a bin, in index order, pairs
+    its smallest live worker with its smallest live task. Rounds without a
+    live collision match nothing. Appends to ``pairs`` and ``per_round``
+    and stops at the round that empties the residual, like the scalar loop.
+    """
+    block, n = len(ks), wt.shape[1]
+    b = bins_np(seeds, wt[:, None, :], ks)
+    rows, iw, it = np.nonzero(b[0][:, :, None] == b[1][:, None, :])
+    bins = b[0][rows, iw]
+    ws, ts = wt.tolist()
+    keep = [[True] * n, [True] * n]
+    alive_w, alive_t = keep
+    left, done, cur = n, 0, -1
+    got: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    # A sentinel collision in row ``block`` flushes the last visited round.
+    collisions = zip(rows.tolist() + [block], iw.tolist() + [0], it.tolist() + [0], bins.tolist() + [0])
+    for h, i, j, bin_ in collisions:
+        if h != cur:
+            if got:
+                per_round.extend([_NO_PAIRS] * (cur - done))
+                per_round.append(frozenset(got))
+                pairs.extend(got)
+                done, left = cur + 1, left - len(got)
+                if not left:
+                    break
+                got = []
+            if h == block:
+                per_round.extend([_NO_PAIRS] * (block - done))
+                break
+            seen.clear()
+            cur = h
+        if alive_w[i] and alive_t[j] and bin_ not in seen:
+            seen.add(bin_)
+            alive_w[i] = alive_t[j] = False
+            got.append((ws[i], ts[j]))
+    return np.array(keep)
+
+
 def _complete_and_pack(
     w: int,
     pairs: list[tuple[int, int]],
@@ -189,8 +362,11 @@ def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[
         raise ValueError(f"workers outside [1, {schedule.w}]")
     if T and not (1 <= min(T) and max(T) <= schedule.n):
         raise ValueError(f"tasks outside [1, {schedule.n}]")
-    stages = [r.hash for r in schedule.rounds]
-    pairs, per_round = _run_stages(stages, W, T)
+    arrays = schedule.round_arrays if schedule.w >= ARRAY_MIN_W else None
+    if arrays is None:
+        pairs, per_round = _run_stages([r.hash for r in schedule.rounds], W, T)
+    else:
+        pairs, per_round = _run_arrays(arrays, W, T)
     return _complete_and_pack(schedule.w, pairs, per_round, W, T)
 
 

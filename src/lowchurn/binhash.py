@@ -17,16 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .core import WorkerTaskInput
-from .hashing import MASK64, derive, mix64
+from .hashing import GOLDEN, MASK64, MUL1, MUL2, mix64
 
 __all__ = ["BinHash", "StageOutcome", "difference_score", "compose", "is_matching"]
 
 _TAG_WORKER = 0x57F00D
 _TAG_TASK = 0x7A5CADE
-
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
-_GOLD = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -79,28 +75,34 @@ class BinHash:
         obj._seed_t = seed_t
         return obj
 
+    @property
+    def seeds(self) -> tuple[int, int] | None:
+        """``(worker seed, task seed)`` of a :meth:`from_seed` stage; None for callable stages."""
+        return None if self._seed_w is None else (self._seed_w, self._seed_t)
+
     def match(self, workers: Iterable[int], tasks: Iterable[int]) -> list[tuple[int, int]]:
         """Matched (worker, task) pairs for this stage, unordered."""
         k = self.k
         best_w: dict[int, int] = {}
         best_t: dict[int, int] = {}
         if self._seed_w is not None:
-            # Inlined mix64 keeps the per-element cost to a few int ops; this
-            # loop dominates every large experiment.
+            # Inlined mix64 with its constants in locals keeps the per-element
+            # cost to a few int ops; this loop dominates every large experiment.
             sw = self._seed_w
             st = self._seed_t
+            gold, mask, mul1, mul2 = GOLDEN, MASK64, MUL1, MUL2
             for x in workers:
-                v = (x * _GOLD) & MASK64 ^ sw
-                v = ((v ^ (v >> 30)) * _MUL1) & MASK64
-                v = ((v ^ (v >> 27)) * _MUL2) & MASK64
+                v = (x * gold) & mask ^ sw
+                v = ((v ^ (v >> 30)) * mul1) & mask
+                v = ((v ^ (v >> 27)) * mul2) & mask
                 b = (v ^ (v >> 31)) % k
                 cur = best_w.get(b)
                 if cur is None or x < cur:
                     best_w[b] = x
             for x in tasks:
-                v = (x * _GOLD) & MASK64 ^ st
-                v = ((v ^ (v >> 30)) * _MUL1) & MASK64
-                v = ((v ^ (v >> 27)) * _MUL2) & MASK64
+                v = (x * gold) & mask ^ st
+                v = ((v ^ (v >> 30)) * mul1) & mask
+                v = ((v ^ (v >> 27)) * mul2) & mask
                 b = (v ^ (v >> 31)) % k
                 cur = best_t.get(b)
                 if cur is None or x < cur:
@@ -131,12 +133,7 @@ class BinHash:
 
 
 def _bin_of(seed: int, x: int, k: int) -> int:
-    return mix64(seed ^ ((x * _GOLD) & MASK64)) % k
-
-
-def schedule_stage_seed(master_seed: int, i: int, j: int) -> int:
-    """Seed material for the stage at outer round ``i``, repetition ``j``."""
-    return derive(master_seed, i, j)
+    return mix64(seed ^ ((x * GOLDEN) & MASK64)) % k
 
 
 def difference_score(i1: WorkerTaskInput, i2: WorkerTaskInput) -> int:

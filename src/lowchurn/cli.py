@@ -36,8 +36,18 @@ _MAX_AUDIT_EVALS = 100_000
 _MAX_RAMSEY_SUBSETS = 1_000_000
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ASSIGN_SEED", "0"))
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r} (from --seed or ASSIGN_SEED)") from None
+
+
+def _default_seed() -> str:
+    # Returned unparsed: argparse converts a string default with the
+    # argument's type while parsing, so a bad ASSIGN_SEED exits 2 like a bad
+    # --seed instead of raising while the parser is built.
+    return os.environ.get("ASSIGN_SEED", "0")
 
 
 def _add_common(p: argparse.ArgumentParser, *, with_c: bool = True) -> None:
@@ -45,7 +55,7 @@ def _add_common(p: argparse.ArgumentParser, *, with_c: bool = True) -> None:
     p.add_argument("--t", type=int, required=True, help="task universe size")
     if with_c:
         p.add_argument("--c", type=int, default=4, help="repetition constant (default 4)")
-    p.add_argument("--seed", type=int, default=_default_seed(), help="master seed")
+    p.add_argument("--seed", type=_seed, default=_default_seed(), help="master seed")
 
 
 def _emit(obj: dict) -> None:
@@ -294,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--epsilon", type=float, default=0.25)
     p_disp.add_argument("--restarts", type=int, default=20_000)
     p_disp.add_argument("--time-limit", type=float, default=None)
-    p_disp.add_argument("--seed", type=int, default=_default_seed())
+    p_disp.add_argument("--seed", type=_seed, default=_default_seed())
     p_disp.set_defaults(func=cmd_oracle_disperser)
 
     p_embed = sub.add_parser("embed", help="embed sparse vectors and audit distortion")
     p_embed.add_argument("--k", type=int, required=True, help="vector weight = worker count")
     p_embed.add_argument("--n", type=int, required=True, help="vector dimension = task universe")
     p_embed.add_argument("--c", type=int, default=4)
-    p_embed.add_argument("--seed", type=int, default=_default_seed())
+    p_embed.add_argument("--seed", type=_seed, default=_default_seed())
     p_embed.add_argument("--input", required=True, help="one vector per line: 'n k p1,p2,...'")
     pairs_group = p_embed.add_mutually_exclusive_group(required=True)
     pairs_group.add_argument("--all-pairs", action="store_true", dest="all_pairs")

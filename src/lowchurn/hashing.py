@@ -12,15 +12,15 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 
 GOLDEN = 0x9E3779B97F4A7C15
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
+MUL1 = 0xBF58476D1CE4E5B9
+MUL2 = 0x94D049BB133111EB
 
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: a fixed, well-scrambling bijection on 64-bit words."""
     x &= MASK64
-    x = ((x ^ (x >> 30)) * _MUL1) & MASK64
-    x = ((x ^ (x >> 27)) * _MUL2) & MASK64
+    x = ((x ^ (x >> 30)) * MUL1) & MASK64
+    x = ((x ^ (x >> 27)) * MUL2) & MASK64
     return x ^ (x >> 31)
 
 
@@ -32,12 +32,25 @@ def derive(*parts: int) -> int:
     return acc
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array, bit-identical to the scalar."""
-    x = x.astype(np.uint64, copy=True)
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
     x ^= x >> np.uint64(30)
-    x *= np.uint64(_MUL1)
+    x *= np.uint64(MUL1)
     x ^= x >> np.uint64(27)
-    x *= np.uint64(_MUL2)
+    x *= np.uint64(MUL2)
     x ^= x >> np.uint64(31)
     return x
+
+
+def mix64_np(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`mix64` over a uint64 array, bit-identical to the scalar."""
+    return _mix64_inplace(x.astype(np.uint64, copy=True))
+
+
+def bins_np(seed, x: np.ndarray, k) -> np.ndarray:
+    """Vectorized seeded bin ``mix64(seed ^ (x * GOLDEN mod 2**64)) % k`` over uint64 arrays.
+
+    Bit-identical to the scalar bin of a seeded ``BinHash`` stage. ``seed``
+    and ``k`` broadcast against ``x``, so a column of seeds and bin counts
+    hashes one id vector under many stages at once.
+    """
+    return _mix64_inplace(np.bitwise_xor(x * np.uint64(GOLDEN), seed)) % k

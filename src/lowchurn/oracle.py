@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import ne
 from random import Random
 from typing import Callable, Iterable, Literal
 
@@ -63,10 +64,6 @@ class FeasibilityResult:
     verdict: Verdict
     solution: dict[tuple[int, ...], tuple[int, ...]] | None
     nodes: int
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def _states(w: int, t: int, multisets: bool) -> list[tuple[int, ...]]:
@@ -156,45 +153,60 @@ def exact_feasible(
     chosen: list[tuple[int, ...] | None] = [None] * len(order)
     nodes = 0
 
-    def within(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return sum(x != y for x, y in zip(a, b)) <= target_k
-
-    def search(pos: int) -> bool:
-        nonlocal nodes
-        if pos == len(order):
-            return True
+    # Depth-first over positions with an explicit stack: ``next_cand[p]`` is
+    # the index of the next candidate to try at position ``p`` and
+    # ``trails[p]`` undoes the pruning done by its current one.
+    depth = len(order)
+    next_cand = [0] * (depth + 1)
+    trails: list[list[tuple[int, list[tuple[int, ...]]]] | None] = [None] * depth
+    pos = 0
+    found = True
+    while pos < depth:
+        trail = trails[pos]
+        if trail is not None:  # back from a failed subtree: undo its candidate
+            for nb_pos, old in trail:
+                domains[nb_pos] = old
+            chosen[pos] = None
+            trails[pos] = None
         state_idx = order[pos]
-        for cand in domains[pos]:
+        domain = domains[pos]
+        for idx in range(next_cand[pos], len(domain)):
+            cand = domain[idx]
             nodes += 1
-            if nodes > budget.node_limit:
-                raise _BudgetExhausted
-            if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-                raise _BudgetExhausted
+            if nodes > budget.node_limit or (
+                deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline
+            ):
+                return FeasibilityResult("budget_exhausted", None, nodes)
             chosen[pos] = cand
-            trail: list[tuple[int, list[tuple[int, ...]]]] = []
+            trail = []
             ok = True
             for nb in neighbors[state_idx]:
                 nb_pos = position[nb]
                 if chosen[nb_pos] is not None:
                     continue  # already checked when that neighbor was placed
-                pruned = [c for c in domains[nb_pos] if within(c, cand)]
+                # Keep candidates within target_k positions of ``cand``.
+                pruned = [c for c in domains[nb_pos] if sum(map(ne, c, cand)) <= target_k]
                 if len(pruned) != len(domains[nb_pos]):
                     trail.append((nb_pos, domains[nb_pos]))
                     domains[nb_pos] = pruned
                 if not pruned:
                     ok = False
                     break
-            if ok and search(pos + 1):
-                return True
+            if ok:
+                next_cand[pos] = idx + 1
+                trails[pos] = trail
+                break
             for nb_pos, old in trail:
                 domains[nb_pos] = old
             chosen[pos] = None
-        return False
-
-    try:
-        found = search(0)
-    except _BudgetExhausted:
-        return FeasibilityResult("budget_exhausted", None, nodes)
+        else:  # every candidate failed: backtrack
+            if pos == 0:
+                found = False
+                break
+            pos -= 1
+            continue
+        pos += 1
+        next_cand[pos] = 0
 
     if not found:
         return FeasibilityResult("infeasible", None, nodes)

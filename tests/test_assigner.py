@@ -3,8 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lowchurn import assigner
 from lowchurn.assigner import (
     AssignResult,
     DisperserFamily,
@@ -123,22 +127,100 @@ class TestAssignSet:
         assert count == 495
 
     def test_per_round_pairs_match_compose_trace(self):
-        # Two routes to the same pipeline: the engine loop and generic compose.
-        s = build_schedule(6, 3, c=2, master_seed=9)
+        # Two routes to the same pipeline: the engine loop and generic compose,
+        # on a schedule for each engine of assign_set.
         rng = Random(4)
-        for _ in range(30):
-            j = rng.randint(0, 6)
-            W = rng.sample(range(1, 7), j)
-            T = rng.sample(range(1, 19), j)
-            res = assign_set(s, W, T)
-            if j == 0:
-                assert res.per_round_pairs == ()
-                continue
-            matched, residual, trace = compose(
-                [r.hash for r in s.rounds], WorkerTaskInput(frozenset(W), frozenset(T))
-            )
-            assert res.per_round_pairs == tuple(st.matched for st in trace)
-            assert res.fallback_pairs == len(residual.workers)
+        for w, t, array_engine in ((6, 3, False), (40, 5, True)):
+            s = build_schedule(w, t, c=2, master_seed=9)
+            assert (w >= assigner.ARRAY_MIN_W) == array_engine
+            for _ in range(30):
+                j = rng.randint(0, w)
+                W = rng.sample(range(1, w + 1), j)
+                T = rng.sample(range(1, s.n + 1), j)
+                res = assign_set(s, W, T)
+                if j == 0:
+                    assert res.per_round_pairs == ()
+                    continue
+                matched, residual, trace = compose(
+                    [r.hash for r in s.rounds], WorkerTaskInput(frozenset(W), frozenset(T))
+                )
+                assert res.per_round_pairs == tuple(st.matched for st in trace)
+                assert res.fallback_pairs == len(residual.workers)
+
+
+def run_engine(schedule, workers, tasks, *, array):
+    """``assign_set``'s result from one engine, chosen by the caller."""
+    W, T = set(workers), set(tasks)
+    if array:
+        pairs, per_round = assigner._run_arrays(schedule.round_arrays, W, T)
+    else:
+        pairs, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
+    return assigner._complete_and_pack(schedule.w, pairs, per_round, W, T)
+
+
+class TestArrayEngine:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        w=st.sampled_from([1, 3, 8, 15, 16, 17, 40, 64, 65, 130, 300]),
+        t=st.sampled_from([1, 3, 2**33 + 7]),
+        c=st.integers(1, 2),
+        master_seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_bit_identical_to_scalar_reference(self, w, t, c, master_seed, data):
+        schedule = build_schedule(w, t, c, master_seed)
+        # A truncated schedule often ends with a residual left, so the
+        # fallback and the end of the round grid are compared too.
+        keep = data.draw(st.none() | st.integers(1, schedule.total_rounds), label="rounds kept")
+        if keep is not None:
+            schedule = RoundSchedule(w, t, c, master_seed, schedule.rounds[:keep])
+        # Full workforces reach the one-round-at-a-time regime above 64.
+        size = data.draw(st.just(w) | st.integers(0, w), label="size")
+        rng = data.draw(st.randoms(use_true_random=False))
+        workers = rng.sample(range(1, w + 1), size)
+        tasks = rng.sample(range(1, schedule.n + 1), size)
+        reference = run_engine(schedule, workers, tasks, array=False)
+        assert run_engine(schedule, workers, tasks, array=True) == reference
+        assert assign_set(schedule, workers, tasks) == reference
+
+    def test_ids_past_32_bits_and_fallback_are_exercised(self):
+        # Two cases the differential test reaches only by chance: ids past
+        # 2**32, and a residual left when the schedule ends.
+        s = build_schedule(40, 2**33 + 7, c=1, master_seed=3)
+        rng = Random(8)
+        tasks = rng.sample(range(2**32, s.n + 1), 40)
+        full = assign_set(s, range(1, 41), tasks)
+        assert full.fallback_pairs == 0
+        assert full == run_engine(s, range(1, 41), tasks, array=False)
+        short = RoundSchedule(40, s.t, 1, 3, s.rounds[:3])
+        cut = assign_set(short, range(1, 41), tasks)
+        assert cut.fallback_pairs > 0
+        assert len(cut.per_round_pairs) == 3
+        assert cut == run_engine(short, range(1, 41), tasks, array=False)
+
+    def test_engine_selection(self):
+        assert build_schedule(assigner.ARRAY_MIN_W, 2).round_arrays is not None
+        # Callable-backed stages have no seeds, so only the scalar loop runs them.
+        stage = BinHash(2, lambda _w: 1, lambda _t: 2)
+        unseeded = RoundSchedule(20, 4, 1, 0, (Round(1, 1, 2, stage),))
+        assert unseeded.round_arrays is None
+        assert assign_set(unseeded, [3, 1], [10, 4]).fallback_pairs == 2
+        # Past n = 2**63 or w = 2**31, ids or sort keys would not fit a uint64.
+        seeded = build_schedule(20, 2, c=1).rounds
+        assert RoundSchedule(20, 2**58, 1, 0, seeded).round_arrays is not None
+        assert RoundSchedule(20, 2**62, 1, 0, seeded).round_arrays is None
+        assert RoundSchedule(2**31, 1, 1, 0, seeded).round_arrays is None
+
+    def test_round_arrays_stay_out_of_equality_and_repr(self):
+        a = build_schedule(20, 3, master_seed=5)
+        b = RoundSchedule(a.w, a.t, a.c, a.master_seed, a.rounds)
+        assert a.round_arrays is not None  # cached on a only
+        assert a == b and hash(a) == hash(b)
+        assert "round_arrays" not in repr(a)
+        seeds, ks = a.round_arrays
+        assert seeds.dtype == ks.dtype == np.uint64
+        assert [int(k) for k in ks] == [r.k for r in a.rounds]
+        assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [r.hash.seeds for r in a.rounds]
 
 
 class TestAssignMultiset:

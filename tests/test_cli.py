@@ -253,3 +253,25 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["walk", "--w", "3"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_bad_assign_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ASSIGN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["assign", "--w", "3", "--t", "9", "--multiset", "1,2,3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["lowchurn assign: error: argument --seed: invalid seed 'abc' (from --seed or ASSIGN_SEED)"]
+
+
+def test_assign_seed_env_is_the_seed_default(monkeypatch, capsys):
+    args = ["walk", "--w", "4", "--t", "6", "--steps", "3"]
+    monkeypatch.setenv("ASSIGN_SEED", "abc")
+    rc, out_flag, _ = run_cli(capsys, *args, "--seed", "5")  # an explicit --seed wins
+    assert rc == 0
+    monkeypatch.setenv("ASSIGN_SEED", "5")
+    rc, out_env, _ = run_cli(capsys, *args)
+    assert rc == 0
+    assert json.loads(out_env.splitlines()[-1]) == json.loads(out_flag.splitlines()[-1])

@@ -64,6 +64,22 @@ class TestExactFeasible:
         with pytest.raises(ValueError):
             exact_feasible(3, 2, 1)
 
+    def test_deep_search_needs_no_recursion(self):
+        # 1770 states, one search level each: deeper than the interpreter's
+        # recursion limit, inside the CLI's 20 000-state cap.
+        res = exact_feasible(2, 60, 2)
+        assert res.verdict == "feasible"
+        assert res.nodes == 1770
+
+    def test_node_counts_pinned(self):
+        # Exact node counts of the search order; any change to the visiting
+        # order or the pruning shows here.
+        assert exact_feasible(3, 5, 2).nodes == 55
+        assert exact_feasible(3, 5, 3).nodes == 10
+        assert exact_feasible(3, 5, 2, multisets=True).nodes == 92_971
+        res = exact_feasible(4, 8, 3, budget=SearchBudget(node_limit=20_000))
+        assert (res.verdict, res.nodes) == ("budget_exhausted", 20_001)
+
 
 class TaskMultisetPair:
     @staticmethod
