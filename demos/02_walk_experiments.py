@@ -13,7 +13,8 @@ W, T, C, SEED, STEPS = 16, 64, 4, 11, 500
 for algorithm in ("sorted", "randperm", "mrbb"):
     records, summary = run_walk(W, T, C, SEED, algorithm, STEPS)
     print(
-        f"{algorithm:9s} mean churn {summary['mean_switching_cost']:6.2f}   "
+        f"{algorithm:9s} churn mean {summary['mean_switching_cost']:6.2f}   "
+        f"p50 {summary['p50_switching_cost']:3d}   p99 {summary['p99_switching_cost']:3d}   "
         f"worst {summary['max_switching_cost']:3d}   fallbacks {summary['fallbacks']}"
     )
 

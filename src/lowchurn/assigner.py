@@ -15,12 +15,12 @@ of drawing fresh randomness. The repetition count per level is a caller
 parameter; the per-sweep progress guarantee is what makes a finite count
 sufficient.
 
-``assign_set`` has two engines with bit-identical output, the same pairs
-and the same per-round trace:
+Two engines give bit-identical output, the same pairs and the same
+per-round trace:
 
 * the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
-  round. It is the reference, and the only engine for stages built from
-  callables, so the explicit variant always runs on it;
+  round on Python sets. It is the reference, and the only engine for stages
+  built from callables, so the explicit variant always runs on it;
 * the array engine (``_run_arrays``) reads the schedule's seeds and bin
   counts as uint64 arrays (``RoundSchedule.round_arrays``). While more than
   ``_TAIL_N`` workers remain it runs one numpy round at a time. Below that
@@ -28,9 +28,20 @@ and the same per-round trace:
   visits only the rounds where some worker shares a bin with some task;
   every other round is recorded as matching nothing without being run.
 
-``assign_set`` picks the array engine when the schedule has at least
-``ARRAY_MIN_W`` workers and ``round_arrays`` exists (every round seeded,
-``n < 2**63`` and ``w < 2**31``), and the scalar loop otherwise.
+Wrapped by ``_run_scalar`` in the array engine's form, both take and return
+arrays: the residual goes in as one ``(2, n)`` array, sorted workers over
+sorted tasks, and comes back as the matched pairs plus the residual left at
+the end. ``_pack`` scatters the pairs and the rank-order fallback, which is
+that residual's rows side by side, into one task per worker. ``assign``
+stays in numpy from input to result: the lift (``reduction.lift_np``), the
+engine, the scatter and the projection to base tasks
+(``reduction.project_np``); the only Python objects it builds are the
+per-round trace and the one :class:`Assignment` it returns. ``assign_set``
+is the same path wrapped for plain id sets.
+
+``assign`` and ``assign_set`` pick the array engine when the schedule has at
+least ``ARRAY_MIN_W`` workers and ``round_arrays`` exists (every round
+seeded, ``n < 2**63`` and ``w < 2**31``), and the scalar loop otherwise.
 
 Schedules and families are immutable; ``assign``, ``assign_set``, and
 ``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
@@ -39,15 +50,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .binhash import BinHash, StageOutcome, compose
 from .core import Assignment, TaskMultiset, WorkerTaskInput
 from .hashing import bins_np, derive
-from .reduction import decode, lift
+from .reduction import id_dtype, lift, lift_np, project, project_np
 
 __all__ = [
     "Round",
@@ -182,7 +194,7 @@ class AssignResult:
 def _run_stages(
     stages: Sequence[BinHash], workers: set[int], tasks: set[int]
 ) -> tuple[list[tuple[int, int]], list[frozenset[tuple[int, int]]]]:
-    """Engine loop shared by both variants; mutates the given sets."""
+    """The scalar reference loop; mutates the given sets."""
     pairs: list[tuple[int, int]] = []
     per_round: list[frozenset[tuple[int, int]]] = []
     for stage in stages:
@@ -209,6 +221,12 @@ def _run_stages(
 ARRAY_MIN_W = 16
 # Residuals of more than this many workers run one round at a time.
 _TAIL_N = 64
+# A head round over a residual of n in k <= _DENSE_BINS * n bins finds each
+# bin's first worker and task with a scatter over k slots; sparser rounds
+# sort their 2n keys instead. Sort time over scatter time for residuals of
+# 65 to 8000 on the machine above: 1.5-4.9 at k = n, 0.8-1.2 at k = 16n,
+# 0.3-1.0 at k = 64n.
+_DENSE_BINS = 8
 # A tail block of B rounds over a residual of n makes B * n * n bin
 # comparisons, at most ``_TAIL_BUDGET``. A round of k bins has about n*n/k
 # colliding pairs, so blocks also stop at about ``_TAIL_HITS`` expected
@@ -218,71 +236,108 @@ _TAIL_BUDGET = 1 << 16
 _TAIL_HITS = 16
 _NO_PAIRS: frozenset[tuple[int, int]] = frozenset()
 
+# What an engine returns: the matched pairs as (workers, tasks) row pairs,
+# the per-round trace, and the residual it leaves, workers over tasks.
+Matches = list[tuple[Sequence[int], Sequence[int]]]
+Run = tuple[Matches, list[frozenset[tuple[int, int]]], np.ndarray]
 
-def _run_arrays(
-    arrays: tuple[np.ndarray, np.ndarray], workers: set[int], tasks: set[int]
-) -> tuple[list[tuple[int, int]], list[frozenset[tuple[int, int]]]]:
+
+def _rows(workers: Iterable[int], tasks: Iterable[int], dtype: type) -> np.ndarray:
+    """Sorted workers over sorted tasks as one ``(2, size)`` id array."""
+    return np.array([sorted(workers), sorted(tasks)], dtype).reshape(2, -1)
+
+
+def _run_scalar(stages: Sequence[BinHash], wt: np.ndarray) -> Run:
+    """The scalar loop over the residual ``wt``, in the array engine's form."""
+    W, T = set(wt[0].tolist()), set(wt[1].tolist())
+    pairs, per_round = _run_stages(stages, W, T)
+    matched = np.array(pairs, wt.dtype).reshape(-1, 2).T
+    return [(matched[0], matched[1])], per_round, _rows(W, T, wt.dtype)
+
+
+def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
+    """Run ``schedule`` over the residual ``wt`` on the engine the module docstring picks."""
+    arrays = schedule.round_arrays if schedule.w >= ARRAY_MIN_W else None
+    if arrays is None:
+        return _run_scalar([r.hash for r in schedule.rounds], wt)
+    return _run_arrays(arrays, wt)
+
+
+def _run_arrays(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> Run:
     """Array engine over a seeded schedule, bit-identical to :func:`_run_stages`.
 
-    Same contract: mutates the given sets and returns the same pairs and
-    per-round trace, including an empty entry for every executed round that
-    matched nothing. The residual is one uint64 array, sorted workers in row 0
-    and sorted tasks in row 1, so each hash call covers both sides.
+    ``wt`` is the residual as one uint64 array, sorted workers in row 0 and
+    sorted tasks in row 1, so each hash call covers both sides. Each head
+    round's matches stay the arrays it found them in; the tail blocks' few
+    matches are gathered into one pair of lists. The trace has an entry for
+    every executed round, empty where the round matched nothing, and the
+    residual left over stays sorted.
     """
     seeds, ks = arrays
     rounds = len(ks)
-    pairs: list[tuple[int, int]] = []
+    matched: Matches = []
+    tail: list[tuple[int, int]] = []
     per_round: list[frozenset[tuple[int, int]]] = []
-    wt = np.array([sorted(workers), sorted(tasks)], dtype=np.uint64)
     r = 0
     while r < rounds and wt.shape[1]:
         n = wt.shape[1]
         if n > _TAIL_N:
-            keep = _head_round(seeds[:, r, None], wt, ks[r], pairs, per_round)
+            keep = _head_round(seeds[:, r, None], wt, int(ks[r]), matched, per_round)
             r += 1
         else:
             cap = min(_TAIL_BUDGET, _TAIL_HITS * int(ks[r]))
             block = min(rounds - r, max(1, cap // (n * n)))
             rows = slice(r, r + block)
-            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], pairs, per_round)
+            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], tail, per_round)
             r += block
         wt = wt[keep].reshape(2, -1)
-    workers.intersection_update(wt[0].tolist())
-    tasks.intersection_update(wt[1].tolist())
-    return pairs, per_round
+    if tail:
+        ws, ts = zip(*tail)
+        matched.append((list(ws), list(ts)))
+    return matched, per_round, wt
 
 
 def _head_round(
     seeds: np.ndarray,
     wt: np.ndarray,
-    k: np.uint64,
-    pairs: list[tuple[int, int]],
+    k: int,
+    matched: Matches,
     per_round: list[frozenset[tuple[int, int]]],
 ) -> np.ndarray:
     """Run one round over a large residual; returns the mask of ids left unmatched.
 
-    Entry ``p`` of the flattened residual gets key ``2*bin + side``, and
-    sorting ``key * 2n + p`` puts each key's smallest id first, since the
-    rows are sorted. A bin matches where key ``2b`` is followed by ``2b+1``.
+    A bin holding a worker and a task pairs its smallest of each. The rows
+    are sorted, so those sit at the bin's first position in each row.
     """
-    size = wt.size
-    keys = bins_np(seeds, wt, k) << np.uint64(1)
-    keys[1] |= np.uint64(1)
-    order = np.sort(keys.ravel() * np.uint64(size) + np.arange(size, dtype=np.uint64))
-    keys, pos = np.divmod(order, np.uint64(size))
-    first = np.empty(size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys, pos = keys[first], pos[first]
-    both = np.flatnonzero(keys[1:] - keys[:-1] == (keys[1:] & np.uint64(1)))
-    pos_w, pos_t = pos[both], pos[both + 1]
-    flat = wt.ravel()
-    got = list(zip(flat[pos_w].tolist(), flat[pos_t].tolist()))
-    pairs.extend(got)
-    per_round.append(frozenset(got))
-    keep = np.ones(size, dtype=bool)
-    keep[pos_w] = keep[pos_t] = False
-    return keep.reshape(wt.shape)
+    n = wt.shape[1]
+    bins = bins_np(seeds, wt, np.uint64(k))
+    if k <= _DENSE_BINS * n:
+        first = np.full((2, k), n)
+        at = np.arange(n)
+        np.minimum.at(first[0], bins[0], at)
+        np.minimum.at(first[1], bins[1], at)
+        pos_w, pos_t = first[:, (first < n).all(axis=0)]
+    else:
+        # Sorting ``key * 2n + p`` over flattened positions p, with key
+        # ``2*bin + row``, puts each key's first position first. A bin
+        # matches where key ``2b`` is followed by ``2b+1``.
+        size = 2 * n
+        keys = bins << np.uint64(1)
+        keys[1] |= np.uint64(1)
+        order = np.sort(keys.ravel() * np.uint64(size) + np.arange(size, dtype=np.uint64))
+        keys, pos = np.divmod(order, np.uint64(size))
+        first = np.empty(size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys, pos = keys[first], pos[first]
+        both = np.flatnonzero(keys[1:] - keys[:-1] == (keys[1:] & np.uint64(1)))
+        pos_w, pos_t = pos[both], pos[both + 1] - np.uint64(n)
+    ws, ts = wt[0, pos_w], wt[1, pos_t]
+    matched.append((ws, ts))
+    per_round.append(frozenset(zip(ws.tolist(), ts.tolist())))
+    keep = np.ones((2, n), dtype=bool)
+    keep[0, pos_w] = keep[1, pos_t] = False
+    return keep
 
 
 def _tail_block(
@@ -335,17 +390,26 @@ def _tail_block(
     return np.array(keep)
 
 
-def _complete_and_pack(
-    w: int,
-    pairs: list[tuple[int, int]],
-    per_round: list[frozenset[tuple[int, int]]],
-    workers: set[int],
-    tasks: set[int],
-) -> AssignResult:
-    fallback_pairs = len(workers)
-    pairs.extend(zip(sorted(workers), sorted(tasks)))
-    assignment = Assignment(w, tuple(sorted(pairs)))
-    return AssignResult(assignment, fallback_pairs, tuple(per_round))
+def _pack(workers: np.ndarray, matched: Matches, residual: np.ndarray) -> np.ndarray:
+    """The task of each of the sorted ``workers``, by scatter.
+
+    A worker takes its matched task, or else its rank-order fallback: the
+    residual's rows are sorted, so they already pair sorted leftover workers
+    with sorted leftover tasks.
+    """
+    dense = not workers.size or workers[-1] == workers.size  # workers are 1..size
+    task_of = np.empty(workers.size, dtype=residual.dtype)
+    for ws, ts in chain(matched, [residual]):
+        task_of[np.asarray(ws, np.int64) - 1 if dense else np.searchsorted(workers, ws)] = ts
+    return task_of
+
+
+def _set_result(w: int, wt: np.ndarray, run: Run) -> AssignResult:
+    """The :class:`AssignResult` of an engine run over the input ``wt``."""
+    matched, per_round, residual = run
+    task_of = _pack(wt[0], matched, residual)
+    assignment = Assignment(w, tuple(zip(wt[0].tolist(), task_of.tolist())))
+    return AssignResult(assignment, residual.shape[1], tuple(per_round))
 
 
 def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[int]) -> AssignResult:
@@ -362,33 +426,31 @@ def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[
         raise ValueError(f"workers outside [1, {schedule.w}]")
     if T and not (1 <= min(T) and max(T) <= schedule.n):
         raise ValueError(f"tasks outside [1, {schedule.n}]")
-    arrays = schedule.round_arrays if schedule.w >= ARRAY_MIN_W else None
-    if arrays is None:
-        pairs, per_round = _run_stages([r.hash for r in schedule.rounds], W, T)
-    else:
-        pairs, per_round = _run_arrays(arrays, W, T)
-    return _complete_and_pack(schedule.w, pairs, per_round, W, T)
+    wt = _rows(W, T, id_dtype(schedule.n))
+    return _set_result(schedule.w, wt, _run(schedule, wt))
 
 
 def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
     """Assign workers ``1..|T|`` to the task multiset ``T``.
 
-    Lifts ``T`` to a set over ``[w*t]``, runs :func:`assign_set`, and projects
-    back; workers ``|T|+1..w`` stay unassigned. ``per_round_pairs`` remains in
-    lifted ids.
+    Lifts ``T`` to a set over ``[w*t]``, runs it on the same engine as
+    :func:`assign_set`, and projects back; workers ``|T|+1..w`` stay
+    unassigned. ``per_round_pairs`` remains in lifted ids. The lifted ids,
+    the pairs, the fallback and the projection all stay numpy arrays up to
+    the one :class:`Assignment` built at the end.
     """
     if T.t != schedule.t:
         raise ValueError(f"multiset universe {T.t} does not match schedule t={schedule.t}")
     size = len(T)
     if size > schedule.w:
         raise ValueError("multiset larger than worker count")
-    lifted = lift(T, schedule.w)
-    result = assign_set(schedule, range(1, size + 1), lifted)
     w = schedule.w
-    projected = Assignment(
-        w, tuple((worker, decode(task, w)[0]) for worker, task in result.assignment.pairs)
-    )
-    return AssignResult(projected, result.fallback_pairs, result.per_round_pairs)
+    tasks = lift_np(T, w)
+    wt = np.array([np.arange(1, size + 1, dtype=tasks.dtype), tasks])
+    matched, per_round, residual = _run(schedule, wt)
+    base = project_np(_pack(wt[0], matched, residual), w)
+    assignment = Assignment(w, tuple(zip(range(1, size + 1), base.tolist())))
+    return AssignResult(assignment, residual.shape[1], tuple(per_round))
 
 
 @dataclass(frozen=True)
@@ -488,22 +550,23 @@ def assign_explicit_set(
     T = set(tasks)
     if len(W) != len(T):
         raise ValueError(f"|workers| != |tasks|: {len(W)} vs {len(T)}")
+    if W and not (1 <= min(W) and max(W) <= w):
+        raise ValueError(f"workers outside [1, {w}]")
+    if T and min(T) < 1:
+        raise ValueError("task ids start at 1")
     needed = max(W | T, default=1)
     for family in families:
         if family.N < needed:
             raise ValueError(f"family domain N={family.N} smaller than needed {needed}")
 
-    pairs: list[tuple[int, int]] = []
-    per_round: list[frozenset[tuple[int, int]]] = []
-    for level, family in enumerate(families, start=1):
-        stages = [family.stage(j, (level, j)) for j in range(1, family.D + 1)]
-        for _ in range(reps):
-            if not W and not T:
-                break
-            got, rounds = _run_stages(stages, W, T)
-            pairs.extend(got)
-            per_round.extend(rounds)
-    return _complete_and_pack(w, pairs, per_round, W, T)
+    # Each level's sweep repeated ``reps`` times; the loop stops once nothing is left.
+    stages = [
+        stage
+        for level, family in enumerate(families, start=1)
+        for stage in [family.stage(j, (level, j)) for j in range(1, family.D + 1)] * reps
+    ]
+    wt = _rows(W, T, id_dtype(needed))
+    return _set_result(w, wt, _run_scalar(stages, wt))
 
 
 def assign_explicit(
@@ -513,9 +576,6 @@ def assign_explicit(
     size = len(T)
     if size > w:
         raise ValueError("multiset larger than worker count")
-    lifted = lift(T, w)
-    result = assign_explicit_set(families, reps, range(1, size + 1), lifted, w)
-    projected = Assignment(
-        w, tuple((worker, decode(task, w)[0]) for worker, task in result.assignment.pairs)
-    )
+    result = assign_explicit_set(families, reps, range(1, size + 1), lift(T, w), w)
+    projected = project(result.assignment, T, w)
     return AssignResult(projected, result.fallback_pairs, result.per_round_pairs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Assignment, TaskMultiset
 from .hashing import GOLDEN, MASK64, mix64, mix64_np
-from .reduction import decode, lift
+from .reduction import lift, project_np
 
 __all__ = ["PriorityOracle", "sorted_order", "random_permutation_assign"]
 
@@ -83,4 +83,4 @@ def random_permutation_assign(oracle: PriorityOracle, T: TaskMultiset, w: int) -
     lifted = sorted(lift(T, w))
     workers = list(range(1, size + 1))
     chosen = _greedy_order(oracle, workers, lifted)
-    return Assignment(w, tuple((i + 1, decode(task, w)[0]) for i, task in enumerate(chosen)))
+    return Assignment(w, tuple(zip(workers, project_np(chosen, w).tolist())))

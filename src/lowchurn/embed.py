@@ -16,6 +16,8 @@ the l1 distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .assigner import AssignResult, RoundSchedule, assign
 from .core import TaskMultiset
@@ -94,8 +96,12 @@ class SparseVector:
     def is_binary(self) -> bool:
         return all(val == 1 for _, val in self.entries)
 
+    @cached_property
+    def _values(self) -> dict[int, int]:
+        return dict(self.entries)
+
     def value_at(self, pos: int) -> int:
-        return dict(self.entries).get(pos, 0)
+        return self._values.get(pos, 0)
 
     def to_multiset(self) -> TaskMultiset:
         """The support as a task multiset over ``[n]`` (position repeated by value)."""
@@ -134,7 +140,7 @@ def embed_with_result(schedule: RoundSchedule, x: SparseVector) -> tuple[DenseCo
     if x.n != schedule.t:
         raise ValueError(f"vector dimension {x.n} does not match schedule tasks {schedule.t}")
     result = assign(schedule, x.to_multiset())
-    coords = tuple(task for _, task in result.assignment.pairs)
+    coords = tuple(map(itemgetter(1), result.assignment.pairs))
     return DenseCode(coords), result
 
 

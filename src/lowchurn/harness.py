@@ -99,6 +99,12 @@ def _round_costs(a: tuple[frozenset, ...], b: tuple[frozenset, ...]) -> tuple[in
     return tuple(costs)
 
 
+def _percentile(values: list[int], p: int) -> int:
+    """Nearest-rank ``p``-th percentile: the least value with ``p``% of values at or below it."""
+    ranked = sorted(values)
+    return ranked[max(0, -(-len(ranked) * p // 100) - 1)]
+
+
 def run_walk(
     w: int,
     t: int,
@@ -108,7 +114,11 @@ def run_walk(
     steps: int,
     size_varying: bool = False,
 ) -> tuple[list[ExperimentRecord], dict]:
-    """Random adjacent walk of ``steps`` moves; returns the records and a summary."""
+    """Random adjacent walk of ``steps`` moves; returns the records and a summary.
+
+    The summary reports the switching cost's mean, nearest-rank p50 and p99,
+    and max over the steps.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     assigner = make_assigner(algorithm, w, t, c, seed)
@@ -118,8 +128,7 @@ def run_walk(
 
     records: list[ExperimentRecord] = []
     fallbacks = int(out_cur.fallback_used)
-    total = 0
-    worst = 0
+    costs: list[int] = []
     for step in range(steps):
         start = time.perf_counter_ns()
         nxt = adjacent_step(current, rng, w=w, size_varying=size_varying)
@@ -144,8 +153,7 @@ def run_walk(
             )
         )
         fallbacks += int(out_nxt.fallback_used)
-        total += cost
-        worst = max(worst, cost)
+        costs.append(cost)
         current, out_cur = nxt, out_nxt
 
     summary = {
@@ -156,8 +164,10 @@ def run_walk(
         "c": c,
         "seed": seed,
         "steps": steps,
-        "max_switching_cost": worst,
-        "mean_switching_cost": total / steps,
+        "max_switching_cost": max(costs),
+        "mean_switching_cost": sum(costs) / steps,
+        "p50_switching_cost": _percentile(costs, 50),
+        "p99_switching_cost": _percentile(costs, 99),
         "fallbacks": fallbacks,
     }
     return records, summary

@@ -74,24 +74,25 @@ def _states(w: int, t: int, multisets: bool) -> list[tuple[int, ...]]:
     return [tuple(s) for s in combinations(range(1, t + 1), w)]
 
 
-def _adjacent_tuples(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Equal-size sorted tuples differing in exactly one element (as multisets)."""
-    diff = 0
-    i = j = 0
-    n = len(a)
-    while i < n and j < n:
-        if a[i] == b[j]:
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            diff += 1
-            if diff > 1:
-                return False
-            i += 1
-        else:
-            j += 1
-    diff += n - i
-    return diff == 1
+def _neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
+    """Each state's adjacent states, as ascending index lists.
+
+    A neighbor swaps one element of a sorted state tuple for another task in
+    ``[1, t]``; the sorted result is looked up in a state-to-index table, so
+    the scan costs ``len(states) * w * t`` lookups instead of a test of every
+    pair of states.
+    """
+    index = {state: i for i, state in enumerate(states)}
+    out = []
+    for state in states:
+        found = set()
+        for i, old in enumerate(state):
+            rest = state[:i] + state[i + 1 :]
+            swapped = (tuple(sorted(rest + (new,))) for new in range(1, t + 1) if new != old)
+            found.update(map(index.get, swapped))
+        found.discard(None)
+        out.append(sorted(found))
+    return out
 
 
 def _bfs_order(states: list[tuple[int, ...]], neighbors: list[list[int]]) -> list[int]:
@@ -134,11 +135,7 @@ def exact_feasible(
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
 
     states = _states(w, t, multisets)
-    neighbors: list[list[int]] = [[] for _ in states]
-    for a_idx, b_idx in combinations(range(len(states)), 2):
-        if _adjacent_tuples(states[a_idx], states[b_idx]):
-            neighbors[a_idx].append(b_idx)
-            neighbors[b_idx].append(a_idx)
+    neighbors = _neighbors(states, t)
 
     order = _bfs_order(states, neighbors)
     position = {idx: pos for pos, idx in enumerate(order)}
@@ -214,10 +211,6 @@ def exact_feasible(
     return FeasibilityResult("feasible", solution, nodes)
 
 
-def _state_multisets(w: int, t: int, multisets: bool) -> list[TaskMultiset]:
-    return [TaskMultiset.from_elements(s, t) for s in _states(w, t, multisets)]
-
-
 def exhaustive_max_switching(
     assignfn: AssignFn, w: int, t: int, *, multisets: bool = False
 ) -> tuple[int, tuple[TaskMultiset, TaskMultiset] | None]:
@@ -226,18 +219,19 @@ def exhaustive_max_switching(
     Returns the maximum and a witness pair, or ``(0, None)`` when the
     instance has no adjacent pairs at all (e.g. ``t == 1``).
     """
-    states = _state_multisets(w, t, multisets)
-    tuples = [s.elements() for s in states]
+    tuples = _states(w, t, multisets)
+    states = [TaskMultiset.from_elements(s, t) for s in tuples]
     results = [assignfn(s) for s in states]
     best = 0
     witness: tuple[TaskMultiset, TaskMultiset] | None = None
-    for a_idx, b_idx in combinations(range(len(states)), 2):
-        if not _adjacent_tuples(tuples[a_idx], tuples[b_idx]):
-            continue
-        cost = switching_cost(results[a_idx], results[b_idx])
-        if cost > best or witness is None:
-            best = cost
-            witness = (states[a_idx], states[b_idx])
+    for a_idx, adjacent in enumerate(_neighbors(tuples, t)):
+        for b_idx in adjacent:
+            if b_idx < a_idx:
+                continue  # each pair once, as (a, b) with a < b
+            cost = switching_cost(results[a_idx], results[b_idx])
+            if cost > best or witness is None:
+                best = cost
+                witness = (states[a_idx], states[b_idx])
     return best, witness
 
 

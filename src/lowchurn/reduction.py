@@ -7,14 +7,31 @@ encoding preserves the lexicographic order of ``(base, copy)``. Adjacent
 multisets lift to adjacent sets, so any set assigner's switching behavior
 survives the round trip; projecting an assignment back simply drops the copy
 index.
+
+``lift_np`` and ``project_np`` are the array forms the pipeline runs on:
+the lifted set as a sorted id array, and the base task of every id in an
+array at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .core import Assignment, TaskMultiset
 
-__all__ = ["LiftedTaskId", "encode", "decode", "lift", "lift_ids", "project"]
+__all__ = [
+    "LiftedTaskId",
+    "encode",
+    "decode",
+    "id_dtype",
+    "lift",
+    "lift_ids",
+    "lift_np",
+    "project",
+    "project_np",
+]
 
 
 def encode(base: int, copy: int, w: int) -> int:
@@ -70,6 +87,36 @@ def lift(T: TaskMultiset, w: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def id_dtype(n: int) -> type:
+    """The array dtype for ids in ``[1, n]``: uint64, or Python ints (object) from ``2**64`` on."""
+    return np.uint64 if n < 1 << 64 else object
+
+
+def lift_np(T: TaskMultiset, w: int) -> np.ndarray:
+    """:func:`lift` as an ascending array of ids.
+
+    The ids have dtype ``id_dtype(w * t)``. Copy ``x`` of a task sits
+    ``x - 1`` places after the task's first copy, so every id is its position
+    in the array plus a per-task shift.
+    """
+    if len(T) > w:  # only then can one multiplicity exceed w
+        for task, count in T.entries:
+            if count > w:
+                raise ValueError(f"multiplicity {count} of task {task} exceeds worker count {w}")
+    dtype = id_dtype(w * T.t)
+    runs = np.fromiter(chain.from_iterable(T.entries), dtype, 2 * len(T.entries))
+    tasks, counts = runs[0::2], runs[1::2]
+    shifts = (tasks - 1) * w + 1 - (np.cumsum(counts) - counts)
+    ids = np.repeat(shifts, counts.astype(np.intp))
+    ids += np.arange(len(T), dtype=dtype)
+    return ids
+
+
+def project_np(lifted, w: int) -> np.ndarray:
+    """The base task of every lifted id in ``lifted``: the array form of ``decode(id, w)[0]``."""
+    return (np.asarray(lifted) - 1) // w + 1
+
+
 def project(a: Assignment, T: TaskMultiset, w: int) -> Assignment:
     """Project an assignment over lifted ids back to the base tasks of ``T``.
 
@@ -80,4 +127,5 @@ def project(a: Assignment, T: TaskMultiset, w: int) -> Assignment:
     assigned = [task for _, task in a.pairs]
     if len(assigned) != len(lifted) or set(assigned) != lifted:
         raise ValueError("assignment is not a bijection onto the lifted task set")
-    return Assignment(a.w, tuple((worker, decode(task, w)[0]) for worker, task in a.pairs))
+    workers = [worker for worker, _ in a.pairs]
+    return Assignment(a.w, tuple(zip(workers, project_np(assigned, w).tolist())))

@@ -26,8 +26,15 @@ from lowchurn.assigner import (
     trivial_families,
 )
 from lowchurn.binhash import BinHash, compose, is_matching
-from lowchurn.core import TaskMultiset, WorkerTaskInput, adjacent_step, random_multiset, switching_cost
-from lowchurn.reduction import lift
+from lowchurn.core import (
+    Assignment,
+    TaskMultiset,
+    WorkerTaskInput,
+    adjacent_step,
+    random_multiset,
+    switching_cost,
+)
+from lowchurn.reduction import decode, lift
 
 
 def ms(*elements, t=8):
@@ -149,13 +156,18 @@ class TestAssignSet:
 
 
 def run_engine(schedule, workers, tasks, *, array):
-    """``assign_set``'s result from one engine, chosen by the caller."""
-    W, T = set(workers), set(tasks)
+    """``assign_set``'s result from one engine, chosen by the caller.
+
+    The scalar side is the plain reference: the stage loop on sets, then
+    rank-order completion and a sort of the pairs, with no arrays.
+    """
     if array:
-        pairs, per_round = assigner._run_arrays(schedule.round_arrays, W, T)
-    else:
-        pairs, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
-    return assigner._complete_and_pack(schedule.w, pairs, per_round, W, T)
+        wt = assigner._rows(workers, tasks, np.uint64)
+        return assigner._set_result(schedule.w, wt, assigner._run_arrays(schedule.round_arrays, wt))
+    W, T = set(workers), set(tasks)
+    pairs, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
+    pairs += zip(sorted(W), sorted(T))
+    return AssignResult(Assignment(schedule.w, tuple(sorted(pairs))), len(W), tuple(per_round))
 
 
 class TestArrayEngine:
@@ -221,6 +233,71 @@ class TestArrayEngine:
         assert seeds.dtype == ks.dtype == np.uint64
         assert [int(k) for k in ks] == [r.k for r in a.rounds]
         assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [r.hash.seeds for r in a.rounds]
+
+
+def scalar_assign(schedule, T):
+    """``assign`` by the plain route: the set lift, the stage loop on sets,
+    rank-order completion, a sort of the pairs and a per-pair ``decode``."""
+    w = schedule.w
+    W, L = set(range(1, len(T) + 1)), set(lift(T, w))
+    pairs, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, L)
+    pairs += zip(sorted(W), sorted(L))
+    projected = tuple((worker, decode(task, w)[0]) for worker, task in sorted(pairs))
+    return AssignResult(Assignment(w, projected), len(W), tuple(per_round))
+
+
+class TestArrayNativeAssign:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        w=st.sampled_from([1, 3, 8, 15, 16, 17, 40, 64, 65, 130, 300]),
+        t=st.sampled_from([1, 3, 50, 2**33 + 7]),
+        c=st.integers(1, 2),
+        master_seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_bit_identical_to_scalar_reference(self, w, t, c, master_seed, data):
+        schedule = build_schedule(w, t, c, master_seed)
+        # Truncated schedules leave residuals, so the fallbacks are compared too.
+        keep = data.draw(st.none() | st.integers(1, schedule.total_rounds), label="rounds kept")
+        if keep is not None:
+            schedule = RoundSchedule(w, t, c, master_seed, schedule.rounds[:keep])
+        size = data.draw(st.just(w) | st.integers(0, w), label="size")
+        # Few distinct tasks give multiplicities above 1.
+        kinds = data.draw(st.integers(1, min(t, w + 2)), label="distinct tasks")
+        rng = data.draw(st.randoms(use_true_random=False))
+        support = rng.sample(range(1, t + 1), kinds)
+        T = TaskMultiset.from_elements((rng.choice(support) for _ in range(size)), t)
+        got = assign(schedule, T)
+        want = scalar_assign(schedule, T)
+        assert got.assignment == want.assignment
+        assert got.fallback_pairs == want.fallback_pairs
+        assert got.per_round_pairs == want.per_round_pairs
+
+    def test_head_rounds_repeats_and_fallback_are_exercised(self):
+        # Cases the differential test reaches only by chance: a residual
+        # above 64 with high multiplicities, on a cut and on a full schedule.
+        s = build_schedule(300, 7, c=1, master_seed=12)
+        rng = Random(2)
+        T = TaskMultiset.from_elements((rng.randint(1, 7) for _ in range(300)), 7)
+        assert max(count for _, count in T.entries) > 40
+        full = assign(s, T)
+        assert full.fallback_pairs == 0 and full == scalar_assign(s, T)
+        assert max(full.per_round_matches) > assigner._TAIL_N  # a head round ran
+        cut = RoundSchedule(300, 7, 1, 12, s.rounds[:2])
+        short = assign(cut, T)
+        assert short.fallback_pairs > assigner._TAIL_N
+        assert short == scalar_assign(cut, T)
+
+    def test_sparse_head_rounds(self):
+        # Past 512 workers, a head-round residual of a little over 64 ids
+        # has more than _DENSE_BINS bins per id, so the round sorts instead
+        # of scattering; at 300 workers and below that never happens.
+        s = build_schedule(1024, 3, c=1, master_seed=4)
+        assert s.rounds[0].k > assigner._DENSE_BINS * 100
+        rng = Random(6)
+        for size in (100, 200):
+            T = TaskMultiset.from_elements((rng.randint(1, 3) for _ in range(size)), 3)
+            assert assign(s, T) == scalar_assign(s, T)
 
 
 class TestAssignMultiset:

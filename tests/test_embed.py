@@ -1,7 +1,10 @@
+import time
 from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowchurn.assigner import assign, build_schedule
 from lowchurn.core import switching_cost
@@ -74,6 +77,32 @@ class TestHamming:
     def test_kind_mismatch(self):
         with pytest.raises(TypeError):
             hamming(vec(8, 1), DenseCode((1,)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        a=st.dictionaries(st.integers(1, 12), st.integers(1, 4), max_size=12),
+        b=st.dictionaries(st.integers(1, 12), st.integers(1, 4), max_size=12),
+    )
+    def test_vector_distance_matches_per_position_formula(self, n, a, b):
+        x = SparseVector.from_values(n, {p: v for p, v in a.items() if p <= n})
+        y = SparseVector.from_values(n, {p: v for p, v in b.items() if p <= n})
+        positions = {p for p, _ in x.entries} | {p for p, _ in y.entries}
+        expected = sum(
+            abs(dict(x.entries).get(p, 0) - dict(y.entries).get(p, 0)) for p in positions
+        )
+        assert hamming(x, y) == expected
+
+    def test_vector_distance_is_linear_in_weight(self):
+        # Rebuilding a dict per position made this quadratic in the weight:
+        # 0.75 s at weight 2000, so about 50 s for this pair.
+        rng = Random(3)
+        x = vec(65536, *rng.sample(range(1, 65537), 16384))
+        y = vec(65536, *rng.sample(range(1, 65537), 16384))
+        start = time.perf_counter()
+        d = hamming(x, y)
+        assert time.perf_counter() - start < 0.5
+        assert d == len({p for p, _ in x.entries} ^ {p for p, _ in y.entries})
 
 
 class TestEmbed:

@@ -30,6 +30,20 @@ def test_walk_single_step():
     assert summary["steps"] == 1
     assert summary["max_switching_cost"] == records[0].switching_cost
     assert summary["mean_switching_cost"] == records[0].switching_cost
+    assert summary["p50_switching_cost"] == records[0].switching_cost
+    assert summary["p99_switching_cost"] == records[0].switching_cost
+
+
+def test_walk_summary_reports_churn_distribution():
+    records, summary = run_walk(w=8, t=20, c=4, seed=3, algorithm="sorted", steps=150)
+    costs = sorted(r.switching_cost for r in records)
+    # Nearest rank: the 75th of 150 values is the median, the 149th the p99;
+    # with this seed they differ from the minimum and from the maximum.
+    assert summary["p50_switching_cost"] == costs[74]
+    assert summary["p99_switching_cost"] == costs[148]
+    assert summary["max_switching_cost"] == costs[-1]
+    assert summary["mean_switching_cost"] == sum(costs) / 150
+    assert costs[0] < summary["p50_switching_cost"] <= summary["p99_switching_cost"] < costs[-1]
 
 
 def test_walk_steps_are_adjacent_and_reproducible():

@@ -1,11 +1,21 @@
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lowchurn.core import Assignment, TaskMultiset, adjacent_step, is_adjacent, random_multiset, switching_cost
-from lowchurn.reduction import LiftedTaskId, decode, encode, lift, lift_ids, project
+from lowchurn.reduction import (
+    LiftedTaskId,
+    decode,
+    encode,
+    lift,
+    lift_ids,
+    lift_np,
+    project,
+    project_np,
+)
 
 
 def ms(*elements, t=8):
@@ -35,6 +45,45 @@ def test_lift_size_matches():
 def test_multiplicity_above_w_rejected():
     with pytest.raises(ValueError):
         lift(ms(2, 2, 2), w=2)
+
+
+def test_lift_np_edge_cases():
+    empty = lift_np(ms(), w=3)
+    assert empty.dtype == np.uint64 and empty.tolist() == []
+    # A task taking every worker, next to one the encoding puts just below it.
+    T = ms(2, 3, 3, 3)
+    assert lift_np(T, w=3).tolist() == sorted(lift(T, w=3)) == [4, 7, 8, 9]
+    with pytest.raises(ValueError) as want:
+        lift(ms(1, 4, 4, 4, 6, 6, 6, 6), w=3)
+    with pytest.raises(ValueError) as got:
+        lift_np(ms(1, 4, 4, 4, 6, 6, 6, 6), w=3)
+    assert str(got.value) == str(want.value) == "multiplicity 4 of task 6 exceeds worker count 3"
+    # Past 2**64 the ids are Python ints.
+    huge = TaskMultiset.from_elements([2**62, 2**62], 2**62)
+    assert lift_np(huge, w=8).tolist() == sorted(lift(huge, w=8))
+
+
+@given(
+    st.integers(1, 6),
+    st.sampled_from([1, 4, 9, 2**40]),
+    st.lists(st.integers(1, 9), max_size=14),
+)
+def test_lift_np_matches_lift(w, t, elements):
+    T = TaskMultiset.from_elements((min(e, t) for e in elements), t)
+    try:
+        want = sorted(lift(T, w))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            lift_np(T, w)
+    else:
+        assert lift_np(T, w).tolist() == want
+
+
+def test_project_np_is_decode():
+    w = 3
+    ids = [1, 2, 3, 4, 9, 10, 2**40]
+    assert project_np(ids, w).tolist() == [decode(e, w)[0] for e in ids]
+    assert project_np(np.array(ids, dtype=np.uint64), w).tolist() == [decode(e, w)[0] for e in ids]
 
 
 @given(st.integers(1, 9), st.integers(1, 7), st.integers(1, 7))
