@@ -15,7 +15,9 @@ for algorithm in ("sorted", "randperm", "mrbb"):
     print(
         f"{algorithm:9s} churn mean {summary['mean_switching_cost']:6.2f}   "
         f"p50 {summary['p50_switching_cost']:3d}   p99 {summary['p99_switching_cost']:3d}   "
-        f"worst {summary['max_switching_cost']:3d}   fallbacks {summary['fallbacks']}"
+        f"worst {summary['max_switching_cost']:3d}   fallbacks {summary['fallbacks']}   "
+        f"step us p50 {summary['p50_wall_time_us']} p99 {summary['p99_wall_time_us']} "
+        f"max {summary['max_wall_time_us']}"
     )
 
 print("\nsample records (mrbb):")

@@ -9,6 +9,13 @@ fallback (sorted residual workers to sorted residual tasks); that policy
 voids the worst-case switching guarantee, so every result reports how many
 pairs it contributed.
 
+A built schedule is its seed arrays. :func:`build_schedule` derives every
+round's worker seed, task seed and bin count in one numpy pass over the
+grid, and ``RoundSchedule.rounds`` is a :class:`SeededRounds` view of those
+arrays: the :class:`Round` and :class:`BinHash` objects the scalar loop
+needs are derived from them the first time they are asked for, once per
+schedule.
+
 The explicit variant replaces seeded hash functions with a per-level family
 of verified strong dispersers, sweeping each family's seeds in order instead
 of drawing fresh randomness. The repetition count per level is a caller
@@ -21,8 +28,8 @@ per-round trace:
 * the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
   round on Python sets. It is the reference, and the only engine for stages
   built from callables, so the explicit variant always runs on it;
-* the array engine (``_run_arrays``) reads the schedule's seeds and bin
-  counts as uint64 arrays (``RoundSchedule.round_arrays``). While more than
+* the array engine (``_run_arrays``) reads the schedule's seed and bin
+  count arrays as they are (``RoundSchedule.round_arrays``). While more than
   ``_TAIL_N`` workers remain it runs one numpy round at a time. Below that
   it hashes the residual under a block of upcoming rounds at once and
   visits only the rounds where some worker shares a bin with some task;
@@ -40,8 +47,9 @@ per-round trace and the one :class:`Assignment` it returns. ``assign_set``
 is the same path wrapped for plain id sets.
 
 ``assign`` and ``assign_set`` pick the array engine when the schedule has at
-least ``ARRAY_MIN_W`` workers and ``round_arrays`` exists (every round
-seeded, ``n < 2**63`` and ``w < 2**31``), and the scalar loop otherwise.
+least ``ARRAY_MIN_W`` workers and ``round_arrays`` exists (rounds from
+:func:`build_schedule`, ``n < 2**63`` and ``w < 2**31``), and the scalar
+loop otherwise.
 
 Schedules and families are immutable; ``assign``, ``assign_set``, and
 ``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
@@ -56,9 +64,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .binhash import BinHash, StageOutcome, compose
+from .binhash import BinHash, StageOutcome, compose, seeds_np
 from .core import Assignment, TaskMultiset, WorkerTaskInput
-from .hashing import bins_np, derive
+from .hashing import bins_np, derive, derive_np
 from .reduction import id_dtype, lift, lift_np, project, project_np
 
 __all__ = [
@@ -112,20 +120,76 @@ class Round:
     hash: BinHash
 
 
+class SeededRounds(Sequence[Round]):
+    """The rounds of a built schedule, held as arrays; :class:`Round` objects come from them.
+
+    ``seeds[0]`` and ``seeds[1]`` hold each round's worker and task seeds
+    (:attr:`BinHash.seeds`), ``ks`` its bin count and ``ij`` its grid
+    coordinates ``(i, j)``, one column per round; all are read-only. The
+    first iteration or integer index builds every :class:`Round`, a
+    :meth:`BinHash.from_seeds` stage with provenance ``(i, j)``, and keeps
+    them, so each is built once. A slice is a view of the same arrays.
+    Equality and hashing compare the arrays.
+    """
+
+    def __init__(self, seeds: np.ndarray, ks: np.ndarray, ij: np.ndarray) -> None:
+        for a in (seeds, ks, ij):
+            a.flags.writeable = False
+        self.seeds, self.ks, self.ij = seeds, ks, ij
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SeededRounds(self.seeds[:, index], self.ks[index], self.ij[:, index])
+        return self._rounds[index]
+
+    def __iter__(self):
+        return iter(self._rounds)
+
+    @cached_property
+    def _rounds(self) -> tuple[Round, ...]:
+        (i, j), (seed_w, seed_t) = self.ij.tolist(), self.seeds.tolist()
+        return tuple(
+            Round(i, j, k, BinHash.from_seeds(k, sw, st, (i, j)))
+            for i, j, k, sw, st in zip(i, j, self.ks.tolist(), seed_w, seed_t)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SeededRounds):
+            return NotImplemented
+        return (
+            np.array_equal(self.seeds, other.seeds)
+            and np.array_equal(self.ks, other.ks)
+            and np.array_equal(self.ij, other.ij)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.seeds.tobytes(), self.ij.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} seeded rounds>"
+
+
 @dataclass(frozen=True)
 class RoundSchedule:
     """The full grid of hashing rounds for one assignment function.
 
     A schedule is a deterministic function of ``(w, t, c, master_seed)``; the
     stage at ``(i, j)`` derives its hash seed from those coordinates, so
-    rebuilding with equal inputs reproduces every bin placement.
+    rebuilding with equal inputs reproduces every bin placement. A built
+    schedule's ``rounds`` is a :class:`SeededRounds`: the seed and bin-count
+    arrays are the schedule, and :class:`Round` objects are derived from them
+    only when asked for. Any other sequence of rounds, callable stages
+    included, is taken as given and runs on the scalar engine.
     """
 
     w: int
     t: int
     c: int
     master_seed: int
-    rounds: tuple[Round, ...] = field(repr=False)
+    rounds: Sequence[Round] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -135,37 +199,44 @@ class RoundSchedule:
     def total_rounds(self) -> int:
         return len(self.rounds)
 
-    @cached_property
+    @property
     def round_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Every round's seeds and bin count as uint64 arrays, for the array engine.
 
         ``seeds[0]`` holds the worker seeds and ``seeds[1]`` the task seeds of
         the rounds' :meth:`BinHash.from_seed` hashes; ``ks`` holds their ``k``.
-        None when some round's hash is not seeded, or when ``n >= 2**63`` or
-        ``w >= 2**31``: past those, ids or the engine's sort keys (below
-        ``4 * w * w``) no longer fit in a uint64. Built on first use, so
-        :func:`build_schedule` does not pay for it.
+        These are the arrays of a built schedule's :class:`SeededRounds`,
+        read as they are. None when ``rounds`` is any other sequence, or when
+        ``n >= 2**63`` or ``w >= 2**31``: past those, ids or the engine's sort
+        keys (below ``4 * w * w``) no longer fit in a uint64.
         """
-        seeds = [r.hash.seeds for r in self.rounds]
-        if None in seeds or self.n >= 1 << 63 or self.w >= 1 << 31:
+        rounds = self.rounds
+        if not isinstance(rounds, SeededRounds) or self.n >= 1 << 63 or self.w >= 1 << 31:
             return None
-        ks = np.array([r.k for r in self.rounds], dtype=np.uint64)
-        return np.array(seeds, dtype=np.uint64).T.copy(), ks
+        return rounds.seeds, rounds.ks
 
 
 def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSchedule:
-    """Construct the round grid for ``w`` workers over ``t`` task kinds."""
+    """Construct the round grid for ``w`` workers over ``t`` task kinds.
+
+    Round ``(i, j)`` has the hash seed ``derive(master_seed, i, j)`` and
+    ``k = bins_for_round(w, i)``. The first step of ``derive`` runs in Python,
+    so any integer master seed works; the ``i`` and ``j`` steps and the
+    worker/task seed split run over the whole grid in numpy. No
+    :class:`BinHash` is built here.
+    """
     if w < 1 or t < 1 or c < 1:
         raise ValueError("w, t, c must all be >= 1")
     n = w * t
     reps = c * max(1, (n - 1).bit_length())
-    rounds = []
-    for i in range(1, outer_round_count(w) + 1):
-        k = bins_for_round(w, i)
-        for j in range(1, reps + 1):
-            seed = derive(master_seed, i, j)
-            rounds.append(Round(i, j, k, BinHash.from_seed(k, seed, provenance=(i, j))))
-    return RoundSchedule(w, t, c, master_seed, tuple(rounds))
+    outer = outer_round_count(w)
+    per_outer = [bins_for_round(w, i) for i in range(1, outer + 1)]
+    ks = np.repeat(np.array(per_outer, dtype=id_dtype(w)), reps)
+    i = np.arange(1, outer + 1, dtype=np.uint64)
+    j = np.arange(1, reps + 1, dtype=np.uint64)
+    seeds = derive_np(derive_np(np.uint64(derive(master_seed)), i)[:, None], j)
+    ij = np.array([np.repeat(i, reps), np.tile(j, outer)], dtype=np.int64)
+    return RoundSchedule(w, t, c, master_seed, SeededRounds(seeds_np(seeds.ravel()), ks, ij))
 
 
 @dataclass(frozen=True)

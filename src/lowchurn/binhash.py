@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .core import WorkerTaskInput
-from .hashing import GOLDEN, MASK64, MUL1, MUL2, mix64
+from .hashing import GOLDEN, MASK64, MUL1, MUL2, mix64, mix64_np
 
 __all__ = ["BinHash", "StageOutcome", "difference_score", "compose", "is_matching"]
 
@@ -63,8 +65,11 @@ class BinHash:
 
     @classmethod
     def from_seed(cls, k: int, seed: int, provenance: tuple = ()) -> "BinHash":
-        seed_w = mix64(seed ^ _TAG_WORKER)
-        seed_t = mix64(seed ^ _TAG_TASK)
+        return cls.from_seeds(k, mix64(seed ^ _TAG_WORKER), mix64(seed ^ _TAG_TASK), provenance)
+
+    @classmethod
+    def from_seeds(cls, k: int, seed_w: int, seed_t: int, provenance: tuple = ()) -> "BinHash":
+        """The seeded stage with the worker and task seeds already derived (see :func:`seeds_np`)."""
         obj = cls(
             k,
             lambda x: _bin_of(seed_w, x, k),
@@ -130,6 +135,15 @@ class BinHash:
             wt.tasks.difference(t for _, t in pairs),
         )
         return StageOutcome(matched, residual, len(matched))
+
+
+def seeds_np(seed: np.ndarray) -> np.ndarray:
+    """The ``(worker seeds, task seeds)`` that :meth:`BinHash.from_seed` derives, as a ``(2, R)`` array.
+
+    ``seed`` is a uint64 array of ``R`` stage seeds; the result is bit-identical
+    to ``BinHash.from_seed(k, s).seeds`` for each of them.
+    """
+    return mix64_np(seed ^ np.array([[_TAG_WORKER], [_TAG_TASK]], dtype=np.uint64))
 
 
 def _bin_of(seed: int, x: int, k: int) -> int:

@@ -58,6 +58,18 @@ class TaskMultiset:
             prev = task
 
     @classmethod
+    def _from_checked(cls, entries: tuple[tuple[int, int], ...], t: int, size: int) -> "TaskMultiset":
+        """The multiset of ``entries`` with its known ``size``, skipping ``__post_init__``.
+
+        For callers that have already made the same checks: ``t >= 1``, and
+        ``entries`` are strictly increasing ids in ``[1, t]`` with counts
+        ``>= 1`` that sum to ``size``.
+        """
+        obj = object.__new__(cls)
+        obj.__dict__.update(entries=entries, t=t, size=size)  # ``size`` fills its cached_property
+        return obj
+
+    @classmethod
     def from_elements(cls, elements: Iterable[int], t: int) -> "TaskMultiset":
         counts = Counter(elements)
         return cls(tuple(sorted(counts.items())), t)

@@ -15,7 +15,7 @@ the l1 distance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -44,11 +44,12 @@ class SparseVector:
 
     n: int
     entries: tuple[tuple[int, int], ...]
+    weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        prev = 0
+        prev = weight = 0
         for pos, val in self.entries:
             if not 1 <= pos <= self.n:
                 raise ValueError(f"position {pos} outside [1, {self.n}]")
@@ -57,6 +58,8 @@ class SparseVector:
             if val < 1:
                 raise ValueError("stored values must be >= 1")
             prev = pos
+            weight += val
+        object.__setattr__(self, "weight", weight)
 
     @classmethod
     def from_support(cls, n: int, positions) -> "SparseVector":
@@ -89,10 +92,6 @@ class SparseVector:
         return vec
 
     @property
-    def weight(self) -> int:
-        return sum(val for _, val in self.entries)
-
-    @property
     def is_binary(self) -> bool:
         return all(val == 1 for _, val in self.entries)
 
@@ -104,8 +103,11 @@ class SparseVector:
         return self._values.get(pos, 0)
 
     def to_multiset(self) -> TaskMultiset:
-        """The support as a task multiset over ``[n]`` (position repeated by value)."""
-        return TaskMultiset(self.entries, self.n)
+        """The support as a task multiset over ``[n]`` (position repeated by value).
+
+        The vector's own checks are the multiset's, so they are not made again.
+        """
+        return TaskMultiset._from_checked(self.entries, self.n, self.weight)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,9 @@ def run_walk(
     """Random adjacent walk of ``steps`` moves; returns the records and a summary.
 
     The summary reports the switching cost's mean, nearest-rank p50 and p99,
-    and max over the steps.
+    and max over the steps, and the same percentiles and max of the steps'
+    ``wall_time_us``. Like the records, it reproduces exactly except for the
+    wall times.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -129,6 +131,7 @@ def run_walk(
     records: list[ExperimentRecord] = []
     fallbacks = int(out_cur.fallback_used)
     costs: list[int] = []
+    walls: list[int] = []
     for step in range(steps):
         start = time.perf_counter_ns()
         nxt = adjacent_step(current, rng, w=w, size_varying=size_varying)
@@ -154,6 +157,7 @@ def run_walk(
         )
         fallbacks += int(out_nxt.fallback_used)
         costs.append(cost)
+        walls.append(elapsed_us)
         current, out_cur = nxt, out_nxt
 
     summary = {
@@ -168,6 +172,9 @@ def run_walk(
         "mean_switching_cost": sum(costs) / steps,
         "p50_switching_cost": _percentile(costs, 50),
         "p99_switching_cost": _percentile(costs, 99),
+        "p50_wall_time_us": _percentile(walls, 50),
+        "p99_wall_time_us": _percentile(walls, 99),
+        "max_wall_time_us": max(walls),
         "fallbacks": fallbacks,
     }
     return records, summary

@@ -46,6 +46,16 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return _mix64_inplace(x.astype(np.uint64, copy=True))
 
 
+def derive_np(acc, part: np.ndarray) -> np.ndarray:
+    """One step of :func:`derive`, ``mix64(acc ^ (part * GOLDEN mod 2**64))``, over uint64 arrays.
+
+    ``acc`` broadcasts against ``part``, so ``derive_np(derive_np(np.uint64(
+    derive(a)), i), j)`` gives ``derive(a, i, j)`` for a whole grid of ``i``
+    and ``j`` at once.
+    """
+    return _mix64_inplace(np.bitwise_xor(part * np.uint64(GOLDEN), acc))
+
+
 def bins_np(seed, x: np.ndarray, k) -> np.ndarray:
     """Vectorized seeded bin ``mix64(seed ^ (x * GOLDEN mod 2**64)) % k`` over uint64 arrays.
 
@@ -53,4 +63,4 @@ def bins_np(seed, x: np.ndarray, k) -> np.ndarray:
     and ``k`` broadcast against ``x``, so a column of seeds and bin counts
     hashes one id vector under many stages at once.
     """
-    return _mix64_inplace(np.bitwise_xor(x * np.uint64(GOLDEN), seed)) % k
+    return derive_np(seed, x) % k

@@ -34,6 +34,7 @@ from lowchurn.core import (
     random_multiset,
     switching_cost,
 )
+from lowchurn.hashing import derive
 from lowchurn.reduction import decode, lift
 
 
@@ -233,6 +234,75 @@ class TestArrayEngine:
         assert seeds.dtype == ks.dtype == np.uint64
         assert [int(k) for k in ks] == [r.k for r in a.rounds]
         assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [r.hash.seeds for r in a.rounds]
+
+
+def per_round_schedule(w, t, c, master_seed):
+    """The rounds as built one by one: ``derive(master_seed, i, j)``, then ``BinHash.from_seed``."""
+    reps = c * max(1, (w * t - 1).bit_length())
+    return [
+        Round(i, j, k, BinHash.from_seed(k, derive(master_seed, i, j), provenance=(i, j)))
+        for i in range(1, outer_round_count(w) + 1)
+        for k in [bins_for_round(w, i)]
+        for j in range(1, reps + 1)
+    ]
+
+
+class TestSeedArraySchedule:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.integers(1, 300),
+        t=st.sampled_from([1, 2, 7, 2**33 + 7]) | st.integers(1, 5000),
+        c=st.integers(1, 3),
+        master_seed=st.integers(-(2**80), -1) | st.integers(0, 2**64 - 1) | st.integers(2**64, 2**80),
+    )
+    def test_matches_per_round_construction(self, w, t, c, master_seed):
+        schedule = build_schedule(w, t, c, master_seed)
+        want = per_round_schedule(w, t, c, master_seed)
+        seeds, ks = schedule.round_arrays
+        assert ks.tolist() == [r.k for r in want]
+        assert list(zip(*seeds.tolist())) == [r.hash.seeds for r in want]
+        got = list(schedule.rounds)
+        assert len(got) == schedule.total_rounds == len(want)
+        for a, b in zip(got, want):
+            assert (a.i, a.j, a.k) == (b.i, b.j, b.k)
+            assert a.hash.k == a.k and a.hash.seeds == b.hash.seeds
+            assert a.hash.provenance == b.hash.provenance == (b.i, b.j)
+
+    def test_build_makes_no_stage_and_rounds_are_built_once(self, monkeypatch):
+        built = []
+        init = BinHash.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BinHash, "__init__", counting_init)
+        big = build_schedule(1024, 64)
+        small = build_schedule(4, 10)  # below ARRAY_MIN_W: the scalar loop runs it
+        assert built == []
+        rng = Random(3)
+        for _ in range(5):
+            assign(big, random_multiset(rng.randint(0, 1024), 64, rng))
+        assert built == []  # the array engine reads the arrays only
+        for _ in range(5):
+            assign(small, random_multiset(rng.randint(0, 4), 10, rng))
+        assert len(built) == small.total_rounds
+        assert [r.hash for r in small.rounds] == built
+        assert small.rounds[0] is small.rounds[0]
+
+    def test_rounds_view_slices_compares_and_hashes(self):
+        a = build_schedule(40, 9, c=2, master_seed=-7)
+        b = build_schedule(40, 9, c=2, master_seed=-7)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != build_schedule(40, 9, c=2, master_seed=7)
+        assert repr(a) == "RoundSchedule(w=40, t=9, c=2, master_seed=-7)"
+        cut = a.rounds[5:17]
+        assert len(cut) == 12 and cut == b.rounds[5:17] and cut != a.rounds[5:18]
+        assert [r.hash.seeds for r in cut] == [r.hash.seeds for r in list(a.rounds)[5:17]]
+        assert RoundSchedule(40, 9, 2, -7, cut).round_arrays is not None
+        seeds, ks = a.round_arrays
+        with pytest.raises(ValueError):
+            seeds[0, 0] = 1  # the arrays are the schedule, so they are read-only
 
 
 def scalar_assign(schedule, T):

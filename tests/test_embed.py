@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowchurn.assigner import assign, build_schedule
-from lowchurn.core import switching_cost
+from lowchurn.core import TaskMultiset, switching_cost
 from lowchurn.embed import (
     DenseCode,
     SparseVector,
@@ -50,6 +50,33 @@ class TestSparseVector:
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
             SparseVector.parse("4 1 5")
+
+    @pytest.mark.parametrize(
+        "n, entries, message",
+        [
+            (0, (), "dimension must be >= 1"),
+            (4, ((5, 1),), r"position 5 outside \[1, 4\]"),
+            (4, ((2, 1), (2, 1)), "positions must be strictly increasing"),
+            (4, ((1, 1), (2, 0)), "stored values must be >= 1"),
+        ],
+    )
+    def test_invalid_entries_rejected_by_the_vector(self, n, entries, message):
+        with pytest.raises(ValueError, match=message):
+            SparseVector(n, entries)
+
+    def test_to_multiset_is_the_checked_multiset(self):
+        rng = Random(4)
+        vectors = [
+            SparseVector(5, ()),
+            vec(9, 1, 4, 9),
+            SparseVector.from_support(2000, rng.sample(range(1, 2001), 700)),
+            SparseVector.from_values(30, {p: rng.randint(1, 5) for p in rng.sample(range(1, 31), 12)}),
+        ]
+        for x in vectors:
+            m = x.to_multiset()
+            assert m == TaskMultiset(x.entries, x.n) and hash(m) == hash(TaskMultiset(x.entries, x.n))
+            assert len(m) == m.size == x.weight == sum(value for _, value in x.entries)
+            assert len(m.elements()) == x.weight
 
 
 class TestHamming:

@@ -1,7 +1,7 @@
 import numpy as np
 
 from lowchurn.binhash import _bin_of
-from lowchurn.hashing import GOLDEN, MASK64, bins_np, mix64, mix64_np
+from lowchurn.hashing import GOLDEN, MASK64, bins_np, derive, derive_np, mix64, mix64_np
 
 EDGE_WORDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1] + [
     (m * GOLDEN) & MASK64 for m in (1, 2, 3, 2**32, 2**63 - 1)
@@ -42,3 +42,11 @@ def test_bins_np_broadcasts_a_column_of_rounds():
     assert got.shape == (len(EDGE_WORDS), len(EDGE_WORDS))
     for row, (seed, k) in enumerate(zip(seeds[:, 0].tolist(), ks[:, 0].tolist())):
         assert got[row].tolist() == [_bin_of(seed, x, k) for x in EDGE_WORDS]
+
+
+def test_derive_np_steps_match_scalar_derive():
+    parts = words(EDGE_WORDS)
+    for first in (0, -1, 2**64 + 5, 2**63):
+        got = derive_np(derive_np(np.uint64(derive(first)), parts)[:, None], parts)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [[derive(first, i, j) for j in EDGE_WORDS] for i in EDGE_WORDS]
