@@ -7,6 +7,7 @@ low-dimensional Hamming space.
 """
 from .assigner import (
     AssignResult,
+    AssignSession,
     DisperserFamily,
     RoundSchedule,
     assign,
@@ -47,6 +48,7 @@ from .reduction import lift, project
 __all__ = [
     "Assignment",
     "AssignResult",
+    "AssignSession",
     "BinHash",
     "DenseCode",
     "DisperserFamily",

@@ -51,13 +51,30 @@ least ``ARRAY_MIN_W`` workers and ``round_arrays`` exists (rounds from
 :func:`build_schedule`, ``n < 2**63`` and ``w < 2**31``), and the scalar
 loop otherwise.
 
+:class:`AssignSession` answers a sequence of multisets with the results
+``assign`` gives, and keeps the last input's run as a cache: each element's
+match round and its bin in every round it was live. One hash round never
+increases the difference between two inputs, so an input within
+``_SESSION_MAX_CHANGES`` lifted ids of the cached one (a walk step changes
+two) is worked out event by event from the cached run, touching only the
+bins the changed elements reach. Every other call is a full run on the
+array engine, the same work as ``assign``: the first call, a larger
+difference, and an empty input before or after. A full run keeps only its
+input and its run, and the next call builds the cache from them if it takes
+the incremental path, so one-shot and unrelated inputs cost what ``assign``
+costs. The cache is linear in the input. Schedules with fewer than
+``SESSION_MIN_W`` workers (a measured crossover) or that the array engine
+does not run keep no cache, and each call is a plain ``assign``.
+
 Schedules and families are immutable; ``assign``, ``assign_set``, and
 ``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
+A session is a cache with one owner: it is not for concurrent use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import chain
 from random import Random
 from typing import Iterable, Sequence
@@ -73,6 +90,7 @@ __all__ = [
     "Round",
     "RoundSchedule",
     "AssignResult",
+    "AssignSession",
     "DisperserFamily",
     "build_schedule",
     "assign_set",
@@ -510,18 +528,479 @@ def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
     the pairs, the fallback and the projection all stay numpy arrays up to
     the one :class:`Assignment` built at the end.
     """
+    _check_multiset(schedule, T)
+    wt = _lifted_rows(T, schedule.w)
+    return _multiset_result(schedule.w, wt, _run(schedule, wt))
+
+
+def _check_multiset(schedule: RoundSchedule, T: TaskMultiset) -> None:
+    """Reject the multisets ``assign`` rejects."""
     if T.t != schedule.t:
         raise ValueError(f"multiset universe {T.t} does not match schedule t={schedule.t}")
-    size = len(T)
-    if size > schedule.w:
+    if len(T) > schedule.w:
         raise ValueError("multiset larger than worker count")
-    w = schedule.w
+
+
+def _lifted_rows(T: TaskMultiset, w: int) -> np.ndarray:
+    """Workers ``1..|T|`` over the ascending lifted ids of ``T``."""
     tasks = lift_np(T, w)
-    wt = np.array([np.arange(1, size + 1, dtype=tasks.dtype), tasks])
-    matched, per_round, residual = _run(schedule, wt)
+    return np.array([np.arange(1, len(T) + 1, dtype=tasks.dtype), tasks])
+
+
+def _multiset_result(w: int, wt: np.ndarray, run: Run) -> AssignResult:
+    """The :class:`AssignResult` of ``assign`` from an engine run over the lifted rows ``wt``."""
+    matched, per_round, residual = run
     base = project_np(_pack(wt[0], matched, residual), w)
-    assignment = Assignment(w, tuple(zip(range(1, size + 1), base.tolist())))
+    assignment = Assignment(w, tuple(zip(range(1, wt.shape[1] + 1), base.tolist())))
     return AssignResult(assignment, residual.shape[1], tuple(per_round))
+
+
+# Sessions keep a cache only for schedules with at least this many workers;
+# below it every call is a plain ``assign``, because the incremental path's
+# fixed cost per call loses to a full run of the short schedule. Time of
+# ``assign`` over time of the session on the same 600-step walks (t = 4w,
+# fixed-size / size-varying, restarted every 64 steps, the two called in
+# alternating order; two seeds), on a 2-core x86-64 VM with Python 3.11.7
+# and numpy 2.4.6: w=64 (no cache, so the noise) 0.99-1.00 / 0.98-0.99,
+# w=96 0.96-1.00 / 0.88-0.89, w=128 1.04-1.05 / 0.85-0.97, w=160 1.12-1.13
+# / 1.04-1.09, w=192 1.18-1.19 / 1.16-1.18, w=256 1.31-1.33 / 1.21-1.22,
+# w=1024 (t=64w) 2.46-2.50 / -.
+SESSION_MIN_W = 160
+# An input that differs from the cached one in more than this many lifted
+# ids, added plus removed, workers and tasks together, is run in full.
+_SESSION_MAX_CHANGES = 8
+# A new-only element is hashed under this many rounds ahead at first, and
+# under twice as many as it has been hashed under each time it outlives them.
+_CHUNK = 256
+_NO_BINS = np.empty(0, np.int64)
+_NO_LIMIT = np.iinfo(np.int64).max
+
+
+class AssignSession:
+    """Repeated :func:`assign` on one schedule, each call worked out from the previous one.
+
+    ``session(T)`` returns an :class:`AssignResult` equal to
+    ``assign(schedule, T)``: the same assignment, fallback count and
+    per-round trace. The function stays memoryless; the session only keeps
+    the last input's run as a cache (see :class:`_Cache`).
+
+    One hash round never increases the difference between two inputs, so
+    when ``T``'s lifted ids differ from the cached input's in at most
+    ``_SESSION_MAX_CHANGES`` ids (one walk step changes two), the new run is
+    worked out from the cached one event by event (see :class:`_Replay`),
+    and rounds that no changed element reaches are taken over as they are.
+    Every other call is a full run on the array engine, the same work as
+    ``assign``: the first call, a larger difference, and an empty input
+    before or after. A full run keeps only its input and its run; the
+    tables the incremental path reads are built from them by the first call
+    that takes that path, so one-shot and unrelated inputs never pay for
+    them. Schedules the array engine does not run, or with fewer than
+    ``SESSION_MIN_W`` workers, keep no cache: each call is a plain
+    ``assign``.
+
+    A call that raises drops the cache, so the next call is a full run. One
+    session is not for concurrent use; :func:`assign` still is.
+
+    ``calls`` counts the calls that returned, ``replays`` those answered by
+    the incremental path, and ``changed_rounds`` the rounds whose pairs
+    those replays changed.
+    """
+
+    def __init__(self, schedule: RoundSchedule) -> None:
+        self.schedule = schedule
+        self._cache: _Cache | None = None
+        self.calls = self.replays = self.changed_rounds = 0
+
+    @cached_property
+    def _grid(self) -> _Grid | None:
+        schedule = self.schedule
+        arrays = schedule.round_arrays if schedule.w >= SESSION_MIN_W else None
+        if arrays is None or not len(arrays[1]):
+            return None
+        grid = _Grid(schedule.w, *arrays)
+        # Cells pack ``round * K + bin`` above a slot into one int64.
+        return grid if (grid.total * grid.K) << grid.shift < 1 << 63 else None
+
+    def __call__(self, T: TaskMultiset) -> AssignResult:
+        cache, self._cache = self._cache, None
+        schedule, grid = self.schedule, self._grid
+        _check_multiset(schedule, T)
+        if grid is None:
+            result = assign(schedule, T)
+        else:
+            changed = None if cache is None else cache.advance(T)
+            if changed is None:
+                wt = _lifted_rows(T, schedule.w)
+                run = _run_arrays((grid.seeds, grid.ks), wt)
+                cache = _Cache(grid, T, run, _multiset_result(schedule.w, wt, run))
+            else:
+                self.replays += 1
+                self.changed_rounds += changed
+            self._cache, result = cache, cache.result
+        self.calls += 1
+        return result
+
+
+class _Grid:
+    """A seeded schedule as the session reads it: seeds, bin counts, ``K`` and cell layout."""
+
+    def __init__(self, w: int, seeds: np.ndarray, ks: np.ndarray) -> None:
+        self.w, self.seeds, self.ks = w, seeds, ks
+        self.total = len(ks)
+        self.K = int(ks.max())
+        self.base = np.arange(self.total, dtype=np.int64) * self.K
+        self.shift = (w - 1).bit_length()  # a slot is below w
+        self.mask = (1 << self.shift) - 1
+
+
+def _common_run(a: Sequence, i: int, b: Sequence, j: int) -> int:
+    """The largest ``n`` with ``a[i:i+n] == b[j:j+n]``, found with slice comparisons.
+
+    Steps of 64 find the block holding the first difference, then bisection
+    finds it within the block, so about ``n`` items are compared in all.
+    """
+    lo, limit = 0, min(len(a) - i, len(b) - j)
+    while lo < limit and a[i + lo : i + lo + 64] == b[j + lo : j + lo + 64]:
+        lo += 64
+    lo, hi = min(lo, limit), min(lo + 63, limit)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[i + lo : i + mid] == b[j + lo : j + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _changed_ids(a: TaskMultiset, b: TaskMultiset, w: int, limit: int) -> tuple[list, list] | None:
+    """The lifted ids only ``a`` has and those only ``b`` has, or None past ``limit`` of them.
+
+    On walk-1k steps (w=1024) this takes about 42 us, where a set symmetric
+    difference of the two entry tuples took 120-300 us of the ~1 ms step.
+    """
+    ea, eb = a.entries, b.entries
+    gone: list[int] = []
+    new: list[int] = []
+    i = j = 0
+    while True:
+        run = _common_run(ea, i, eb, j)
+        i, j = i + run, j + run
+        if i == len(ea) and j == len(eb):
+            return gone, new
+        # Runs are sorted by task, so the smaller task at the mismatch is the changed one.
+        task = min(ea[i][0] if i < len(ea) else b.t + 1, eb[j][0] if j < len(eb) else b.t + 1)
+        x = ea[i][1] if i < len(ea) and ea[i][0] == task else 0
+        y = eb[j][1] if j < len(eb) and eb[j][0] == task else 0
+        i, j = i + (x > 0), j + (y > 0)
+        first = (task - 1) * w
+        gone.extend(range(first + y + 1, first + x + 1))
+        new.extend(range(first + x + 1, first + y + 1))
+        if len(gone) + len(new) > limit:
+            return None
+
+
+class _Cache:
+    """One input's run, in the form :class:`AssignSession` updates it in.
+
+    ``end[s]`` maps each worker (``s = 0``) or lifted task (``s = 1``) of the
+    input to the round it was matched in, or to the schedule's length if the
+    fallback paired it; an element is live in every round up to its end.
+    Each element has a slot below ``w``, ``slot[s][x]``, and ``cells[s]`` is
+    the sorted array of ``(round * K + bin) << shift | slot`` over every
+    round each element of side ``s`` is live in: about 13 cells per element
+    at w=1024, so the cache stays linear in the input. The cells of one bin
+    form a run of the array, found by bisection.
+
+    A full run keeps only ``T``, ``run`` and ``result``; :meth:`advance`
+    builds the rest the first time it replays.
+    """
+
+    def __init__(self, grid: _Grid, T: TaskMultiset, run: Run, result: AssignResult) -> None:
+        self.grid, self.T, self.run, self.result = grid, T, run, result
+
+    def _build(self) -> None:
+        """Build the tables from the kept run, in one vectorized pass per side."""
+        grid, w = self.grid, self.grid.w
+        _, per_round, residual = self.run
+        self.run = None
+        self.trace = list(per_round)
+        self.counts = np.fromiter(map(len, per_round), np.int64, len(per_round))
+        pairs = chain.from_iterable(chain.from_iterable(per_round))
+        matched = np.fromiter(pairs, np.int64, 2 * int(self.counts.sum())).reshape(-1, 2).T.tolist()
+        at = np.repeat(np.arange(len(per_round)), self.counts).tolist()
+        self.residual = residual.tolist()
+        left = [grid.total] * len(self.residual[0])
+        self.end = tuple(dict(zip(m + r, at + left)) for m, r in zip(matched, self.residual))
+        self.pairs = list(self.result.assignment.pairs)
+        self.slot = tuple({x: i for i, x in enumerate(sorted(end))} for end in self.end)
+        self.elems = [[None] * w for _ in (0, 1)]  # the element in each slot
+        for slot, elems in zip(self.slot, self.elems):
+            for x, i in slot.items():
+                elems[i] = x
+        self.free: tuple[list, list] = ([], [])  # slots of elements that left the input
+        self.cells = []
+        for s, end in enumerate(self.end):
+            ids = np.fromiter(end, np.int64, len(end))
+            n = np.minimum(np.fromiter(end.values(), np.int64, len(end)), grid.total - 1) + 1
+            rounds = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            bins = bins_np(grid.seeds[s, rounds], np.repeat(ids, n).view(np.uint64), grid.ks[rounds])
+            slots = np.repeat(np.fromiter(map(self.slot[s].__getitem__, end), np.int64, len(end)), n)
+            cells = (grid.base[rounds] + bins.view(np.int64)) << grid.shift | slots
+            cells.sort()
+            self.cells.append(cells)
+
+    def members(self, s: int, r: int, b: int) -> list[int]:
+        """The elements of side ``s`` live in bin ``b`` of round ``r``."""
+        grid, cells, key = self.grid, self.cells[s], r * self.grid.K + b
+        lo, hi = cells.searchsorted([key << grid.shift, (key + 1) << grid.shift]).tolist()
+        elems, mask = self.elems[s], grid.mask
+        return [elems[c & mask] for c in cells[lo:hi].tolist()] if lo < hi else []
+
+    def meets(self, s: int, keys: np.ndarray) -> np.ndarray:
+        """Whether each flat index ``round * K + bin`` in ``keys`` holds a live element of side ``s``."""
+        cells, shift = self.cells[s], self.grid.shift
+        # The first cell at or past a key's lowest cell holds the key if any does.
+        return cells.take(cells.searchsorted(keys << shift), mode="clip") >> shift == keys
+
+    def bin_of(self, s: int, x: int, r: int) -> int:
+        """The bin of element ``x`` of side ``s`` in round ``r``, a round it is live in."""
+        grid, cells, key = self.grid, self.cells[s], r * self.grid.K
+        lo, hi = cells.searchsorted([key << grid.shift, (key + grid.K) << grid.shift]).tolist()
+        row = cells[lo:hi]
+        return int(row[(row & grid.mask) == self.slot[s][x]][0] >> grid.shift) - key
+
+    def update(self, s: int, cuts: dict[int, int], grows: dict[int, tuple[int, np.ndarray]]) -> None:
+        """Change which rounds elements of side ``s`` are live in.
+
+        Each element in ``cuts`` is live up to the given round only, or has
+        left the input at -1; each element in ``grows`` is live in more
+        rounds, from the given first round on, in the given bins.
+        """
+        grid, cells, slot = self.grid, self.cells[s], self.slot[s]
+        if cuts:
+            limit = np.full(grid.w, _NO_LIMIT, np.int64)  # per slot, the first cell it drops
+            for x, last in cuts.items():
+                del self.end[s][x]
+                limit[slot[x]] = (last + 1) * grid.K << grid.shift
+                if last < 0:
+                    self.free[s].append(slot.pop(x))
+                    self.elems[s][self.free[s][-1]] = None
+            cells = cells[cells < limit[cells & grid.mask]]
+        added = []
+        for x, (first, bins) in grows.items():
+            i = slot.get(x)
+            if i is None:
+                i = self.free[s].pop() if self.free[s] else len(slot)
+                slot[x], self.elems[s][i] = i, x
+            added.append((grid.base[first : first + len(bins)] + bins) << grid.shift | i)
+        if added:
+            # A stable sort merges the sorted cells with the few new ones in linear time.
+            cells = np.sort(np.concatenate([cells, *added]), kind="stable")
+        self.cells[s] = cells
+
+    def advance(self, T: TaskMultiset) -> int | None:
+        """Update the cache, its result included, to the input ``T``; returns the rounds that changed.
+
+        None, with the cache unchanged, when the incremental path does not
+        apply: an empty input before or after, or too many changed ids.
+        """
+        w, old_size, size = self.grid.w, len(self.T), len(T)
+        limit = _SESSION_MAX_CHANGES - abs(old_size - size)
+        if not old_size or not size or limit < 0:
+            return None
+        tasks = _changed_ids(self.T, T, w, limit)
+        if tasks is None:
+            return None
+        changed = 0
+        if tasks[0] or tasks[1] or old_size != size:
+            if self.run is not None:
+                self._build()
+            workers = range(size + 1, old_size + 1), range(old_size + 1, size + 1)
+            replay = _Replay(self, (workers[0], tasks[0]), (workers[1], tasks[1]))
+            replay.finish(w, size)
+            changed = len(replay.changes)
+        self.T = T
+        return changed
+
+
+class _Replay:
+    """The new run worked out from the cached one, event by event.
+
+    Both runs go through the same rounds. In each round an element is live
+    in both runs, in neither, or in one only; the last kind is the delta,
+    and by the composition-friendliness lemma it stays a few elements. A
+    bin's pair can differ between the runs only if the bin holds a delta
+    element: one live in the new run only that shares the bin with a live
+    element of the other side, or one live in the old run only that the old
+    run matched there. So each new-only element is hashed under the rounds
+    ahead, ``_CHUNK`` of them at first and twice as many each time it
+    outlives them; its bins are looked up in the other side's cells and
+    compared with the other new-only elements' bins. Each old-only element
+    adds its old match round. Those bins are resolved in round order, from
+    the cached cells of the bin, and every element that
+    pairs differently joins the delta from the next round on. Past the
+    cached run's last round only new-only elements are live, so the same
+    events carry the new run on to its end.
+    """
+
+    def __init__(self, cache: _Cache, removed, added) -> None:
+        self.cache, self.grid = cache, cache.grid
+        self.live: tuple[dict, dict] = ({}, {})  # new-only element -> (round, its bins from there on)
+        self.dead: tuple[set, set] = (set(), set())  # old-only elements
+        self.grow: tuple[dict, dict] = ({}, {})  # every element that was new-only -> (first round, [bins])
+        self.shrink: tuple[set, set] = (set(), set())  # every element that was old-only
+        self.matches: tuple[dict, dict] = ({}, {})  # element -> (round, partner) of every changed pair
+        self.changes: dict[int, tuple[list, list]] = {}  # round -> (pairs lost, pairs gained)
+        # (round, bin, side, element that queued it). Bin -1 asks to hash the
+        # element further; side + 2 marks a stored key the element meets, of
+        # which only the next one is queued at a time.
+        self.heap: list[tuple[int, int, int, int]] = []
+        self.hits: tuple[dict, dict] = ({}, {})  # new-only element -> its later stored-key meetings
+        for s in (0, 1):
+            for x in removed[s]:
+                self._kill(s, x, 0)
+        self.pending = [list(ids) for ids in added]  # new-only from the next flush on
+        self._flush(0)
+        heap, live, dead = self.heap, self.live, self.dead
+        while heap:
+            r = heap[0][0]
+            bins = set()
+            while heap and heap[0][0] == r:
+                _, b, s, x = heappop(heap)
+                if b < 0:
+                    if x in live[s]:
+                        self._hash(s, x, r, 2 * (r - self.grow[s][x][0]))
+                elif s > 1:  # a stored key met; queue the element's next one
+                    s -= 2
+                    if x in live[s]:
+                        bins.add(b)
+                        for later in self.hits[s][x]:
+                            heappush(heap, (*later, s + 2, x))
+                            break
+                elif x in live[s] or x in dead[s]:
+                    bins.add(b)
+            for b in bins:
+                self._resolve(r, b)
+            if self.pending[0] or self.pending[1]:
+                self._flush(r + 1)
+
+    def _kill(self, s: int, x: int, start: int) -> None:
+        """``x`` is live in the old run only from round ``start`` on."""
+        self.shrink[s].add(x)
+        self.dead[s].add(x)
+        m = self.cache.end[s][x]
+        if m < self.grid.total:
+            heappush(self.heap, (m, self.cache.bin_of(s, x, m), s, x))
+
+    def _flush(self, start: int) -> None:
+        """Make the pending elements new-only from round ``start`` on."""
+        for s in (0, 1):
+            xs, self.pending[s] = self.pending[s], []
+            for x in xs:
+                self.live[s][x] = (start, _NO_BINS)
+                self.grow[s][x] = (start, [_NO_BINS])
+                if start < self.grid.total:
+                    self._hash(s, x, start, _CHUNK)
+
+    def _hash(self, s: int, x: int, start: int, count: int) -> None:
+        """Hash the new-only ``x`` under ``count`` more rounds from ``start`` and queue what it meets."""
+        grid, heap = self.grid, self.heap
+        stop = min(start + count, grid.total)
+        bins = bins_np(grid.seeds[s, start:stop], np.array([x], np.uint64), grid.ks[start:stop])
+        bins = bins.view(np.int64)
+        hits = np.flatnonzero(self.cache.meets(1 - s, bins + grid.base[start:stop]))
+        self.hits[s][x] = later = zip((hits + start).tolist(), bins[hits].tolist())
+        for first in later:
+            heappush(heap, (*first, s + 2, x))
+            break
+        # Another new-only element's bins are held from its last hashing on,
+        # which is never after ``start``; later rounds meet when it is hashed again.
+        for first, other in self.live[1 - s].values():
+            hi = min(stop, first + len(other))
+            if start < hi:
+                same = np.flatnonzero(bins[: hi - start] == other[start - first : hi - first])
+                for j, b in zip(same.tolist(), bins[same].tolist()):
+                    heappush(heap, (start + j, b, s, x))
+        self.live[s][x] = (start, bins)
+        self.grow[s][x][1].append(bins)
+        if stop < grid.total:
+            heappush(heap, (stop, -1, s, x))
+
+    def _resolve(self, r: int, b: int) -> None:
+        """Work out bin ``b`` of round ``r`` in the new run and record how it differs."""
+        cache, old, new = self.cache, [], []
+        for s in (0, 1):
+            group = cache.members(s, r, b)
+            here = [x for x in group if x not in self.dead[s]]
+            here += [x for x, (first, row) in self.live[s].items() if row[r - first] == b]
+            old.append(min(group, default=None))
+            new.append(min(here, default=None))
+        old_pair = None if None in old else tuple(old)
+        new_pair = None if None in new else tuple(new)
+        if old_pair == new_pair:
+            return
+        lost, gained = self.changes.setdefault(r, ([], []))
+        if old_pair is not None:
+            lost.append(old_pair)
+        if new_pair is not None:
+            gained.append(new_pair)
+        for s in (0, 1):
+            o = None if old_pair is None else old_pair[s]
+            n = None if new_pair is None else new_pair[s]
+            if n is not None:
+                self.matches[s][n] = (r, new_pair[1 - s])
+            if o == n:
+                continue  # matched in this round by both runs, maybe to another partner
+            if o is not None:  # matched here by the old run only
+                if o in self.dead[s]:
+                    self.dead[s].discard(o)
+                else:
+                    self.pending[s].append(o)
+            if n is not None:  # matched here by the new run only
+                if n in self.live[s]:
+                    del self.live[s][n]
+                else:
+                    self._kill(s, n, r + 1)
+
+    def finish(self, w: int, size: int) -> None:
+        """Apply the recorded differences to the cache, its result included."""
+        cache, grid = self.cache, self.grid
+        total, cached = grid.total, len(cache.trace)
+        counts = np.zeros(max(cached, max(self.changes, default=0) + 1), np.int64)
+        counts[:cached] = cache.counts
+        for r, (lost, gained) in self.changes.items():
+            counts[r] += len(gained) - len(lost)
+        empty = np.flatnonzero(np.cumsum(counts) == size)
+        # A run that never empties runs every round; nothing matches after its last change.
+        stop = int(empty[0]) + 1 if len(empty) else total
+        trace = cache.trace[:stop] + [_NO_PAIRS] * (stop - cached)
+        for r, (lost, gained) in self.changes.items():
+            if r < stop:
+                trace[r] = trace[r].difference(lost).union(gained)
+        cache.counts = np.concatenate([counts[:stop], np.zeros(max(0, stop - len(counts)), np.int64)])
+        cache.trace = trace
+        cache.residual = residual = [
+            sorted([x for x in cache.residual[s] if x not in self.shrink[s]] + list(self.live[s]))
+            for s in (0, 1)
+        ]
+        for s in (0, 1):
+            matches, grows = self.matches[s], {}
+            cuts = {x: matches[x][0] if x in matches else -1 for x in self.shrink[s]}
+            for x, (first, bins) in self.grow[s].items():
+                last = min(matches[x][0] if x in matches else total, total - 1)
+                grows[x] = (first, np.concatenate(bins)[: last + 1 - first])
+            cache.update(s, cuts, grows)
+            cache.end[s].update(dict.fromkeys(grows, total))
+            cache.end[s].update((x, r) for x, (r, _) in matches.items())
+        pairs = cache.pairs
+        del pairs[size:]
+        pairs.extend([None] * (size - len(pairs)))
+        for x, (_, y) in self.matches[0].items():
+            pairs[x - 1] = (x, (y - 1) // w + 1)
+        for x, y in zip(*residual):
+            pairs[x - 1] = (x, (y - 1) // w + 1)
+        assignment = Assignment._from_checked(w, tuple(pairs))
+        cache.result = AssignResult(assignment, len(residual[0]), tuple(trace))
 
 
 @dataclass(frozen=True)

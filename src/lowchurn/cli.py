@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # OverflowError: sizes past what Python can index
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

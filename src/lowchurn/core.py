@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ne
 from random import Random
 from typing import Iterable, Iterator, Mapping
 
@@ -180,6 +181,17 @@ class Assignment:
             prev = worker
 
     @classmethod
+    def _from_checked(cls, w: int, pairs: tuple[tuple[int, int], ...]) -> "Assignment":
+        """The assignment of ``pairs``, skipping ``__post_init__``.
+
+        For callers that know the pairs are sorted by distinct workers in
+        ``[1, w]``.
+        """
+        obj = object.__new__(cls)
+        obj.__dict__.update(w=w, pairs=pairs)
+        return obj
+
+    @classmethod
     def from_mapping(cls, mapping: Mapping[int, int], w: int) -> "Assignment":
         return cls(w, tuple(sorted(mapping.items())))
 
@@ -207,6 +219,11 @@ def switching_cost(a1: Assignment, a2: Assignment) -> int:
     """
     if a1.w != a2.w:
         raise ValueError("assignments over different worker universes")
+    p1, p2 = a1.pairs, a2.pairs
+    if (not p1 or p1[-1][0] == len(p1)) and (not p2 or p2[-1][0] == len(p2)):
+        # Pairs are sorted by distinct workers from 1, so both assign workers
+        # 1..len: the shorter list's pairs line up with the other's prefix.
+        return sum(map(ne, p1, p2)) + abs(len(p1) - len(p2))
     m1, m2 = a1.mapping, a2.mapping
     return sum(1 for worker in m1.keys() | m2.keys() if m1.get(worker) != m2.get(worker))
 

@@ -16,8 +16,8 @@ from itertools import zip_longest
 from random import Random
 from typing import Protocol
 
-from .assigner import assign as pipeline_assign
-from .assigner import build_schedule
+from .assigner import AssignSession, build_schedule
+from .assigner import assign as pipeline_assign  # noqa: F401  (perfbench's tracer wraps this name)
 from .baselines import PriorityOracle, random_permutation_assign, sorted_order
 from .core import (
     Assignment,
@@ -72,17 +72,25 @@ class Assigner(Protocol):
 
 
 def make_assigner(algorithm: str, w: int, t: int, c: int, seed: int) -> Assigner:
-    """Build the named assignment function as a closure over its fixed randomness."""
+    """Build the named assignment function as a closure over its fixed randomness.
+
+    ``mrbb`` is a closure over one :class:`~lowchurn.assigner.AssignSession`:
+    every result equals ``assign(schedule, T)``, and a call whose input is
+    within a few lifted ids of the previous call's (a walk step) is worked
+    out from that call's run, on schedules of ``SESSION_MIN_W`` or more
+    workers; any other call is a full run. Nothing is built before the first
+    call but the schedule's seed arrays.
+    """
     if algorithm == "sorted":
         return lambda T: StepOutcome(sorted_order(T, w), False, ())
     if algorithm == "randperm":
         oracle = PriorityOracle(derive(seed, 0x9E9))
         return lambda T: StepOutcome(random_permutation_assign(oracle, T, w), False, ())
     if algorithm == "mrbb":
-        schedule = build_schedule(w, t, c, seed)
+        session = AssignSession(build_schedule(w, t, c, seed))
 
         def run(T: TaskMultiset) -> StepOutcome:
-            res = pipeline_assign(schedule, T)
+            res = session(T)
             return StepOutcome(res.assignment, res.used_fallback, res.per_round_pairs)
 
         return run

@@ -68,6 +68,8 @@ class FeasibilityResult:
 
 def _states(w: int, t: int, multisets: bool) -> list[tuple[int, ...]]:
     if multisets:
+        if t < 1 <= w:
+            raise ValueError(f"no size-{w} task multisets exist over [{t}]")
         return [tuple(s) for s in combinations_with_replacement(range(1, t + 1), w)]
     if t < w:
         raise ValueError(f"no size-{w} task sets exist over [{t}]")

@@ -507,3 +507,156 @@ def test_lifted_round_pairs_stay_in_lifted_space():
     lifted = lift(ms(2, 2, t=4), 3)
     seen = {t for pairs in res.per_round_pairs for _, t in pairs}
     assert seen <= lifted
+
+
+def walk_inputs(rng, w, t, moves):
+    """The inputs of a walk: each move is an adjacent step, a restart, a repeat or the empty multiset."""
+    T = random_multiset(rng.randint(0, w), t, rng)
+    yield T
+    for move in moves:
+        if move in ("step", "varying"):
+            try:
+                T = adjacent_step(T, rng, w=w, size_varying=move == "varying")
+            except ValueError:  # no adjacent multiset of this size exists
+                T = random_multiset(rng.randint(0, w), t, rng)
+        elif move == "restart":
+            T = random_multiset(rng.randint(0, w), t, rng)
+        elif move == "empty":
+            T = TaskMultiset((), t)
+        yield T
+
+
+def cache_cells(cache):
+    """The ``(round * K + bin, element)`` cells of a built session cache, per side."""
+    grid = cache.grid
+    return [
+        sorted((c >> grid.shift, cache.elems[s][c & grid.mask]) for c in cells.tolist())
+        for s, cells in enumerate(cache.cells)
+    ]
+
+
+def assert_cache_is_fresh(session, T):
+    """The session's cache, if built, holds what a cache built from a full run on ``T`` holds."""
+    cache = session._cache
+    if cache is None or cache.run is not None:
+        return
+    grid = session._grid
+    run = assigner._run_arrays((grid.seeds, grid.ks), assigner._lifted_rows(T, grid.w))
+    fresh = assigner._Cache(grid, T, run, cache.result)
+    fresh._build()
+    assert cache.end == fresh.end
+    assert cache_cells(cache) == cache_cells(fresh)
+
+
+class TestAssignSession:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        w=st.sampled_from([16, 40, 96, 159, 160, 161, 300, 1024]),
+        t=st.sampled_from([1, 3, 50, 2**33 + 7]),
+        c=st.integers(1, 2),
+        master_seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_walk_matches_assign(self, w, t, c, master_seed, data):
+        schedule = build_schedule(w, t, c, master_seed)
+        # Truncated schedules leave residuals, so fallbacks come and go
+        # between steps and the executed round count changes; with no rounds
+        # kept every call is the fallback.
+        keep = data.draw(st.none() | st.integers(0, schedule.total_rounds), label="rounds kept")
+        if keep is not None:
+            schedule = RoundSchedule(w, t, c, master_seed, schedule.rounds[:keep])
+        adjacent = ["step"] * 3 + ["varying"] * 3
+        moves = data.draw(
+            st.lists(st.sampled_from(adjacent + ["restart", "same", "empty"]), max_size=16), label="moves"
+        )
+        if w > 1000:
+            moves = moves[:4]  # each call costs milliseconds at w=1024
+        rng = data.draw(st.randoms(use_true_random=False))
+        session = assigner.AssignSession(schedule)
+        for T in walk_inputs(rng, w, t, moves):
+            got, want = session(T), assign(schedule, T)
+            assert got.assignment == want.assignment
+            assert got.fallback_pairs == want.fallback_pairs
+            assert got.per_round_pairs == want.per_round_pairs
+            assert_cache_is_fresh(session, T)
+        assert session.calls == len(moves) + 1
+
+    def test_pinned_walk_at_w1024(self):
+        schedule = build_schedule(1024, 65536, 4, 5)
+        session = assigner.AssignSession(schedule)
+        rng = Random(11)
+        T = random_multiset(1024, 65536, rng)
+        for _ in range(50):
+            assert session(T) == assign(schedule, T)
+            assert_cache_is_fresh(session, T)
+            T = adjacent_step(T, rng, w=1024)
+        assert session.calls == 50 and session.replays == 49
+        assert 0 < session.changed_rounds / session.replays < 40
+
+    def test_fallbacks_come_and_go(self):
+        # A cut schedule at w=200 leaves residuals on some inputs of the walk
+        # but not on others, so the incremental path moves pairs in and out
+        # of the fallback and changes the executed round count.
+        full = build_schedule(200, 50, 1, 3)
+        schedule = RoundSchedule(200, 50, 1, 3, full.rounds[:120])
+        session = assigner.AssignSession(schedule)
+        rng = Random(4)
+        T = random_multiset(200, 50, rng)
+        fallbacks, lengths = set(), set()
+        for _ in range(60):
+            want = assign(schedule, T)
+            assert session(T) == want
+            assert_cache_is_fresh(session, T)
+            fallbacks.add(want.fallback_pairs)
+            lengths.add(len(want.per_round_pairs))
+            T = adjacent_step(T, rng, w=200, size_varying=True)
+        assert session.replays == 59
+        assert len(fallbacks) > 1 and 0 in fallbacks and len(lengths) > 1
+
+    def test_only_the_incremental_path_builds_tables(self):
+        schedule = build_schedule(192, 40, 2, 8)
+        session = assigner.AssignSession(schedule)
+        rng = Random(9)
+        T = random_multiset(192, 40, rng)
+        # A first call, then inputs far from the one before: all full runs.
+        for U in (T, random_multiset(192, 40, rng), T):
+            assert session(U) == assign(schedule, U)
+            assert session._cache.run is not None and not hasattr(session._cache, "cells")
+        U = adjacent_step(T, rng, w=192)
+        assert session(U) == assign(schedule, U)
+        assert session._cache.run is None and session.replays == 1
+
+    def test_small_schedules_keep_no_cache(self):
+        # A schedule with no rounds is all fallback, whatever its w.
+        empty = RoundSchedule(192, 9, 2, 1, build_schedule(192, 9, 2, 1).rounds[:0])
+        small = [build_schedule(w, 9, 2, 1) for w in (4, assigner.SESSION_MIN_W - 1)]
+        for schedule in (*small, empty):
+            w = schedule.w
+            session = assigner.AssignSession(schedule)
+            rng = Random(w)
+            T = random_multiset(w, 9, rng)
+            for _ in range(5):
+                assert session(T) == assign(schedule, T)
+                T = adjacent_step(T, rng, w=w)
+            assert session.calls == 5 and session.replays == 0 and session._cache is None
+
+    def test_a_call_that_raises_drops_the_cache(self):
+        schedule = build_schedule(192, 40, 2, 8)
+        session = assigner.AssignSession(schedule)
+        rng = Random(8)
+        T = random_multiset(192, 40, rng)
+        session(T)
+        for bad, message in (
+            (TaskMultiset.from_elements([1], 41), "does not match"),
+            (random_multiset(193, 40, rng), "larger than worker count"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                session(bad)
+            with pytest.raises(ValueError, match=message):
+                assign(schedule, bad)
+            assert session._cache is None
+            T = adjacent_step(T, rng, w=192)
+            assert session(T) == assign(schedule, T)
+        assert session.calls == 3 and session.replays == 0
+        T = adjacent_step(T, rng, w=192)
+        assert session(T) == assign(schedule, T) and session.replays == 1

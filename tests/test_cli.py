@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowchurn.cli import main
 from lowchurn.harness import ExperimentRecord
@@ -274,3 +278,71 @@ def test_assign_seed_env_is_the_seed_default(monkeypatch, capsys):
     rc, out_env, _ = run_cli(capsys, *args)
     assert rc == 0
     assert unmeasured(json.loads(out_env.splitlines()[-1])) == unmeasured(json.loads(out_flag.splitlines()[-1]))
+
+
+_GARBAGE = st.sampled_from(["", "x", "-", "1e3", "0x10", "nan", "2.5", "--", " 3"])
+_HUGE = str(10**30)  # past every C size; only where a documented cap or nothing at all bounds the run
+
+
+def _ints(lo, hi, huge=False):
+    values = st.integers(lo, hi).map(str) | _GARBAGE
+    return values | st.just(_HUGE) if huge else values
+
+
+_SUBCOMMANDS = {
+    "assign": {"--w": _ints(-1, 5), "--t": _ints(-1, 6), "--c": _ints(-1, 4), "--seed": _ints(-9, 9, huge=True),
+               "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"]),
+               "--multiset": st.sampled_from(["", "1", "1,2,2", "3,1", "0", "a,b", "1,,2", "7,7,7,7,7,7"])},
+    "walk": {"--w": _ints(-1, 5), "--t": _ints(-1, 6), "--c": _ints(-1, 4), "--seed": _ints(-9, 9, huge=True),
+             "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"]), "--steps": _ints(-1, 4)},
+    "oracle exact": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 5, huge=True), "--k": _ints(-1, 4, huge=True),
+                     "--node-limit": _ints(-1, 500), "--time-limit": st.sampled_from(["-1", "0", "0.5", "nan", "x"])},
+    "oracle audit": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 4, huge=True), "--c": _ints(-1, 3), "--seed": _ints(-9, 9, huge=True),
+                     "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"])},
+    "oracle ramsey": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 5, huge=True), "--c": _ints(-1, 3), "--seed": _ints(-9, 9, huge=True),
+                      "--alg": st.sampled_from(["mrbb", "sorted", "randperm"])},
+    "oracle disperser": {"--domain": _ints(-1, 6), "--seeds": _ints(-1, 3), "--bins": _ints(-1, 3),
+                         "--k-param": _ints(-1, 3), "--epsilon": st.sampled_from(["-1", "0", "0.25", "1", "2", "nan", "x"]),
+                         "--restarts": _ints(-1, 50), "--seed": _ints(-9, 9, huge=True)},
+    "embed": {"--k": _ints(-1, 3), "--n": _ints(-1, 8), "--c": _ints(-1, 3), "--seed": _ints(-9, 9, huge=True),
+              "--pairs": _ints(-1, 4)},
+}
+_FLAGS = {"oracle exact": ["--multisets", "--sets-only"], "oracle audit": ["--multisets"], "walk": ["--size-varying"],
+          "embed": ["--all-pairs"]}
+_VECTOR_FILES = ["8 2 1,2\n8 2 2,3\n8 2 1,5\n", "8 2 1,2\n", "garbage\n", "8 3 1,2,3\n", "9 2 1,2\n8 2 1,2\n", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_never_ends_in_a_traceback(tmp_path_factory, data):
+    """Any argument values, documented limits kept small, exit 0, 1 or 2 and never raise out of ``main``."""
+    command = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)), label="command")
+    argv = command.split()
+    for flag, values in _SUBCOMMANDS[command].items():
+        if data.draw(st.integers(0, 9), label=f"keep {flag}"):  # sometimes a required flag is missing
+            argv += [flag, data.draw(values, label=flag)]
+    argv += [flag for flag in _FLAGS.get(command, []) if data.draw(st.booleans(), label=flag)]
+    if command == "embed" and data.draw(st.integers(0, 9), label="keep --input"):
+        path = tmp_path_factory.mktemp("cli") / "vectors.txt"
+        path.write_text(data.draw(st.sampled_from(_VECTOR_FILES), label="file"))
+        argv += ["--input", str(path if data.draw(st.integers(0, 4), label="file exists") else path.with_suffix(".no"))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["oracle", "exact", "--w", "1", "--t", "0", "--k", "0", "--multisets"], "no size-1 task multisets exist over [0]"),
+        (["oracle", "audit", "--w", _HUGE, "--t", "1", "--multisets"], "error: "),
+    ],
+)
+def test_tracebacks_found_by_the_property_test_exit_2(capsys, argv, message):
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2 and message in err and "Traceback" not in err

@@ -135,6 +135,24 @@ class TestSwitchingCost:
         assert switching_cost(a1, a2) == switching_cost(a2, a1)
         assert 0 <= switching_cost(a1, a2) <= w
 
+    @given(
+        st.dictionaries(st.integers(1, 12), st.integers(1, 4), max_size=12),
+        st.dictionaries(st.integers(1, 12), st.integers(1, 4), max_size=12),
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    def test_matches_mapping_formula(self, d1, d2, n1, n2):
+        # Sparse dictionaries leave workers unassigned and misalign the pair
+        # lists; their dense prefixes 1..n take the aligned fast path.
+        w = 12
+        dense1 = {i: d1.get(i, 1) for i in range(1, n1 + 1)}
+        dense2 = {i: d2.get(i, 2) for i in range(1, n2 + 1)}
+        for m1, m2 in ((d1, d2), (dense1, dense2), (d1, dense2)):
+            a1, a2 = Assignment.from_mapping(m1, w), Assignment.from_mapping(m2, w)
+            want = sum(1 for worker in m1.keys() | m2.keys() if m1.get(worker) != m2.get(worker))
+            assert switching_cost(a1, a2) == want
+            assert switching_cost(a2, a1) == want
+
 
 class TestAssignment:
     def test_realizes(self):
