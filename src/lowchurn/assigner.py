@@ -26,8 +26,9 @@ Two engines give bit-identical output, the same pairs and the same
 per-round trace:
 
 * the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
-  round on Python sets. It is the reference, and the only engine for stages
-  built from callables, so the explicit variant always runs on it;
+  round on Python sets. It is the reference and the package's only scalar
+  stage loop: stages built from callables run only on it, so
+  :func:`seed_sweep` and the explicit variant always do;
 * the array engine (``_run_arrays``) reads the schedule's seed and bin
   count arrays as they are (``RoundSchedule.round_arrays``). While more than
   ``_TAIL_N`` workers remain it runs one numpy round at a time. Below that
@@ -44,7 +45,8 @@ stays in numpy from input to result: the lift (``reduction.lift_np``), the
 engine, the scatter and the projection to base tasks
 (``reduction.project_np``); the only Python objects it builds are the
 per-round trace and the one :class:`Assignment` it returns. ``assign_set``
-is the same path wrapped for plain id sets.
+is the same path wrapped for plain id sets, and ``assign_explicit`` the
+same path on the explicit variant's stages.
 
 ``assign`` and ``assign_set`` pick the array engine when the schedule has at
 least ``ARRAY_MIN_W`` workers and ``round_arrays`` exists (rounds from
@@ -81,10 +83,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .binhash import BinHash, StageOutcome, compose, seeds_np
+from .binhash import BinHash, seeds_np
 from .core import Assignment, TaskMultiset, WorkerTaskInput
 from .hashing import bins_np, derive, derive_np
-from .reduction import id_dtype, lift, lift_np, project, project_np
+from .reduction import id_dtype, lift_np, project_np
+from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
     "Round",
@@ -1062,15 +1065,35 @@ def trivial_families(w: int, N: int, D: int = 4) -> tuple[DisperserFamily, ...]:
 
 def seed_sweep(
     family: DisperserFamily, wt: WorkerTaskInput, provenance: tuple = ()
-) -> tuple[frozenset[tuple[int, int]], WorkerTaskInput, list[StageOutcome]]:
-    """One full pass over the family's seeds, composing the D per-seed stages."""
+) -> tuple[frozenset[tuple[int, int]], WorkerTaskInput, list[frozenset[tuple[int, int]]]]:
+    """One pass over the family's seeds on the scalar loop: the pairs, the residual, each run stage's pairs."""
     stages = [family.stage(j, provenance + (j,)) for j in range(1, family.D + 1)]
-    return compose(stages, wt)
+    workers, tasks = set(wt.workers), set(wt.tasks)
+    pairs, per_stage = _run_stages(stages, workers, tasks)
+    return frozenset(pairs), WorkerTaskInput(workers, tasks), per_stage
 
 
-def _expected_levels(w: int) -> list[int]:
+def _explicit_stages(families: Sequence[DisperserFamily], reps: int, w: int, needed: int) -> list[BinHash]:
+    """The explicit variant's stages, once the families are checked for ``w`` workers and ids to ``needed``.
+
+    ``families[i-1]`` drives level ``i`` and must be declared for min-entropy
+    parameter ``ceil(log2 w) - i``; each level runs ``reps`` seed sweeps.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     levels = max(1, (w - 1).bit_length())  # ceil(log2 w), at least one level
-    return [levels - i for i in range(1, levels + 1)]
+    if len(families) != levels:
+        raise ValueError(f"need {levels} families for w={w}, got {len(families)}")
+    for i, family in enumerate(families, start=1):
+        if family.k_param != levels - i:
+            raise ValueError(f"family declares k_param={family.k_param}, level requires {levels - i}")
+        if family.N < needed:
+            raise ValueError(f"family domain N={family.N} smaller than needed {needed}")
+    return [
+        stage
+        for level, family in enumerate(families, start=1)
+        for stage in [family.stage(j, (level, j)) for j in range(1, family.D + 1)] * reps
+    ]
 
 
 def assign_explicit_set(
@@ -1082,20 +1105,8 @@ def assign_explicit_set(
 ) -> AssignResult:
     """Explicit-variant assignment of a worker set to an equal-size task set.
 
-    ``families[i-1]`` drives level ``i`` and must be declared for min-entropy
-    parameter ``ceil(log2 w) - i``; each level runs ``reps`` seed sweeps.
     Falls back like the randomized variant if anything remains.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    expected = _expected_levels(w)
-    if len(families) != len(expected):
-        raise ValueError(f"need {len(expected)} families for w={w}, got {len(families)}")
-    for family, k_expected in zip(families, expected):
-        if family.k_param != k_expected:
-            raise ValueError(
-                f"family declares k_param={family.k_param}, level requires {k_expected}"
-            )
     W = set(workers)
     T = set(tasks)
     if len(W) != len(T):
@@ -1105,16 +1116,7 @@ def assign_explicit_set(
     if T and min(T) < 1:
         raise ValueError("task ids start at 1")
     needed = max(W | T, default=1)
-    for family in families:
-        if family.N < needed:
-            raise ValueError(f"family domain N={family.N} smaller than needed {needed}")
-
-    # Each level's sweep repeated ``reps`` times; the loop stops once nothing is left.
-    stages = [
-        stage
-        for level, family in enumerate(families, start=1)
-        for stage in [family.stage(j, (level, j)) for j in range(1, family.D + 1)] * reps
-    ]
+    stages = _explicit_stages(families, reps, w, needed)
     wt = _rows(W, T, id_dtype(needed))
     return _set_result(w, wt, _run_scalar(stages, wt))
 
@@ -1122,10 +1124,9 @@ def assign_explicit_set(
 def assign_explicit(
     families: Sequence[DisperserFamily], reps: int, T: TaskMultiset, w: int
 ) -> AssignResult:
-    """Explicit-variant assignment of workers ``1..|T|`` to a task multiset."""
-    size = len(T)
-    if size > w:
+    """Explicit-variant assignment of workers ``1..|T|`` to a task multiset, lifted like :func:`assign`."""
+    if len(T) > w:
         raise ValueError("multiset larger than worker count")
-    result = assign_explicit_set(families, reps, range(1, size + 1), lift(T, w), w)
-    projected = project(result.assignment, T, w)
-    return AssignResult(projected, result.fallback_pairs, result.per_round_pairs)
+    wt = _lifted_rows(T, w)
+    stages = _explicit_stages(families, reps, w, int(wt[1, -1]) if len(T) else 1)
+    return _multiset_result(w, wt, _run_scalar(stages, wt))

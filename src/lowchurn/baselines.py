@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import Assignment, TaskMultiset
 from .hashing import GOLDEN, MASK64, mix64, mix64_np
-from .reduction import lift, project_np
+from .reduction import lift_np, project_np
+from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = ["PriorityOracle", "sorted_order", "random_permutation_assign"]
 
@@ -55,18 +56,15 @@ def sorted_order(T: TaskMultiset, w: int) -> Assignment:
     return Assignment(w, tuple((i + 1, task) for i, task in enumerate(elements)))
 
 
-def _greedy_order(oracle, workers: Sequence[int], tasks: Sequence[int]) -> list[int]:
+def _greedy_order(oracle, workers: Sequence[int], tasks: Sequence[int]) -> np.ndarray:
     """Tasks chosen by the greedy pass, in worker order. ``tasks`` must be sorted."""
     keys = oracle.priority_matrix(workers, tasks)
-    taken_mask = np.zeros(len(tasks), dtype=bool)
-    chosen: list[int] = []
-    sentinel = np.uint64(0xFFFFFFFFFFFFFFFF)
-    for row in range(len(workers)):
-        masked = np.where(taken_mask, sentinel, keys[row])
-        j = int(np.argmin(masked))
-        taken_mask[j] = True
-        chosen.append(tasks[j])
-    return chosen
+    chosen = []
+    for row in keys:
+        j = row.argmin()
+        keys[:, j] = 0xFFFFFFFFFFFFFFFF  # taken: no later worker prefers it
+        chosen.append(j)
+    return np.asarray(tasks)[chosen]
 
 
 def random_permutation_assign(oracle: PriorityOracle, T: TaskMultiset, w: int) -> Assignment:
@@ -80,7 +78,6 @@ def random_permutation_assign(oracle: PriorityOracle, T: TaskMultiset, w: int) -
         raise ValueError("multiset larger than worker count")
     if size == 0:
         return Assignment(w, ())
-    lifted = sorted(lift(T, w))
     workers = list(range(1, size + 1))
-    chosen = _greedy_order(oracle, workers, lifted)
+    chosen = _greedy_order(oracle, workers, lift_np(T, w))
     return Assignment(w, tuple(zip(workers, project_np(chosen, w).tolist())))

@@ -1,4 +1,4 @@
-"""The k-bin hash partial-assignment stage and stage composition.
+"""The k-bin hash partial-assignment stage.
 
 A stage hashes the unmatched workers and unmatched tasks into ``k`` bins with
 two fixed functions and, in every bin holding at least one of each, matches
@@ -8,20 +8,23 @@ it carry the whole pipeline: outputs never drift further apart than inputs
 (measured by :func:`difference_score`), and a single-element input change
 perturbs the matching by at most two pairs.
 
-``BinHash`` objects are immutable after construction and ``apply``/``compose``
+Stages are composed by threading each one's residual into the next; the
+package's one loop that does so is ``assigner._run_stages``.
+
+``BinHash`` objects are immutable after construction and ``match``/``apply``
 are pure, so stages can be shared freely across threads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .core import WorkerTaskInput
 from .hashing import GOLDEN, MASK64, MUL1, MUL2, mix64, mix64_np
 
-__all__ = ["BinHash", "StageOutcome", "difference_score", "compose", "is_matching"]
+__all__ = ["BinHash", "StageOutcome", "difference_score", "is_matching"]
 
 _TAG_WORKER = 0x57F00D
 _TAG_TASK = 0x7A5CADE
@@ -87,43 +90,8 @@ class BinHash:
 
     def match(self, workers: Iterable[int], tasks: Iterable[int]) -> list[tuple[int, int]]:
         """Matched (worker, task) pairs for this stage, unordered."""
-        k = self.k
-        best_w: dict[int, int] = {}
-        best_t: dict[int, int] = {}
-        if self._seed_w is not None:
-            # Inlined mix64 with its constants in locals keeps the per-element
-            # cost to a few int ops; this loop dominates every large experiment.
-            sw = self._seed_w
-            st = self._seed_t
-            gold, mask, mul1, mul2 = GOLDEN, MASK64, MUL1, MUL2
-            for x in workers:
-                v = (x * gold) & mask ^ sw
-                v = ((v ^ (v >> 30)) * mul1) & mask
-                v = ((v ^ (v >> 27)) * mul2) & mask
-                b = (v ^ (v >> 31)) % k
-                cur = best_w.get(b)
-                if cur is None or x < cur:
-                    best_w[b] = x
-            for x in tasks:
-                v = (x * gold) & mask ^ st
-                v = ((v ^ (v >> 30)) * mul1) & mask
-                v = ((v ^ (v >> 27)) * mul2) & mask
-                b = (v ^ (v >> 31)) % k
-                cur = best_t.get(b)
-                if cur is None or x < cur:
-                    best_t[b] = x
-        else:
-            h1, h2 = self.h1, self.h2
-            for x in workers:
-                b = h1(x)
-                cur = best_w.get(b)
-                if cur is None or x < cur:
-                    best_w[b] = x
-            for x in tasks:
-                b = h2(x)
-                cur = best_t.get(b)
-                if cur is None or x < cur:
-                    best_t[b] = x
+        best_w = _smallest_per_bin(workers, self.k, self._seed_w, self.h1)
+        best_t = _smallest_per_bin(tasks, self.k, self._seed_t, self.h2)
         return [(worker, best_t[b]) for b, worker in best_w.items() if b in best_t]
 
     def apply(self, wt: WorkerTaskInput) -> StageOutcome:
@@ -150,36 +118,35 @@ def _bin_of(seed: int, x: int, k: int) -> int:
     return mix64(seed ^ ((x * GOLDEN) & MASK64)) % k
 
 
+def _smallest_per_bin(
+    xs: Iterable[int], k: int, seed: int | None, h: Callable[[int], int],
+    gold: int = GOLDEN, mask: int = MASK64, mul1: int = MUL1, mul2: int = MUL2,
+) -> dict[int, int]:
+    """The smallest of ``xs`` in each bin: bins are ``_bin_of(seed, x, k)``, or ``h(x)`` when ``seed`` is None.
+
+    ``mix64`` is inlined with its constants bound as locals: the scalar engine spends most of its time here.
+    """
+    best: dict[int, int] = {}
+    for x in xs:
+        if seed is None:
+            b = h(x)
+        else:
+            v = (x * gold) & mask ^ seed
+            v = ((v ^ (v >> 30)) * mul1) & mask
+            v = ((v ^ (v >> 27)) * mul2) & mask
+            b = (v ^ (v >> 31)) % k
+        cur = best.get(b)
+        if cur is None or x < cur:
+            best[b] = x
+    return best
+
+
 def difference_score(i1: WorkerTaskInput, i2: WorkerTaskInput) -> int:
     """``|W1\\W2| + |W2\\W1| + |T1\\T2| + |T2\\T1|``, the drift between two inputs."""
     return (
         len(i1.workers ^ i2.workers)
         + len(i1.tasks ^ i2.tasks)
     )
-
-
-def compose(
-    stages: Sequence[BinHash], wt: WorkerTaskInput
-) -> tuple[frozenset[tuple[int, int]], WorkerTaskInput, list[StageOutcome]]:
-    """Thread the residual of each stage into the next.
-
-    Returns the disjoint union of stage matchings, the final residual, and the
-    per-stage trace. Once both residual sides are empty no later stage can
-    match anything, so the trace stops there.
-    """
-    if not stages:
-        raise ValueError("compose needs at least one stage")
-    trace: list[StageOutcome] = []
-    matched: set[tuple[int, int]] = set()
-    current = wt
-    for stage in stages:
-        out = stage.apply(current)
-        trace.append(out)
-        matched.update(out.matched)
-        current = out.residual
-        if not current.workers and not current.tasks:
-            break
-    return frozenset(matched), current, trace
 
 
 def is_matching(pairs: Iterable[tuple[int, int]]) -> bool:

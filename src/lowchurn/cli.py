@@ -34,6 +34,16 @@ _MAX_ORACLE_STATES = 20_000
 _MAX_ORACLE_WORKERS = 5
 _MAX_AUDIT_EVALS = 100_000
 _MAX_RAMSEY_SUBSETS = 1_000_000
+# Documented caps on the size arguments of assign, walk, oracle audit, oracle
+# ramsey and embed (whose --k and --n are a w and t). 16384 workers is the
+# largest scale tests and benchmarks run. A schedule has c * ceil(log2 wt) *
+# ceil(log_1.1 w) rounds of 40 bytes: 14 MB at the caps, 100+ GiB at c = 10**9.
+# randperm holds a few w x w arrays of 8-byte keys (400 MB at 4096 workers);
+# walk keeps every step's two w-element multisets until it prints them.
+_CAPS = {
+    "--w": 1 << 14, "--t": 1 << 40, "--c": 64, "--steps": 1 << 20, "--k": 1 << 14, "--n": 1 << 40,
+    "--pairs": 1 << 20, "randperm --w": 1 << 12, "--w * --steps": 1 << 24,
+}
 
 
 def _seed(text: str) -> int:
@@ -50,12 +60,25 @@ def _default_seed() -> str:
     return os.environ.get("ASSIGN_SEED", "0")
 
 
-def _add_common(p: argparse.ArgumentParser, *, with_c: bool = True) -> None:
-    p.add_argument("--w", type=int, required=True, help="worker count")
-    p.add_argument("--t", type=int, required=True, help="task universe size")
-    if with_c:
-        p.add_argument("--c", type=int, default=4, help="repetition constant (default 4)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--w", type=int, required=True,
+                   help=f"worker count (at most {_CAPS['--w']}; {_CAPS['randperm --w']} with --alg randperm)")
+    p.add_argument("--t", type=int, required=True, help=f"task universe size (at most {_CAPS['--t']})")
+    p.add_argument("--c", type=int, default=4, help=f"repetition constant (default 4, at most {_CAPS['--c']})")
     p.add_argument("--seed", type=_seed, default=_default_seed(), help="master seed")
+    p.set_defaults(capped=("w", "t", "c"))
+
+
+def _check_caps(args: argparse.Namespace) -> None:
+    """Reject a size argument past its documented cap (see ``_CAPS``)."""
+    sizes = {f"--{name}": getattr(args, name) for name in getattr(args, "capped", ())}
+    if getattr(args, "alg", None) == "randperm":
+        sizes["randperm --w"] = args.w
+    if args.command == "walk":
+        sizes["--w * --steps"] = args.w * args.steps
+    for flag, value in sizes.items():
+        if value is not None and value > _CAPS[flag]:
+            raise ValueError(f"{flag} {value} over the documented cap {_CAPS[flag]}")
 
 
 def _emit(obj: dict) -> None:
@@ -267,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk = sub.add_parser("walk", help="random adjacent walk, one JSONL record per step")
     _add_common(p_walk)
     p_walk.add_argument("--alg", choices=ALGORITHMS, default="mrbb")
-    p_walk.add_argument("--steps", type=int, required=True)
+    p_walk.add_argument("--steps", type=int, required=True,
+                        help=f"at most {_CAPS['--steps']}, and --w * --steps at most {_CAPS['--w * --steps']}")
     p_walk.add_argument("--size-varying", action="store_true", dest="size_varying")
-    p_walk.set_defaults(func=cmd_walk)
+    p_walk.set_defaults(func=cmd_walk, capped=("w", "t", "c", "steps"))
 
     p_oracle = sub.add_parser("oracle", help="exact searches and audits")
     oracle_sub = p_oracle.add_subparsers(dest="mode", required=True)
@@ -308,15 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.set_defaults(func=cmd_oracle_disperser)
 
     p_embed = sub.add_parser("embed", help="embed sparse vectors and audit distortion")
-    p_embed.add_argument("--k", type=int, required=True, help="vector weight = worker count")
-    p_embed.add_argument("--n", type=int, required=True, help="vector dimension = task universe")
-    p_embed.add_argument("--c", type=int, default=4)
+    p_embed.add_argument("--k", type=int, required=True,
+                         help=f"vector weight = worker count (at most {_CAPS['--k']})")
+    p_embed.add_argument("--n", type=int, required=True,
+                         help=f"vector dimension = task universe (at most {_CAPS['--n']})")
+    p_embed.add_argument("--c", type=int, default=4,
+                         help=f"repetition constant (default 4, at most {_CAPS['--c']})")
     p_embed.add_argument("--seed", type=_seed, default=_default_seed())
     p_embed.add_argument("--input", required=True, help="one vector per line: 'n k p1,p2,...'")
     pairs_group = p_embed.add_mutually_exclusive_group(required=True)
     pairs_group.add_argument("--all-pairs", action="store_true", dest="all_pairs")
-    pairs_group.add_argument("--pairs", type=int, default=None, help="sample this many random pairs")
-    p_embed.set_defaults(func=cmd_embed)
+    pairs_group.add_argument("--pairs", type=int, default=None,
+                             help=f"sample this many random pairs (at most {_CAPS['--pairs']})")
+    p_embed.set_defaults(func=cmd_embed, capped=("k", "n", "c", "pairs"))
 
     return parser
 
@@ -325,6 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_caps(args)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:  # OverflowError: sizes past what Python can index
         print(f"error: {exc}", file=sys.stderr)

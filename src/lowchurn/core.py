@@ -24,7 +24,6 @@ __all__ = [
     "TaskMultiset",
     "Assignment",
     "WorkerTaskInput",
-    "multiset_algebra",
     "is_adjacent",
     "switching_cost",
     "adjacent_step",
@@ -36,10 +35,9 @@ __all__ = [
 class TaskMultiset:
     """Multiset over the task universe ``[1, t]``, stored as sorted (id, count) runs.
 
-    The sorted-run form gives linear-time algebra and a canonical value for
-    hashing and deduplication. Size caps (``|T| <= w``) are enforced by the
-    assignment entry points, not here: multiset union can legitimately exceed
-    any particular worker count.
+    The sorted-run form gives a canonical value for hashing and
+    deduplication. Size caps (``|T| <= w``) are enforced by the assignment
+    entry points, not here: a multiset may exceed any particular worker count.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -115,9 +113,6 @@ class TaskMultiset:
     def multiplicity(self, task: int) -> int:
         return self._counts.get(task, 0)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(task for task, _ in self.entries)
-
     def _require_same_universe(self, other: "TaskMultiset") -> None:
         if self.t != other.t:
             raise ValueError(f"multisets over different universes: {self.t} vs {other.t}")
@@ -131,32 +126,6 @@ class TaskMultiset:
             if kept > 0:
                 entries.append((task, kept))
         return TaskMultiset(tuple(entries), self.t)
-
-    def union(self, other: "TaskMultiset") -> "TaskMultiset":
-        """Pointwise ``max`` of multiplicities."""
-        self._require_same_universe(other)
-        tasks = sorted(set(self.support()) | set(other.support()))
-        entries = tuple(
-            (task, max(self.multiplicity(task), other.multiplicity(task))) for task in tasks
-        )
-        return TaskMultiset(entries, self.t)
-
-    def intersection(self, other: "TaskMultiset") -> "TaskMultiset":
-        """Pointwise ``min`` of multiplicities."""
-        self._require_same_universe(other)
-        entries = []
-        for task, count in self.entries:
-            both = min(count, other.multiplicity(task))
-            if both > 0:
-                entries.append((task, both))
-        return TaskMultiset(tuple(entries), self.t)
-
-
-def multiset_algebra(
-    a: TaskMultiset, b: TaskMultiset
-) -> tuple[TaskMultiset, TaskMultiset, TaskMultiset]:
-    """Return ``(a - b, a | b, a & b)`` under the max/min multiplicity rules."""
-    return a.difference(b), a.union(b), a.intersection(b)
 
 
 @dataclass(frozen=True)
@@ -199,9 +168,6 @@ class Assignment:
     def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
 
-    def task_of(self, worker: int) -> int | None:
-        return self.mapping.get(worker)
-
     def realizes(self, tasks: TaskMultiset) -> bool:
         """True iff the assigned tasks equal ``tasks`` with multiplicity and workers 1..|tasks| are used."""
         if len(self.pairs) != len(tasks):
@@ -243,9 +209,6 @@ class WorkerTaskInput:
     def __post_init__(self) -> None:
         object.__setattr__(self, "workers", frozenset(self.workers))
         object.__setattr__(self, "tasks", frozenset(self.tasks))
-
-    def is_balanced(self) -> bool:
-        return len(self.workers) == len(self.tasks)
 
 
 def is_adjacent(t1: TaskMultiset, t2: TaskMultiset) -> bool:

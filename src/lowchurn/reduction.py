@@ -8,30 +8,19 @@ multisets lift to adjacent sets, so any set assigner's switching behavior
 survives the round trip; projecting an assignment back simply drops the copy
 index.
 
-``lift_np`` and ``project_np`` are the array forms the pipeline runs on:
-the lifted set as a sorted id array, and the base task of every id in an
-array at once.
+``lift_np`` is the one lift, the lifted set as a sorted id array, and
+``lift`` is the same set as a frozenset. ``project_np`` is the projection:
+the base task of every id in an array at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .core import Assignment, TaskMultiset
+from .core import TaskMultiset
 
-__all__ = [
-    "LiftedTaskId",
-    "encode",
-    "decode",
-    "id_dtype",
-    "lift",
-    "lift_ids",
-    "lift_np",
-    "project",
-    "project_np",
-]
+__all__ = ["encode", "decode", "id_dtype", "lift", "lift_np", "project_np"]
 
 
 def encode(base: int, copy: int, w: int) -> int:
@@ -50,50 +39,13 @@ def decode(encoded: int, w: int) -> tuple[int, int]:
     return (encoded - 1) // w + 1, (encoded - 1) % w + 1
 
 
-@dataclass(frozen=True)
-class LiftedTaskId:
-    base: int
-    copy: int
-    encoded: int
-
-    @classmethod
-    def make(cls, base: int, copy: int, w: int) -> "LiftedTaskId":
-        return cls(base, copy, encode(base, copy, w))
-
-    @classmethod
-    def from_encoded(cls, encoded: int, w: int) -> "LiftedTaskId":
-        base, copy = decode(encoded, w)
-        return cls(base, copy, encoded)
-
-
-def lift_ids(T: TaskMultiset, w: int) -> tuple[LiftedTaskId, ...]:
-    """The lifted set as explicit (base, copy, encoded) triples, in encoded order."""
-    out = []
-    for task, count in T.entries:
-        if count > w:
-            raise ValueError(f"multiplicity {count} of task {task} exceeds worker count {w}")
-        out.extend(LiftedTaskId.make(task, x, w) for x in range(1, count + 1))
-    return tuple(out)
-
-
-def lift(T: TaskMultiset, w: int) -> frozenset[int]:
-    """The lifted set in encoded form; ``|lift(T)| == |T|``."""
-    out = set()
-    for task, count in T.entries:
-        if count > w:
-            raise ValueError(f"multiplicity {count} of task {task} exceeds worker count {w}")
-        first = (task - 1) * w
-        out.update(range(first + 1, first + count + 1))
-    return frozenset(out)
-
-
 def id_dtype(n: int) -> type:
     """The array dtype for ids in ``[1, n]``: uint64, or Python ints (object) from ``2**64`` on."""
     return np.uint64 if n < 1 << 64 else object
 
 
 def lift_np(T: TaskMultiset, w: int) -> np.ndarray:
-    """:func:`lift` as an ascending array of ids.
+    """The ids of the lifted set, ascending; rejects a multiplicity above ``w``.
 
     The ids have dtype ``id_dtype(w * t)``. Copy ``x`` of a task sits
     ``x - 1`` places after the task's first copy, so every id is its position
@@ -112,20 +64,11 @@ def lift_np(T: TaskMultiset, w: int) -> np.ndarray:
     return ids
 
 
+def lift(T: TaskMultiset, w: int) -> frozenset[int]:
+    """The lifted set in encoded form; ``|lift(T)| == |T|``."""
+    return frozenset(lift_np(T, w).tolist())
+
+
 def project_np(lifted, w: int) -> np.ndarray:
     """The base task of every lifted id in ``lifted``: the array form of ``decode(id, w)[0]``."""
     return (np.asarray(lifted) - 1) // w + 1
-
-
-def project(a: Assignment, T: TaskMultiset, w: int) -> Assignment:
-    """Project an assignment over lifted ids back to the base tasks of ``T``.
-
-    Rejects anything that is not a bijection from its workers onto
-    ``lift(T)``.
-    """
-    lifted = lift(T, w)
-    assigned = [task for _, task in a.pairs]
-    if len(assigned) != len(lifted) or set(assigned) != lifted:
-        raise ValueError("assignment is not a bijection onto the lifted task set")
-    workers = [worker for worker, _ in a.pairs]
-    return Assignment(a.w, tuple(zip(workers, project_np(assigned, w).tolist())))

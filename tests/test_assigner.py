@@ -25,7 +25,7 @@ from lowchurn.assigner import (
     single_bin_family,
     trivial_families,
 )
-from lowchurn.binhash import BinHash, compose, is_matching
+from lowchurn.binhash import BinHash, is_matching
 from lowchurn.core import (
     Assignment,
     TaskMultiset,
@@ -135,8 +135,8 @@ class TestAssignSet:
         assert count == 495
 
     def test_per_round_pairs_match_compose_trace(self):
-        # Two routes to the same pipeline: the engine loop and generic compose,
-        # on a schedule for each engine of assign_set.
+        # Two routes to the same pipeline: the engine and stages composed by
+        # hand from BinHash.apply, on a schedule for each engine of assign_set.
         rng = Random(4)
         for w, t, array_engine in ((6, 3, False), (40, 5, True)):
             s = build_schedule(w, t, c=2, master_seed=9)
@@ -146,13 +146,14 @@ class TestAssignSet:
                 W = rng.sample(range(1, w + 1), j)
                 T = rng.sample(range(1, s.n + 1), j)
                 res = assign_set(s, W, T)
-                if j == 0:
-                    assert res.per_round_pairs == ()
-                    continue
-                matched, residual, trace = compose(
-                    [r.hash for r in s.rounds], WorkerTaskInput(frozenset(W), frozenset(T))
-                )
-                assert res.per_round_pairs == tuple(st.matched for st in trace)
+                trace, residual = [], WorkerTaskInput(frozenset(W), frozenset(T))
+                for stage in (r.hash for r in s.rounds):
+                    if not residual.workers and not residual.tasks:
+                        break
+                    out = stage.apply(residual)
+                    trace.append(out.matched)
+                    residual = out.residual
+                assert res.per_round_pairs == tuple(trace)
                 assert res.fallback_pairs == len(residual.workers)
 
 
@@ -380,7 +381,7 @@ class TestAssignMultiset:
         s = build_schedule(3, 8, master_seed=5)
         res = assign(s, ms(2, 7))
         assert set(res.assignment.mapping) == {1, 2}
-        assert res.assignment.task_of(3) is None
+        assert 3 not in res.assignment.mapping
 
     def test_realizes_multiset(self):
         s = build_schedule(5, 6, master_seed=8)
@@ -484,6 +485,23 @@ class TestExplicitVariant:
         wrong_k = (single_bin_family(8, 2, k_param=3), single_bin_family(8, 2, k_param=0))
         with pytest.raises(ValueError):
             assign_explicit_set(wrong_k, reps=2, workers=[1], tasks=[1], w=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=st.integers(1, 9), reps=st.integers(1, 2), data=st.data())
+    def test_multiset_entry_point_matches_set_route(self, w, reps, data):
+        # assign_explicit against the route it replaced: assign_explicit_set
+        # on the set lift, then each pair's task decoded to its base task.
+        t = data.draw(st.integers(1, 6), label="t")
+        T = TaskMultiset.from_elements(data.draw(st.lists(st.integers(1, t), max_size=w), label="T"), t)
+        rng = Random(data.draw(st.integers(0, 2**32), label="table seed"))
+        levels = max(1, (w - 1).bit_length())
+        families = [
+            DisperserFamily.random_table(w * t, rng.randint(1, 4), rng.randint(1, 4), levels - i, 0.25, rng)
+            for i in range(1, levels + 1)
+        ]
+        old = assign_explicit_set(families, reps, range(1, len(T) + 1), lift(T, w), w)
+        projected = Assignment(w, tuple((x, decode(y, w)[0]) for x, y in old.assignment.pairs))
+        assert assign_explicit(families, reps, T, w) == AssignResult(projected, old.fallback_pairs, old.per_round_pairs)
 
     def test_seed_sweep_matches_stage_composition(self):
         fam = single_bin_family(16, D=3, k_param=0)

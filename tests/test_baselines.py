@@ -38,7 +38,7 @@ class TestSortedOrder:
     def test_small_multiset_leaves_tail_unassigned(self):
         a = sorted_order(ms(4), w=3)
         assert a.mapping == {1: 4}
-        assert a.task_of(3) is None
+        assert 3 not in a.mapping
 
     def test_oversized_rejected(self):
         with pytest.raises(ValueError):

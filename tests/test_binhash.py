@@ -2,7 +2,8 @@ from random import Random
 
 import pytest
 
-from lowchurn.binhash import BinHash, compose, difference_score, is_matching
+from lowchurn.assigner import DisperserFamily, _run_stages, seed_sweep, single_bin_family
+from lowchurn.binhash import BinHash, difference_score, is_matching
 from lowchurn.core import WorkerTaskInput
 
 
@@ -125,40 +126,41 @@ class TestStructuralGuarantees:
 
 
 class TestCompose:
+    """Stages composed by the scalar loop, each run on the residual of the one before."""
+
     def test_single_stage_equals_apply(self):
         b = BinHash.from_seed(4, seed=8)
         inp = wt({1, 2, 5}, {3, 6, 9})
-        matched, residual, trace = compose([b], inp)
+        workers, tasks = set(inp.workers), set(inp.tasks)
+        pairs, trace = _run_stages([b], workers, tasks)
         direct = b.apply(inp)
-        assert matched == direct.matched
-        assert residual == direct.residual
-        assert trace == [direct]
+        assert frozenset(pairs) == direct.matched
+        assert wt(workers, tasks) == direct.residual
+        assert trace == [direct.matched]
 
     def test_second_stage_sees_nothing_when_first_matches_all(self):
         b1 = BinHash.from_seed(1, seed=3)  # single bin matches the min pair
         b2 = BinHash.from_seed(1, seed=4)
-        matched, residual, trace = compose([b1, b2], wt({2}, {7}))
-        assert matched == {(2, 7)}
-        assert not residual.workers and not residual.tasks
+        pairs, trace = _run_stages([b1, b2], {2}, {7})
+        assert pairs == [(2, 7)]
         assert len(trace) == 1  # trailing stages are skipped once empty
+        matched, residual, trace = seed_sweep(single_bin_family(8, D=3), wt({2}, {7}))
+        assert matched == {(2, 7)}
+        assert residual == wt(set(), set())
+        assert trace == [{(2, 7)}]
 
     def test_accounting_identity(self):
         rng = Random(41)
         for _ in range(100):
-            inp, _, _ = random_input(rng)
-            stages = [
-                BinHash.from_seed(rng.randint(1, 6), seed=rng.randrange(2**32))
-                for _ in range(rng.randint(1, 6))
-            ]
-            matched, residual, trace = compose(stages, inp)
-            assert sum(len(s.matched) for s in trace) == len(matched)
+            inp, w, n = random_input(rng)
+            D, M = rng.randint(1, 6), rng.randint(1, 6)
+            family = DisperserFamily.random_table(max(w, n), D, M, 0, 0.25, rng)
+            matched, residual, trace = seed_sweep(family, inp)
+            assert sum(len(pairs) for pairs in trace) == len(matched)
             assert len(matched) == len(inp.workers) - len(residual.workers)
             assert len(matched) == len(inp.tasks) - len(residual.tasks)
+            assert residual.workers == inp.workers - {w for w, _ in matched}
             assert is_matching(matched)
-
-    def test_empty_stage_list_rejected(self):
-        with pytest.raises(ValueError):
-            compose([], wt({1}, {2}))
 
 
 class TestActiveBinsStatistics:

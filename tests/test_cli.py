@@ -290,22 +290,23 @@ def _ints(lo, hi, huge=False):
 
 
 _SUBCOMMANDS = {
-    "assign": {"--w": _ints(-1, 5), "--t": _ints(-1, 6), "--c": _ints(-1, 4), "--seed": _ints(-9, 9, huge=True),
-               "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"]),
+    "assign": {"--w": _ints(-1, 5, huge=True), "--t": _ints(-1, 6, huge=True), "--c": _ints(-1, 4, huge=True),
+               "--seed": _ints(-9, 9, huge=True), "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"]),
                "--multiset": st.sampled_from(["", "1", "1,2,2", "3,1", "0", "a,b", "1,,2", "7,7,7,7,7,7"])},
-    "walk": {"--w": _ints(-1, 5), "--t": _ints(-1, 6), "--c": _ints(-1, 4), "--seed": _ints(-9, 9, huge=True),
-             "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"]), "--steps": _ints(-1, 4)},
+    "walk": {"--w": _ints(-1, 5, huge=True), "--t": _ints(-1, 6, huge=True), "--c": _ints(-1, 4, huge=True),
+             "--seed": _ints(-9, 9, huge=True), "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"]),
+             "--steps": _ints(-1, 4, huge=True)},
     "oracle exact": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 5, huge=True), "--k": _ints(-1, 4, huge=True),
                      "--node-limit": _ints(-1, 500), "--time-limit": st.sampled_from(["-1", "0", "0.5", "nan", "x"])},
-    "oracle audit": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 4, huge=True), "--c": _ints(-1, 3), "--seed": _ints(-9, 9, huge=True),
-                     "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"])},
-    "oracle ramsey": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 5, huge=True), "--c": _ints(-1, 3), "--seed": _ints(-9, 9, huge=True),
-                      "--alg": st.sampled_from(["mrbb", "sorted", "randperm"])},
+    "oracle audit": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 4, huge=True), "--c": _ints(-1, 3, huge=True),
+                     "--seed": _ints(-9, 9, huge=True), "--alg": st.sampled_from(["mrbb", "sorted", "randperm", "nope"])},
+    "oracle ramsey": {"--w": _ints(-1, 3, huge=True), "--t": _ints(-1, 5, huge=True), "--c": _ints(-1, 3, huge=True),
+                      "--seed": _ints(-9, 9, huge=True), "--alg": st.sampled_from(["mrbb", "sorted", "randperm"])},
     "oracle disperser": {"--domain": _ints(-1, 6), "--seeds": _ints(-1, 3), "--bins": _ints(-1, 3),
                          "--k-param": _ints(-1, 3), "--epsilon": st.sampled_from(["-1", "0", "0.25", "1", "2", "nan", "x"]),
                          "--restarts": _ints(-1, 50), "--seed": _ints(-9, 9, huge=True)},
-    "embed": {"--k": _ints(-1, 3), "--n": _ints(-1, 8), "--c": _ints(-1, 3), "--seed": _ints(-9, 9, huge=True),
-              "--pairs": _ints(-1, 4)},
+    "embed": {"--k": _ints(-1, 3, huge=True), "--n": _ints(-1, 8, huge=True), "--c": _ints(-1, 3, huge=True),
+              "--seed": _ints(-9, 9, huge=True), "--pairs": _ints(-1, 4, huge=True)},
 }
 _FLAGS = {"oracle exact": ["--multisets", "--sets-only"], "oracle audit": ["--multisets"], "walk": ["--size-varying"],
           "embed": ["--all-pairs"]}
@@ -346,3 +347,44 @@ def test_cli_never_ends_in_a_traceback(tmp_path_factory, data):
 def test_tracebacks_found_by_the_property_test_exit_2(capsys, argv, message):
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 2 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["assign", "--w", "16385", "--t", "9", "--multiset", "1"], "--w 16385 over the documented cap 16384"),
+        (["assign", "--w", "3", "--t", str(2**40 + 1), "--multiset", "1"], f"--t {2**40 + 1} over the documented cap {2**40}"),
+        (["assign", "--w", "3", "--t", "9", "--c", "1000000000", "--multiset", "1"], "--c 1000000000 over the documented cap 64"),
+        (["assign", "--w", "4097", "--t", "9", "--alg", "randperm", "--multiset", "1"],
+         "randperm --w 4097 over the documented cap 4096"),
+        (["walk", "--w", "3", "--t", "9", "--steps", str(2**20 + 1)], f"--steps {2**20 + 1} over the documented cap {2**20}"),
+        (["walk", "--w", "16384", "--t", "9", "--steps", "1025"], f"--w * --steps {16384 * 1025} over the documented cap {2**24}"),
+        (["oracle", "audit", "--w", "2", "--t", "3", "--c", "65"], "--c 65 over the documented cap 64"),
+        (["oracle", "ramsey", "--w", "16385", "--t", "3"], "--w 16385 over the documented cap 16384"),
+        (["embed", "--k", "16385", "--n", "8", "--input", "v.txt", "--all-pairs"], "--k 16385 over the documented cap 16384"),
+        (["embed", "--k", "2", "--n", str(2**40 + 1), "--input", "v.txt", "--all-pairs"],
+         f"--n {2**40 + 1} over the documented cap {2**40}"),
+        (["embed", "--k", "2", "--n", "8", "--c", "65", "--input", "v.txt", "--all-pairs"], "--c 65 over the documented cap 64"),
+        (["embed", "--k", "2", "--n", "8", "--input", "v.txt", "--pairs", str(2**20 + 1)],
+         f"--pairs {2**20 + 1} over the documented cap {2**20}"),
+    ],
+)
+def test_size_past_its_cap_exits_2_before_running(capsys, monkeypatch, argv, message):
+    import lowchurn.cli as cli
+
+    def never(*_a, **_k):
+        raise AssertionError("an over-cap command started")
+
+    for name in ("make_assigner", "run_walk", "build_schedule", "_load_vectors"):
+        monkeypatch.setattr(cli, name, never)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_sizes_at_their_caps_run(capsys):
+    rc, out, _ = run_cli(capsys, "assign", "--w", "16384", "--t", str(2**40), "--c", "64", "--multiset", "1,5,5")
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 16384 + 1
+    assert sorted(line.rsplit(" ", 1)[1] for line in lines[:3]) == ["1", "5", "5"]
+    assert lines[3] == "worker 4 -> unassigned" and lines[-1] == "fallback: no"

@@ -6,16 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lowchurn.core import Assignment, TaskMultiset, adjacent_step, is_adjacent, random_multiset, switching_cost
-from lowchurn.reduction import (
-    LiftedTaskId,
-    decode,
-    encode,
-    lift,
-    lift_ids,
-    lift_np,
-    project,
-    project_np,
-)
+from lowchurn.reduction import decode, encode, lift, lift_np, project_np
 
 
 def ms(*elements, t=8):
@@ -24,8 +15,8 @@ def ms(*elements, t=8):
 
 def test_lift_construction_by_hand():
     # Copies (i,1)..(i,m_T(i)) per task, applied to T={2,2,5} with w=3.
-    ids = lift_ids(ms(2, 2, 5), w=3)
-    assert [(x.base, x.copy) for x in ids] == [(2, 1), (2, 2), (5, 1)]
+    ids = lift_np(ms(2, 2, 5), w=3).tolist()
+    assert [decode(x, 3) for x in ids] == [(2, 1), (2, 2), (5, 1)]
 
 
 def test_lift_empty():
@@ -52,15 +43,14 @@ def test_lift_np_edge_cases():
     assert empty.dtype == np.uint64 and empty.tolist() == []
     # A task taking every worker, next to one the encoding puts just below it.
     T = ms(2, 3, 3, 3)
-    assert lift_np(T, w=3).tolist() == sorted(lift(T, w=3)) == [4, 7, 8, 9]
-    with pytest.raises(ValueError) as want:
-        lift(ms(1, 4, 4, 4, 6, 6, 6, 6), w=3)
+    assert lift_np(T, w=3).tolist() == [4, 7, 8, 9]
     with pytest.raises(ValueError) as got:
         lift_np(ms(1, 4, 4, 4, 6, 6, 6, 6), w=3)
-    assert str(got.value) == str(want.value) == "multiplicity 4 of task 6 exceeds worker count 3"
+    assert str(got.value) == "multiplicity 4 of task 6 exceeds worker count 3"
     # Past 2**64 the ids are Python ints.
     huge = TaskMultiset.from_elements([2**62, 2**62], 2**62)
-    assert lift_np(huge, w=8).tolist() == sorted(lift(huge, w=8))
+    ids = lift_np(huge, w=8)
+    assert ids.dtype == object and ids.tolist() == [encode(2**62, 1, 8), encode(2**62, 2, 8)]
 
 
 @given(
@@ -69,14 +59,15 @@ def test_lift_np_edge_cases():
     st.lists(st.integers(1, 9), max_size=14),
 )
 def test_lift_np_matches_lift(w, t, elements):
+    # Against the definition: copies 1..m of each task, encoded one by one.
     T = TaskMultiset.from_elements((min(e, t) for e in elements), t)
-    try:
-        want = sorted(lift(T, w))
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
+    if any(count > w for _, count in T.entries):
+        with pytest.raises(ValueError, match="exceeds worker count"):
             lift_np(T, w)
     else:
+        want = sorted(encode(task, x, w) for task, count in T.entries for x in range(1, count + 1))
         assert lift_np(T, w).tolist() == want
+        assert lift(T, w) == frozenset(want)
 
 
 def test_project_np_is_decode():
@@ -100,11 +91,6 @@ def test_encoding_preserves_lex_order(pairs):
     assert (encode(b1, c1, w) < encode(b2, c2, w)) == ((b1, c1) < (b2, c2))
 
 
-def test_lifted_task_id_from_encoded():
-    x = LiftedTaskId.from_encoded(encode(5, 2, 3), 3)
-    assert (x.base, x.copy) == (5, 2)
-
-
 def test_adjacent_multisets_lift_to_adjacent_sets():
     rng = Random(11)
     w, t = 5, 6
@@ -117,29 +103,22 @@ def test_adjacent_multisets_lift_to_adjacent_sets():
 
 
 def test_project_drops_copy_index():
-    T = TaskMultiset.from_elements([2, 2, 5], 8)
     w = 3
-    a = Assignment.from_mapping(
-        {1: encode(2, 2, w), 2: encode(5, 1, w), 3: encode(2, 1, w)}, w
-    )
-    assert project(a, T, w).mapping == {1: 2, 2: 5, 3: 2}
+    ids = [encode(2, 2, w), encode(5, 1, w), encode(2, 1, w)]
+    assert project_np(ids, w).tolist() == [2, 5, 2]
 
 
 def test_project_single_worker():
-    T = TaskMultiset.from_elements([7], 8)
-    a = Assignment.from_mapping({1: encode(7, 1, 1)}, 1)
-    assert project(a, T, 1).mapping == {1: 7}
+    assert project_np([encode(7, 1, 1)], 1).tolist() == [7]
 
 
-def test_project_rejects_non_bijection():
-    T = TaskMultiset.from_elements([2, 5], 8)
-    w = 2
-    bad = Assignment.from_mapping({1: encode(2, 1, w), 2: encode(2, 1, w)}, w)
-    with pytest.raises(ValueError):
-        project(bad, T, w)
-    short = Assignment.from_mapping({1: encode(2, 1, w)}, w)
-    with pytest.raises(ValueError):
-        project(short, T, w)
+def lifted_assignment(T, w, rng):
+    """Workers ``1..|T|`` on the lifted ids of ``T`` in random order, and that assignment projected."""
+    lifted = lift_np(T, w).tolist()
+    rng.shuffle(lifted)
+    pairs = tuple(enumerate(lifted, start=1))
+    projected = tuple(zip(range(1, len(T) + 1), project_np(lifted, w).tolist()))
+    return Assignment(w, pairs), Assignment(w, projected)
 
 
 def test_project_roundtrip_realizes_multiset():
@@ -147,10 +126,7 @@ def test_project_roundtrip_realizes_multiset():
     w, t = 5, 6
     for _ in range(100):
         T = random_multiset(rng.randint(0, w), t, rng)
-        lifted = sorted(lift(T, w))
-        rng.shuffle(lifted)
-        a = Assignment.from_mapping({i + 1: e for i, e in enumerate(lifted)}, w)
-        projected = project(a, T, w)
+        _, projected = lifted_assignment(T, w, rng)
         assert projected.realizes(T)
 
 
@@ -160,10 +136,6 @@ def test_projection_never_increases_switching_cost():
     for _ in range(200):
         T1 = random_multiset(w, t, rng)
         T2 = adjacent_step(T1, rng, w=w)
-        l1, l2 = sorted(lift(T1, w)), sorted(lift(T2, w))
-        rng.shuffle(l1)
-        rng.shuffle(l2)
-        a1 = Assignment.from_mapping({i + 1: e for i, e in enumerate(l1)}, w)
-        a2 = Assignment.from_mapping({i + 1: e for i, e in enumerate(l2)}, w)
-        p1, p2 = project(a1, T1, w), project(a2, T2, w)
+        a1, p1 = lifted_assignment(T1, w, rng)
+        a2, p2 = lifted_assignment(T2, w, rng)
         assert switching_cost(p1, p2) <= switching_cost(a1, a2)
