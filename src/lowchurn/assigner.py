@@ -22,8 +22,7 @@ of drawing fresh randomness. The repetition count per level is a caller
 parameter; the per-sweep progress guarantee is what makes a finite count
 sufficient.
 
-Two engines give bit-identical output, the same pairs and the same
-per-round trace:
+Two engines give bit-identical output, the same pairs and the same trace:
 
 * the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
   round on Python sets. It is the reference and the package's only scalar
@@ -33,20 +32,20 @@ per-round trace:
   count arrays as they are (``RoundSchedule.round_arrays``). While more than
   ``_TAIL_N`` workers remain it runs one numpy round at a time. Below that
   it hashes the residual under a block of upcoming rounds at once and
-  visits only the rounds where some worker shares a bin with some task;
-  every other round is recorded as matching nothing without being run.
+  visits only the rounds where some worker shares a bin with some task.
 
-Wrapped by ``_run_scalar`` in the array engine's form, both take and return
-arrays: the residual goes in as one ``(2, n)`` array, sorted workers over
-sorted tasks, and comes back as the matched pairs plus the residual left at
-the end. ``_pack`` scatters the pairs and the rank-order fallback, which is
-that residual's rows side by side, into one task per worker. ``assign``
-stays in numpy from input to result: the lift (``reduction.lift_np``), the
-engine, the scatter and the projection to base tasks
-(``reduction.project_np``); the only Python objects it builds are the
-per-round trace and the one :class:`Assignment` it returns. ``assign_set``
-is the same path wrapped for plain id sets, and ``assign_explicit`` the
-same path on the explicit variant's stages.
+The trace of a run is each worker's match round, -1 for the fallback.
+Wrapped by ``_run_scalar`` in the array engine's form, both engines take
+and return arrays: the residual goes in as one ``(2, n)`` array, sorted
+workers over sorted tasks, and comes back as the matched pairs with their
+rounds plus the residual left at the end. ``_pack`` scatters those and the
+rank-order fallback, which is that residual's rows side by side, into one
+task and one round per worker. ``assign`` stays in numpy from input to
+result: the lift (``reduction.lift_np``), the engine, the scatter and the
+projection to base tasks (``reduction.project_np``); the only Python
+objects it builds are the trace's tuples and the one :class:`Assignment`
+it returns. ``assign_set`` is the same path wrapped for plain id sets, and
+``assign_explicit`` the same path on the explicit variant's stages.
 
 ``assign`` and ``assign_set`` pick the array engine when the schedule has at
 least ``ARRAY_MIN_W`` workers and ``round_arrays`` exists (rounds from
@@ -55,18 +54,19 @@ loop otherwise.
 
 :class:`AssignSession` answers a sequence of multisets with the results
 ``assign`` gives, and keeps the last input's run as a cache: each element's
-match round and its bin in every round it was live. One hash round never
-increases the difference between two inputs, so an input within
-``_SESSION_MAX_CHANGES`` lifted ids of the cached one (a walk step changes
-two) is worked out event by event from the cached run, touching only the
-bins the changed elements reach. Every other call is a full run on the
-array engine, the same work as ``assign``: the first call, a larger
-difference, and an empty input before or after. A full run keeps only its
-input and its run, and the next call builds the cache from them if it takes
-the incremental path, so one-shot and unrelated inputs cost what ``assign``
-costs. The cache is linear in the input. Schedules with fewer than
-``SESSION_MIN_W`` workers (a measured crossover) or that the array engine
-does not run keep no cache, and each call is a plain ``assign``.
+match round, read from the result's trace, and its bin in every round it
+was live. One hash round never increases the difference between two
+inputs, so an input within ``_SESSION_MAX_CHANGES`` lifted ids of the
+cached one (a walk step changes two) is worked out event by event from the
+cached run, touching only the bins the changed elements reach. Every other
+call is a full run on the array engine, the same work as ``assign``: the
+first call, a larger difference, and an empty input before or after. A
+full run keeps only its input and its result, and the next call builds the
+cache from them if it takes the incremental path, so one-shot and
+unrelated inputs cost what ``assign`` costs. The cache is linear in the
+input. Schedules with fewer than ``SESSION_MIN_W`` workers (a measured
+crossover) or that the array engine does not run keep no cache, and each
+call is a plain ``assign``.
 
 Schedules and families are immutable; ``assign``, ``assign_set``, and
 ``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
@@ -77,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress, count
 from random import Random
 from typing import Iterable, Sequence
 
@@ -236,6 +236,11 @@ class RoundSchedule:
             return None
         return rounds.seeds, rounds.ks
 
+    @cached_property
+    def stages(self) -> tuple[BinHash, ...]:
+        """Every round's hash in order, the stages the scalar loop runs; built once per schedule."""
+        return tuple(r.hash for r in self.rounds)
+
 
 def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSchedule:
     """Construct the round grid for ``w`` workers over ``t`` task kinds.
@@ -264,19 +269,36 @@ def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSch
 class AssignResult:
     """An assignment plus the bookkeeping needed to audit how it was produced.
 
-    ``per_round_pairs`` holds each executed round's matched pairs (in lifted
-    task ids when a multiset was assigned); rounds after the input emptied are
-    omitted. ``fallback_pairs == 0`` means every pair came from schedule
-    rounds, so the switching-cost guarantee applies.
+    The trace has one entry per worker, in the order of ``assignment.pairs``:
+    ``lifted_tasks`` holds the task id the engine paired it with (a lifted id
+    when a multiset was assigned) and ``match_rounds`` the index of the round
+    that matched them, -1 for a fallback pair. ``rounds_executed`` is all of
+    the schedule's rounds if a residual was left, else those up to the round
+    that emptied the input. ``fallback_pairs == 0`` means every pair came
+    from schedule rounds, so the switching-cost guarantee applies.
+    ``per_round_pairs`` and ``per_round_matches`` are derived when read.
     """
 
     assignment: Assignment
     fallback_pairs: int
-    per_round_pairs: tuple[frozenset[tuple[int, int]], ...]
+    lifted_tasks: tuple[int, ...]
+    match_rounds: tuple[int, ...]
+    rounds_executed: int
+
+    @cached_property
+    def per_round_pairs(self) -> tuple[frozenset[tuple[int, int]], ...]:
+        matched: dict[int, list[tuple[int, int]]] = {}
+        for (worker, _), task, r in zip(self.assignment.pairs, self.lifted_tasks, self.match_rounds):
+            if r >= 0:
+                matched.setdefault(r, []).append((worker, task))
+        rounds = [frozenset()] * self.rounds_executed  # most rounds match nothing
+        for r, pairs in matched.items():
+            rounds[r] = frozenset(pairs)
+        return tuple(rounds)
 
     @property
     def per_round_matches(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.per_round_pairs)
+        return tuple(map(len, self.per_round_pairs))
 
     @property
     def used_fallback(self) -> bool:
@@ -326,12 +348,12 @@ _DENSE_BINS = 8
 # blocks, rounds that rarely match go in long ones.
 _TAIL_BUDGET = 1 << 16
 _TAIL_HITS = 16
-_NO_PAIRS: frozenset[tuple[int, int]] = frozenset()
 
-# What an engine returns: the matched pairs as (workers, tasks) row pairs,
-# the per-round trace, and the residual it leaves, workers over tasks.
-Matches = list[tuple[Sequence[int], Sequence[int]]]
-Run = tuple[Matches, list[frozenset[tuple[int, int]]], np.ndarray]
+# What an engine returns: the matched pairs as (workers, tasks, rounds) rows,
+# where rounds is one round index or one per pair, and the residual it
+# leaves, workers over tasks.
+Matches = list[tuple[Sequence[int], Sequence[int], "Sequence[int] | int"]]
+Run = tuple[Matches, np.ndarray]
 
 
 def _rows(workers: Iterable[int], tasks: Iterable[int], dtype: type) -> np.ndarray:
@@ -342,16 +364,17 @@ def _rows(workers: Iterable[int], tasks: Iterable[int], dtype: type) -> np.ndarr
 def _run_scalar(stages: Sequence[BinHash], wt: np.ndarray) -> Run:
     """The scalar loop over the residual ``wt``, in the array engine's form."""
     W, T = set(wt[0].tolist()), set(wt[1].tolist())
-    pairs, per_round = _run_stages(stages, W, T)
-    matched = np.array(pairs, wt.dtype).reshape(-1, 2).T
-    return [(matched[0], matched[1])], per_round, _rows(W, T, wt.dtype)
+    _, per_round = _run_stages(stages, W, T)
+    rows = [(x, y, r) for r in compress(count(), per_round) for x, y in per_round[r]]
+    ws, ts, rs = np.array(rows, wt.dtype).reshape(-1, 3).T
+    return [(ws, ts, rs)], _rows(W, T, wt.dtype)
 
 
 def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
     """Run ``schedule`` over the residual ``wt`` on the engine the module docstring picks."""
     arrays = schedule.round_arrays if schedule.w >= ARRAY_MIN_W else None
     if arrays is None:
-        return _run_scalar([r.hash for r in schedule.rounds], wt)
+        return _run_scalar(schedule.stages, wt)
     return _run_arrays(arrays, wt)
 
 
@@ -360,43 +383,34 @@ def _run_arrays(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> Run:
 
     ``wt`` is the residual as one uint64 array, sorted workers in row 0 and
     sorted tasks in row 1, so each hash call covers both sides. Each head
-    round's matches stay the arrays it found them in; the tail blocks' few
-    matches are gathered into one pair of lists. The trace has an entry for
-    every executed round, empty where the round matched nothing, and the
-    residual left over stays sorted.
+    round's matches stay the arrays it found them in, with the round's
+    index; the tail blocks' few matches are gathered into one set of lists.
+    The residual left over stays sorted.
     """
     seeds, ks = arrays
     rounds = len(ks)
     matched: Matches = []
-    tail: list[tuple[int, int]] = []
-    per_round: list[frozenset[tuple[int, int]]] = []
+    tail: list[tuple[int, int, int]] = []
     r = 0
     while r < rounds and wt.shape[1]:
         n = wt.shape[1]
         if n > _TAIL_N:
-            keep = _head_round(seeds[:, r, None], wt, int(ks[r]), matched, per_round)
+            keep = _head_round(seeds[:, r, None], wt, int(ks[r]), r, matched)
             r += 1
         else:
             cap = min(_TAIL_BUDGET, _TAIL_HITS * int(ks[r]))
             block = min(rounds - r, max(1, cap // (n * n)))
             rows = slice(r, r + block)
-            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], tail, per_round)
+            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], r, tail)
             r += block
         wt = wt[keep].reshape(2, -1)
     if tail:
-        ws, ts = zip(*tail)
-        matched.append((list(ws), list(ts)))
-    return matched, per_round, wt
+        matched.append(tuple(map(list, zip(*tail))))
+    return matched, wt
 
 
-def _head_round(
-    seeds: np.ndarray,
-    wt: np.ndarray,
-    k: int,
-    matched: Matches,
-    per_round: list[frozenset[tuple[int, int]]],
-) -> np.ndarray:
-    """Run one round over a large residual; returns the mask of ids left unmatched.
+def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matches) -> np.ndarray:
+    """Run round ``r`` over a large residual; returns the mask of ids left unmatched.
 
     A bin holding a worker and a task pairs its smallest of each. The rows
     are sorted, so those sit at the bin's first position in each row.
@@ -424,84 +438,73 @@ def _head_round(
         keys, pos = keys[first], pos[first]
         both = np.flatnonzero(keys[1:] - keys[:-1] == (keys[1:] & np.uint64(1)))
         pos_w, pos_t = pos[both], pos[both + 1] - np.uint64(n)
-    ws, ts = wt[0, pos_w], wt[1, pos_t]
-    matched.append((ws, ts))
-    per_round.append(frozenset(zip(ws.tolist(), ts.tolist())))
+    matched.append((wt[0, pos_w], wt[1, pos_t], r))
     keep = np.ones((2, n), dtype=bool)
     keep[0, pos_w] = keep[1, pos_t] = False
     return keep
 
 
 def _tail_block(
-    seeds: np.ndarray,
-    wt: np.ndarray,
-    ks: np.ndarray,
-    pairs: list[tuple[int, int]],
-    per_round: list[frozenset[tuple[int, int]]],
+    seeds: np.ndarray, wt: np.ndarray, ks: np.ndarray, start: int, pairs: list[tuple[int, int, int]]
 ) -> np.ndarray:
-    """Run a block of rounds over a small residual; returns the mask of ids left unmatched.
+    """Run the block of rounds from ``start`` over a small residual; returns the mask of ids left unmatched.
 
     The residual is hashed under every round of the block at once, and only
     colliding (worker, task) index pairs, those sharing a bin, are visited.
     In each round the first live collision of a bin, in index order, pairs
-    its smallest live worker with its smallest live task. Rounds without a
-    live collision match nothing. Appends to ``pairs`` and ``per_round``
-    and stops at the round that empties the residual, like the scalar loop.
+    its smallest live worker with its smallest live task, and the pair is
+    appended to ``pairs`` with its round. Rounds without a live collision
+    match nothing, like the scalar loop's rounds after the residual empties.
     """
-    block, n = len(ks), wt.shape[1]
+    n = wt.shape[1]
     b = bins_np(seeds, wt[:, None, :], ks)
     rows, iw, it = np.nonzero(b[0][:, :, None] == b[1][:, None, :])
     bins = b[0][rows, iw]
     ws, ts = wt.tolist()
     keep = [[True] * n, [True] * n]
     alive_w, alive_t = keep
-    left, done, cur = n, 0, -1
-    got: list[tuple[int, int]] = []
+    cur = -1
     seen: set[int] = set()
-    # A sentinel collision in row ``block`` flushes the last visited round.
-    collisions = zip(rows.tolist() + [block], iw.tolist() + [0], it.tolist() + [0], bins.tolist() + [0])
-    for h, i, j, bin_ in collisions:
+    for h, i, j, bin_ in zip(rows.tolist(), iw.tolist(), it.tolist(), bins.tolist()):
         if h != cur:
-            if got:
-                per_round.extend([_NO_PAIRS] * (cur - done))
-                per_round.append(frozenset(got))
-                pairs.extend(got)
-                done, left = cur + 1, left - len(got)
-                if not left:
-                    break
-                got = []
-            if h == block:
-                per_round.extend([_NO_PAIRS] * (block - done))
-                break
             seen.clear()
             cur = h
         if alive_w[i] and alive_t[j] and bin_ not in seen:
             seen.add(bin_)
             alive_w[i] = alive_t[j] = False
-            got.append((ws[i], ts[j]))
+            pairs.append((ws[i], ts[j], start + h))
     return np.array(keep)
 
 
-def _pack(workers: np.ndarray, matched: Matches, residual: np.ndarray) -> np.ndarray:
-    """The task of each of the sorted ``workers``, by scatter.
+def _pack(workers: np.ndarray, matched: Matches, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The task and match round of each of the sorted ``workers``, by scatter.
 
-    A worker takes its matched task, or else its rank-order fallback: the
-    residual's rows are sorted, so they already pair sorted leftover workers
-    with sorted leftover tasks.
+    A worker takes its matched task and round, or else its rank-order
+    fallback and round -1: the residual's rows are sorted, so they already
+    pair sorted leftover workers with sorted leftover tasks.
     """
     dense = not workers.size or workers[-1] == workers.size  # workers are 1..size
     task_of = np.empty(workers.size, dtype=residual.dtype)
-    for ws, ts in chain(matched, [residual]):
-        task_of[np.asarray(ws, np.int64) - 1 if dense else np.searchsorted(workers, ws)] = ts
-    return task_of
+    round_of = np.empty(workers.size, dtype=np.int64)
+    for ws, ts, rs in chain(matched, [(*residual, -1)]):
+        at = np.asarray(ws, np.int64) - 1 if dense else np.searchsorted(workers, ws)
+        task_of[at] = ts
+        round_of[at] = rs
+    return task_of, round_of
 
 
-def _set_result(w: int, wt: np.ndarray, run: Run) -> AssignResult:
-    """The :class:`AssignResult` of an engine run over the input ``wt``."""
-    matched, per_round, residual = run
-    task_of = _pack(wt[0], matched, residual)
-    assignment = Assignment(w, tuple(zip(wt[0].tolist(), task_of.tolist())))
-    return AssignResult(assignment, residual.shape[1], tuple(per_round))
+def _result(w: int, wt: np.ndarray, run: Run, total: int, lifted: bool) -> AssignResult:
+    """The :class:`AssignResult` of an engine run over the input ``wt`` on ``total`` rounds.
+
+    With ``lifted``, ``wt`` holds lifted ids and the assignment their base tasks.
+    """
+    matched, residual = run
+    task_of, round_of = _pack(wt[0], matched, residual)
+    tasks = project_np(task_of, w) if lifted else task_of
+    assignment = Assignment(w, tuple(zip(wt[0].tolist(), tasks.tolist())))
+    fallback = residual.shape[1]
+    executed = total if fallback else int(round_of.max(initial=-1)) + 1
+    return AssignResult(assignment, fallback, tuple(task_of.tolist()), tuple(round_of.tolist()), executed)
 
 
 def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[int]) -> AssignResult:
@@ -519,7 +522,7 @@ def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[
     if T and not (1 <= min(T) and max(T) <= schedule.n):
         raise ValueError(f"tasks outside [1, {schedule.n}]")
     wt = _rows(W, T, id_dtype(schedule.n))
-    return _set_result(schedule.w, wt, _run(schedule, wt))
+    return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, False)
 
 
 def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
@@ -527,13 +530,14 @@ def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
 
     Lifts ``T`` to a set over ``[w*t]``, runs it on the same engine as
     :func:`assign_set`, and projects back; workers ``|T|+1..w`` stay
-    unassigned. ``per_round_pairs`` remains in lifted ids. The lifted ids,
-    the pairs, the fallback and the projection all stay numpy arrays up to
-    the one :class:`Assignment` built at the end.
+    unassigned. The trace (``lifted_tasks`` and the derived
+    ``per_round_pairs``) remains in lifted ids. The lifted ids, the pairs,
+    the fallback and the projection all stay numpy arrays up to the one
+    :class:`Assignment` built at the end.
     """
     _check_multiset(schedule, T)
     wt = _lifted_rows(T, schedule.w)
-    return _multiset_result(schedule.w, wt, _run(schedule, wt))
+    return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, True)
 
 
 def _check_multiset(schedule: RoundSchedule, T: TaskMultiset) -> None:
@@ -548,14 +552,6 @@ def _lifted_rows(T: TaskMultiset, w: int) -> np.ndarray:
     """Workers ``1..|T|`` over the ascending lifted ids of ``T``."""
     tasks = lift_np(T, w)
     return np.array([np.arange(1, len(T) + 1, dtype=tasks.dtype), tasks])
-
-
-def _multiset_result(w: int, wt: np.ndarray, run: Run) -> AssignResult:
-    """The :class:`AssignResult` of ``assign`` from an engine run over the lifted rows ``wt``."""
-    matched, per_round, residual = run
-    base = project_np(_pack(wt[0], matched, residual), w)
-    assignment = Assignment(w, tuple(zip(range(1, wt.shape[1] + 1), base.tolist())))
-    return AssignResult(assignment, residual.shape[1], tuple(per_round))
 
 
 # Sessions keep a cache only for schedules with at least this many workers;
@@ -583,9 +579,9 @@ class AssignSession:
     """Repeated :func:`assign` on one schedule, each call worked out from the previous one.
 
     ``session(T)`` returns an :class:`AssignResult` equal to
-    ``assign(schedule, T)``: the same assignment, fallback count and
-    per-round trace. The function stays memoryless; the session only keeps
-    the last input's run as a cache (see :class:`_Cache`).
+    ``assign(schedule, T)``: the same assignment, fallback count, lifted
+    tasks and match rounds. The function stays memoryless; the session only
+    keeps the last input's result as a cache (see :class:`_Cache`).
 
     One hash round never increases the difference between two inputs, so
     when ``T``'s lifted ids differ from the cached input's in at most
@@ -594,7 +590,7 @@ class AssignSession:
     and rounds that no changed element reaches are taken over as they are.
     Every other call is a full run on the array engine, the same work as
     ``assign``: the first call, a larger difference, and an empty input
-    before or after. A full run keeps only its input and its run; the
+    before or after. A full run keeps only its input and its result; the
     tables the incremental path reads are built from them by the first call
     that takes that path, so one-shot and unrelated inputs never pay for
     them. Schedules the array engine does not run, or with fewer than
@@ -635,7 +631,7 @@ class AssignSession:
             if changed is None:
                 wt = _lifted_rows(T, schedule.w)
                 run = _run_arrays((grid.seeds, grid.ks), wt)
-                cache = _Cache(grid, T, run, _multiset_result(schedule.w, wt, run))
+                cache = _Cache(grid, T, _result(schedule.w, wt, run, grid.total, True))
             else:
                 self.replays += 1
                 self.changed_rounds += changed
@@ -703,43 +699,39 @@ def _changed_ids(a: TaskMultiset, b: TaskMultiset, w: int, limit: int) -> tuple[
 
 
 class _Cache:
-    """One input's run, in the form :class:`AssignSession` updates it in.
+    """One input's result, in the form :class:`AssignSession` updates it in.
 
     ``end[s]`` maps each worker (``s = 0``) or lifted task (``s = 1``) of the
     input to the round it was matched in, or to the schedule's length if the
     fallback paired it; an element is live in every round up to its end.
-    Each element has a slot below ``w``, ``slot[s][x]``, and ``cells[s]`` is
-    the sorted array of ``(round * K + bin) << shift | slot`` over every
-    round each element of side ``s`` is live in: about 13 cells per element
-    at w=1024, so the cache stays linear in the input. The cells of one bin
-    form a run of the array, found by bisection.
+    ``pairs``, ``tasks`` and ``rounds`` are the result's pairs, lifted tasks
+    and match rounds as lists, and ``residual`` the fallback's workers over
+    its tasks. Each element has a slot below ``w``, ``slot[s][x]``, and
+    ``cells[s]`` is the sorted array of ``(round * K + bin) << shift | slot``
+    over every round each element of side ``s`` is live in: about 13 cells
+    per element at w=1024, so the cache stays linear in the input. The cells
+    of one bin form a run of the array, found by bisection.
 
-    A full run keeps only ``T``, ``run`` and ``result``; :meth:`advance`
-    builds the rest the first time it replays.
+    A full run keeps only ``T`` and ``result``; :meth:`advance` builds the
+    rest from the result the first time it replays.
     """
 
-    def __init__(self, grid: _Grid, T: TaskMultiset, run: Run, result: AssignResult) -> None:
-        self.grid, self.T, self.run, self.result = grid, T, run, result
+    def __init__(self, grid: _Grid, T: TaskMultiset, result: AssignResult) -> None:
+        self.grid, self.T, self.result = grid, T, result
+        self.cells: list[np.ndarray] | None = None
 
     def _build(self) -> None:
-        """Build the tables from the kept run, in one vectorized pass per side."""
-        grid, w = self.grid, self.grid.w
-        _, per_round, residual = self.run
-        self.run = None
-        self.trace = list(per_round)
-        self.counts = np.fromiter(map(len, per_round), np.int64, len(per_round))
-        pairs = chain.from_iterable(chain.from_iterable(per_round))
-        matched = np.fromiter(pairs, np.int64, 2 * int(self.counts.sum())).reshape(-1, 2).T.tolist()
-        at = np.repeat(np.arange(len(per_round)), self.counts).tolist()
-        self.residual = residual.tolist()
-        left = [grid.total] * len(self.residual[0])
-        self.end = tuple(dict(zip(m + r, at + left)) for m, r in zip(matched, self.residual))
-        self.pairs = list(self.result.assignment.pairs)
-        self.slot = tuple({x: i for i, x in enumerate(sorted(end))} for end in self.end)
-        self.elems = [[None] * w for _ in (0, 1)]  # the element in each slot
-        for slot, elems in zip(self.slot, self.elems):
-            for x, i in slot.items():
-                elems[i] = x
+        """Build the tables from the result's trace, in one vectorized pass per side."""
+        grid, w, result = self.grid, self.grid.w, self.result
+        trace = (result.assignment.pairs, result.lifted_tasks, result.match_rounds)
+        self.pairs, self.tasks, self.rounds = map(list, trace)
+        workers = range(1, len(self.rounds) + 1)
+        ends = [grid.total if r < 0 else r for r in self.rounds]
+        self.end = (dict(zip(workers, ends)), dict(zip(self.tasks, ends)))
+        self.residual = [[x for x, r in zip(ids, self.rounds) if r < 0] for ids in (workers, self.tasks)]
+        sides = [sorted(end) for end in self.end]
+        self.slot = tuple({x: i for i, x in enumerate(side)} for side in sides)
+        self.elems = [side + [None] * (w - len(side)) for side in sides]  # the element in each slot
         self.free: tuple[list, list] = ([], [])  # slots of elements that left the input
         self.cells = []
         for s, end in enumerate(self.end):
@@ -816,7 +808,7 @@ class _Cache:
             return None
         changed = 0
         if tasks[0] or tasks[1] or old_size != size:
-            if self.run is not None:
+            if self.cells is None:
                 self._build()
             workers = range(size + 1, old_size + 1), range(old_size + 1, size + 1)
             replay = _Replay(self, (workers[0], tasks[0]), (workers[1], tasks[1]))
@@ -853,7 +845,7 @@ class _Replay:
         self.grow: tuple[dict, dict] = ({}, {})  # every element that was new-only -> (first round, [bins])
         self.shrink: tuple[set, set] = (set(), set())  # every element that was old-only
         self.matches: tuple[dict, dict] = ({}, {})  # element -> (round, partner) of every changed pair
-        self.changes: dict[int, tuple[list, list]] = {}  # round -> (pairs lost, pairs gained)
+        self.changes: set[int] = set()  # rounds whose pairs differ
         # (round, bin, side, element that queued it). Bin -1 asks to hash the
         # element further; side + 2 marks a stored key the element meets, of
         # which only the next one is queued at a time.
@@ -942,11 +934,7 @@ class _Replay:
         new_pair = None if None in new else tuple(new)
         if old_pair == new_pair:
             return
-        lost, gained = self.changes.setdefault(r, ([], []))
-        if old_pair is not None:
-            lost.append(old_pair)
-        if new_pair is not None:
-            gained.append(new_pair)
+        self.changes.add(r)
         for s in (0, 1):
             o = None if old_pair is None else old_pair[s]
             n = None if new_pair is None else new_pair[s]
@@ -967,21 +955,7 @@ class _Replay:
 
     def finish(self, w: int, size: int) -> None:
         """Apply the recorded differences to the cache, its result included."""
-        cache, grid = self.cache, self.grid
-        total, cached = grid.total, len(cache.trace)
-        counts = np.zeros(max(cached, max(self.changes, default=0) + 1), np.int64)
-        counts[:cached] = cache.counts
-        for r, (lost, gained) in self.changes.items():
-            counts[r] += len(gained) - len(lost)
-        empty = np.flatnonzero(np.cumsum(counts) == size)
-        # A run that never empties runs every round; nothing matches after its last change.
-        stop = int(empty[0]) + 1 if len(empty) else total
-        trace = cache.trace[:stop] + [_NO_PAIRS] * (stop - cached)
-        for r, (lost, gained) in self.changes.items():
-            if r < stop:
-                trace[r] = trace[r].difference(lost).union(gained)
-        cache.counts = np.concatenate([counts[:stop], np.zeros(max(0, stop - len(counts)), np.int64)])
-        cache.trace = trace
+        cache, total = self.cache, self.grid.total
         cache.residual = residual = [
             sorted([x for x in cache.residual[s] if x not in self.shrink[s]] + list(self.live[s]))
             for s in (0, 1)
@@ -995,15 +969,18 @@ class _Replay:
             cache.update(s, cuts, grows)
             cache.end[s].update(dict.fromkeys(grows, total))
             cache.end[s].update((x, r) for x, (r, _) in matches.items())
-        pairs = cache.pairs
-        del pairs[size:]
-        pairs.extend([None] * (size - len(pairs)))
-        for x, (_, y) in self.matches[0].items():
-            pairs[x - 1] = (x, (y - 1) // w + 1)
-        for x, y in zip(*residual):
-            pairs[x - 1] = (x, (y - 1) // w + 1)
+        # Only the workers that pair differently, and the fallback's, get new entries.
+        pairs, tasks, rounds = cache.pairs, cache.tasks, cache.rounds
+        for rows in (pairs, tasks, rounds):
+            del rows[size:]
+            rows.extend([None] * (size - len(rows)))
+        changed = [(x, y, r) for x, (r, y) in self.matches[0].items()]
+        for x, y, r in chain(changed, zip(*residual, [-1] * len(residual[0]))):
+            pairs[x - 1], tasks[x - 1], rounds[x - 1] = (x, (y - 1) // w + 1), y, r
+        # A run that leaves no residual ends with the round of its last match.
+        executed = total if residual[0] else max(rounds) + 1
         assignment = Assignment._from_checked(w, tuple(pairs))
-        cache.result = AssignResult(assignment, len(residual[0]), tuple(trace))
+        cache.result = AssignResult(assignment, len(residual[0]), tuple(tasks), tuple(rounds), executed)
 
 
 @dataclass(frozen=True)
@@ -1118,7 +1095,7 @@ def assign_explicit_set(
     needed = max(W | T, default=1)
     stages = _explicit_stages(families, reps, w, needed)
     wt = _rows(W, T, id_dtype(needed))
-    return _set_result(w, wt, _run_scalar(stages, wt))
+    return _result(w, wt, _run_scalar(stages, wt), len(stages), False)
 
 
 def assign_explicit(
@@ -1129,4 +1106,4 @@ def assign_explicit(
         raise ValueError("multiset larger than worker count")
     wt = _lifted_rows(T, w)
     stages = _explicit_stages(families, reps, w, int(wt[1, -1]) if len(T) else 1)
-    return _multiset_result(w, wt, _run_scalar(stages, wt))
+    return _result(w, wt, _run_scalar(stages, wt), len(stages), True)

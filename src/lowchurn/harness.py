@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from itertools import zip_longest
+from itertools import chain, compress
+from operator import ne, or_
 from random import Random
 from typing import Protocol
 
-from .assigner import AssignSession, build_schedule
+from .assigner import AssignResult, AssignSession, build_schedule
 from .assigner import assign as pipeline_assign  # noqa: F401  (perfbench's tracer wraps this name)
 from .baselines import PriorityOracle, random_permutation_assign, sorted_order
 from .core import (
@@ -29,8 +30,6 @@ from .core import (
 from .hashing import derive
 
 __all__ = ["ExperimentRecord", "StepOutcome", "make_assigner", "run_walk", "ALGORITHMS"]
-
-_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,16 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """One assigner call; ``result`` is the pipeline's :class:`AssignResult`, None for a baseline."""
+
     assignment: Assignment
     fallback_used: bool
-    round_pairs: tuple[frozenset, ...]
+    result: AssignResult | None = None
+
+    @property
+    def round_pairs(self) -> tuple[frozenset, ...]:
+        """Each executed round's matched pairs, built when read; empty for a baseline."""
+        return () if self.result is None else self.result.per_round_pairs
 
 
 class Assigner(Protocol):
@@ -79,19 +85,20 @@ def make_assigner(algorithm: str, w: int, t: int, c: int, seed: int) -> Assigner
     within a few lifted ids of the previous call's (a walk step) is worked
     out from that call's run, on schedules of ``SESSION_MIN_W`` or more
     workers; any other call is a full run. Nothing is built before the first
-    call but the schedule's seed arrays.
+    call but the schedule's seed arrays. Its outcomes carry the session's
+    result; nothing builds the per-round pair sets unless ``round_pairs`` is read.
     """
     if algorithm == "sorted":
-        return lambda T: StepOutcome(sorted_order(T, w), False, ())
+        return lambda T: StepOutcome(sorted_order(T, w), False)
     if algorithm == "randperm":
         oracle = PriorityOracle(derive(seed, 0x9E9))
-        return lambda T: StepOutcome(random_permutation_assign(oracle, T, w), False, ())
+        return lambda T: StepOutcome(random_permutation_assign(oracle, T, w), False)
     if algorithm == "mrbb":
         session = AssignSession(build_schedule(w, t, c, seed))
 
         def run(T: TaskMultiset) -> StepOutcome:
             res = session(T)
-            return StepOutcome(res.assignment, res.used_fallback, res.per_round_pairs)
+            return StepOutcome(res.assignment, res.used_fallback, res)
 
         return run
     raise ValueError(f"unknown algorithm {algorithm!r} (expected one of {sorted(ALGORITHMS)})")
@@ -100,8 +107,22 @@ def make_assigner(algorithm: str, w: int, t: int, c: int, seed: int) -> Assigner
 ALGORITHMS = ("sorted", "randperm", "mrbb")
 
 
-def _round_costs(a: tuple[frozenset, ...], b: tuple[frozenset, ...]) -> tuple[int, ...]:
-    costs = [len(x ^ y) for x, y in zip_longest(a, b, fillvalue=_EMPTY)]
+def _round_costs(a: AssignResult | None, b: AssignResult | None) -> tuple[int, ...]:
+    """Per round, the (worker, lifted task, round) triples in one result but not the other.
+
+    Workers are ``1..|T|`` in both, so only indices where a worker's task or
+    round differs, or past the smaller input, count. Trailing zeros are dropped.
+    """
+    if a is None or b is None:
+        return ()
+    costs = [0] * max(a.rounds_executed, b.rounds_executed)
+    n = min(len(a.match_rounds), len(b.match_rounds))
+    differ = map(or_, map(ne, a.match_rounds, b.match_rounds), map(ne, a.lifted_tasks, b.lifted_tasks))
+    changed = list(compress(range(n), differ))
+    for rounds in (a.match_rounds, b.match_rounds):
+        for i in chain(changed, range(n, len(rounds))):
+            if rounds[i] >= 0:
+                costs[rounds[i]] += 1
     while costs and costs[-1] == 0:
         costs.pop()
     return tuple(costs)
@@ -158,7 +179,7 @@ def run_walk(
                 t1=current.format(),
                 t2=nxt.format(),
                 switching_cost=cost,
-                per_round_costs=_round_costs(out_cur.round_pairs, out_nxt.round_pairs),
+                per_round_costs=_round_costs(out_cur.result, out_nxt.result),
                 fallback_used=fallback,
                 wall_time_us=int(elapsed_us),
             )

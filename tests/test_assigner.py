@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowchurn import assigner
+from lowchurn import assigner, harness
 from lowchurn.assigner import (
-    AssignResult,
     DisperserFamily,
     RoundSchedule,
     Round,
@@ -157,19 +156,36 @@ class TestAssignSet:
                 assert res.fallback_pairs == len(residual.workers)
 
 
-def run_engine(schedule, workers, tasks, *, array):
-    """``assign_set``'s result from one engine, chosen by the caller.
+def run_arrays(schedule, workers, tasks):
+    """``assign_set``'s result from the array engine, whatever the schedule's size."""
+    wt = assigner._rows(workers, tasks, np.uint64)
+    run = assigner._run_arrays(schedule.round_arrays, wt)
+    return assigner._result(schedule.w, wt, run, schedule.total_rounds, False)
 
-    The scalar side is the plain reference: the stage loop on sets, then
-    rank-order completion and a sort of the pairs, with no arrays.
+
+def reference_run(schedule, workers, tasks):
+    """The plain reference: the stage loop on sets, then rank-order completion, with no arrays.
+
+    Returns the per-round trace and every ``(worker, task, match round)`` row,
+    sorted by worker, with round -1 for the fallback's pairs.
     """
-    if array:
-        wt = assigner._rows(workers, tasks, np.uint64)
-        return assigner._set_result(schedule.w, wt, assigner._run_arrays(schedule.round_arrays, wt))
     W, T = set(workers), set(tasks)
-    pairs, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
-    pairs += zip(sorted(W), sorted(T))
-    return AssignResult(Assignment(schedule.w, tuple(sorted(pairs))), len(W), tuple(per_round))
+    _, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
+    rows = [(x, y, r) for r, matched in enumerate(per_round) for x, y in matched]
+    rows += [(x, y, -1) for x, y in zip(sorted(W), sorted(T))]
+    return tuple(per_round), sorted(rows)
+
+
+def assert_matches_reference(got, per_round, rows, project=lambda task: task):
+    """``got`` is what the reference gives: the same ``(assignment, fallback_pairs,
+    per_round_pairs)`` triple, each worker's task and the index of the reference
+    round holding its pair (-1 exactly for the fallback's), and as many rounds."""
+    want = Assignment(got.assignment.w, tuple((x, project(y)) for x, y, _ in rows))
+    fallback = sum(r < 0 for *_, r in rows)
+    assert (got.assignment, got.fallback_pairs, got.per_round_pairs) == (want, fallback, per_round)
+    workers = [x for x, _ in got.assignment.pairs]
+    assert list(zip(workers, got.lifted_tasks, got.match_rounds)) == rows
+    assert got.rounds_executed == len(per_round)
 
 
 class TestArrayEngine:
@@ -193,9 +209,9 @@ class TestArrayEngine:
         rng = data.draw(st.randoms(use_true_random=False))
         workers = rng.sample(range(1, w + 1), size)
         tasks = rng.sample(range(1, schedule.n + 1), size)
-        reference = run_engine(schedule, workers, tasks, array=False)
-        assert run_engine(schedule, workers, tasks, array=True) == reference
-        assert assign_set(schedule, workers, tasks) == reference
+        reference = reference_run(schedule, workers, tasks)
+        assert_matches_reference(run_arrays(schedule, workers, tasks), *reference)
+        assert_matches_reference(assign_set(schedule, workers, tasks), *reference)
 
     def test_ids_past_32_bits_and_fallback_are_exercised(self):
         # Two cases the differential test reaches only by chance: ids past
@@ -205,12 +221,12 @@ class TestArrayEngine:
         tasks = rng.sample(range(2**32, s.n + 1), 40)
         full = assign_set(s, range(1, 41), tasks)
         assert full.fallback_pairs == 0
-        assert full == run_engine(s, range(1, 41), tasks, array=False)
+        assert_matches_reference(full, *reference_run(s, range(1, 41), tasks))
         short = RoundSchedule(40, s.t, 1, 3, s.rounds[:3])
         cut = assign_set(short, range(1, 41), tasks)
         assert cut.fallback_pairs > 0
         assert len(cut.per_round_pairs) == 3
-        assert cut == run_engine(short, range(1, 41), tasks, array=False)
+        assert_matches_reference(cut, *reference_run(short, range(1, 41), tasks))
 
     def test_engine_selection(self):
         assert build_schedule(assigner.ARRAY_MIN_W, 2).round_arrays is not None
@@ -306,15 +322,12 @@ class TestSeedArraySchedule:
             seeds[0, 0] = 1  # the arrays are the schedule, so they are read-only
 
 
-def scalar_assign(schedule, T):
-    """``assign`` by the plain route: the set lift, the stage loop on sets,
-    rank-order completion, a sort of the pairs and a per-pair ``decode``."""
+def assert_matches_scalar_assign(got, schedule, T):
+    """``got`` is ``assign`` by the plain route: the set lift, :func:`reference_run`
+    and a per-pair ``decode`` of the lifted tasks."""
     w = schedule.w
-    W, L = set(range(1, len(T) + 1)), set(lift(T, w))
-    pairs, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, L)
-    pairs += zip(sorted(W), sorted(L))
-    projected = tuple((worker, decode(task, w)[0]) for worker, task in sorted(pairs))
-    return AssignResult(Assignment(w, projected), len(W), tuple(per_round))
+    reference = reference_run(schedule, range(1, len(T) + 1), lift(T, w))
+    assert_matches_reference(got, *reference, project=lambda task: decode(task, w)[0])
 
 
 class TestArrayNativeAssign:
@@ -338,11 +351,7 @@ class TestArrayNativeAssign:
         rng = data.draw(st.randoms(use_true_random=False))
         support = rng.sample(range(1, t + 1), kinds)
         T = TaskMultiset.from_elements((rng.choice(support) for _ in range(size)), t)
-        got = assign(schedule, T)
-        want = scalar_assign(schedule, T)
-        assert got.assignment == want.assignment
-        assert got.fallback_pairs == want.fallback_pairs
-        assert got.per_round_pairs == want.per_round_pairs
+        assert_matches_scalar_assign(assign(schedule, T), schedule, T)
 
     def test_head_rounds_repeats_and_fallback_are_exercised(self):
         # Cases the differential test reaches only by chance: a residual
@@ -352,12 +361,13 @@ class TestArrayNativeAssign:
         T = TaskMultiset.from_elements((rng.randint(1, 7) for _ in range(300)), 7)
         assert max(count for _, count in T.entries) > 40
         full = assign(s, T)
-        assert full.fallback_pairs == 0 and full == scalar_assign(s, T)
+        assert full.fallback_pairs == 0
+        assert_matches_scalar_assign(full, s, T)
         assert max(full.per_round_matches) > assigner._TAIL_N  # a head round ran
         cut = RoundSchedule(300, 7, 1, 12, s.rounds[:2])
         short = assign(cut, T)
         assert short.fallback_pairs > assigner._TAIL_N
-        assert short == scalar_assign(cut, T)
+        assert_matches_scalar_assign(short, cut, T)
 
     def test_sparse_head_rounds(self):
         # Past 512 workers, a head-round residual of a little over 64 ids
@@ -368,7 +378,7 @@ class TestArrayNativeAssign:
         rng = Random(6)
         for size in (100, 200):
             T = TaskMultiset.from_elements((rng.randint(1, 3) for _ in range(size)), 3)
-            assert assign(s, T) == scalar_assign(s, T)
+            assert_matches_scalar_assign(assign(s, T), s, T)
 
 
 class TestAssignMultiset:
@@ -501,7 +511,17 @@ class TestExplicitVariant:
         ]
         old = assign_explicit_set(families, reps, range(1, len(T) + 1), lift(T, w), w)
         projected = Assignment(w, tuple((x, decode(y, w)[0]) for x, y in old.assignment.pairs))
-        assert assign_explicit(families, reps, T, w) == AssignResult(projected, old.fallback_pairs, old.per_round_pairs)
+        got = assign_explicit(families, reps, T, w)
+        assert (got.assignment, got.fallback_pairs, got.per_round_pairs) == (
+            projected,
+            old.fallback_pairs,
+            old.per_round_pairs,
+        )
+        assert (got.lifted_tasks, got.match_rounds, got.rounds_executed) == (
+            old.lifted_tasks,
+            old.match_rounds,
+            old.rounds_executed,
+        )
 
     def test_seed_sweep_matches_stage_composition(self):
         fam = single_bin_family(16, D=3, k_param=0)
@@ -554,15 +574,15 @@ def cache_cells(cache):
 
 
 def assert_cache_is_fresh(session, T):
-    """The session's cache, if built, holds what a cache built from a full run on ``T`` holds."""
+    """The session's cache, if built, holds what a cache built from ``assign``'s result on ``T`` holds."""
     cache = session._cache
-    if cache is None or cache.run is not None:
+    if cache is None or cache.cells is None:
         return
-    grid = session._grid
-    run = assigner._run_arrays((grid.seeds, grid.ks), assigner._lifted_rows(T, grid.w))
-    fresh = assigner._Cache(grid, T, run, cache.result)
+    fresh = assigner._Cache(session._grid, T, assign(session.schedule, T))
     fresh._build()
     assert cache.end == fresh.end
+    assert (cache.pairs, cache.tasks, cache.rounds) == (fresh.pairs, fresh.tasks, fresh.rounds)
+    assert cache.residual == fresh.residual
     assert cache_cells(cache) == cache_cells(fresh)
 
 
@@ -596,6 +616,9 @@ class TestAssignSession:
             assert got.assignment == want.assignment
             assert got.fallback_pairs == want.fallback_pairs
             assert got.per_round_pairs == want.per_round_pairs
+            assert got.lifted_tasks == want.lifted_tasks
+            assert got.match_rounds == want.match_rounds
+            assert got.rounds_executed == want.rounds_executed
             assert_cache_is_fresh(session, T)
         assert session.calls == len(moves) + 1
 
@@ -639,10 +662,10 @@ class TestAssignSession:
         # A first call, then inputs far from the one before: all full runs.
         for U in (T, random_multiset(192, 40, rng), T):
             assert session(U) == assign(schedule, U)
-            assert session._cache.run is not None and not hasattr(session._cache, "cells")
+            assert session._cache.cells is None
         U = adjacent_step(T, rng, w=192)
         assert session(U) == assign(schedule, U)
-        assert session._cache.run is None and session.replays == 1
+        assert session._cache.cells is not None and session.replays == 1
 
     def test_small_schedules_keep_no_cache(self):
         # A schedule with no rounds is all fallback, whatever its w.
@@ -657,6 +680,26 @@ class TestAssignSession:
                 assert session(T) == assign(schedule, T)
                 T = adjacent_step(T, rng, w=w)
             assert session.calls == 5 and session.replays == 0 and session._cache is None
+
+    def test_no_call_builds_the_per_round_pairs(self):
+        # The trace is the per-worker match rounds; the per-round pair sets
+        # are built only when read, on assign, a session replay and a walk step.
+        schedule = build_schedule(192, 40, 2, 8)
+        rng = Random(5)
+        T = random_multiset(192, 40, rng)
+        U = adjacent_step(T, rng, w=192)
+        session = assigner.AssignSession(schedule)
+        session(T)
+        step = harness.make_assigner("mrbb", 192, 40, 2, 8)
+        step(T)
+        results = [assign(schedule, U), session(U)]
+        assert session.replays == 1
+        for result in results:
+            assert "per_round_pairs" not in vars(result)
+        results.append(step(U).result)
+        assert "per_round_pairs" not in vars(results[-1])
+        assert all(result.per_round_pairs == results[0].per_round_pairs for result in results)
+        assert "per_round_pairs" in vars(results[0])
 
     def test_a_call_that_raises_drops_the_cache(self):
         schedule = build_schedule(192, 40, 2, 8)

@@ -1,7 +1,11 @@
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
+from lowchurn import harness
+from lowchurn.assigner import SESSION_MIN_W, RoundSchedule
 from lowchurn.core import TaskMultiset
 from lowchurn.harness import ExperimentRecord, make_assigner, run_walk
 
@@ -79,6 +83,35 @@ def test_round_costs_bound_total_cost():
     assert summary["fallbacks"] == 0
     for rec in records:
         assert rec.switching_cost <= sum(rec.per_round_costs)
+
+
+def records_digest(records):
+    """SHA-256 over the records' JSON with ``wall_time_us`` dropped, one line each."""
+    digest = hashlib.sha256()
+    for rec in records:
+        fields = dataclasses.asdict(rec)
+        del fields["wall_time_us"]
+        digest.update(json.dumps(fields, separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_pinned_mrbb_walks(monkeypatch):
+    # Digests pinned from the per-round frozenset trace that the per-worker
+    # match rounds replaced, so per_round_costs must stay byte for byte.
+    w = 256
+    assert w >= SESSION_MIN_W  # every step after the first is a session replay
+    records, summary = run_walk(w=w, t=4 * w, c=4, seed=21, algorithm="mrbb", steps=120)
+    assert summary["fallbacks"] == 0
+    assert records_digest(records) == "ef1e666da31708167998104f380b32f9b5079a877ab00952bdfa007f5fa09a1a"
+    # A schedule cut to 120 rounds leaves residuals on some inputs of a
+    # size-varying walk, so fallback pairs come and go between steps.
+    build = harness.build_schedule
+    monkeypatch.setattr(
+        harness, "build_schedule", lambda *args: RoundSchedule(*args, build(*args).rounds[:120])
+    )
+    records, summary = run_walk(w=200, t=50, c=1, seed=3, algorithm="mrbb", steps=120, size_varying=True)
+    assert summary["fallbacks"] == 73
+    assert records_digest(records) == "a2eee63baca7d4bdc2ec988150970a9f5232b3b7f2fc464a485dfd7175858cf1"
 
 
 def test_baseline_records_have_no_round_costs():
