@@ -54,19 +54,20 @@ loop otherwise.
 
 :class:`AssignSession` answers a sequence of multisets with the results
 ``assign`` gives, and keeps the last input's run as a cache: each element's
-match round, read from the result's trace, and its bin in every round it
-was live. One hash round never increases the difference between two
-inputs, so an input within ``_SESSION_MAX_CHANGES`` lifted ids of the
-cached one (a walk step changes two) is worked out event by event from the
-cached run, touching only the bins the changed elements reach. Every other
-call is a full run on the array engine, the same work as ``assign``: the
-first call, a larger difference, and an empty input before or after. A
-full run keeps only its input and its result, and the next call builds the
-cache from them if it takes the incremental path, so one-shot and
-unrelated inputs cost what ``assign`` costs. The cache is linear in the
-input. Schedules with fewer than ``SESSION_MIN_W`` workers (a measured
-crossover) or that the array engine does not run keep no cache, and each
-call is a plain ``assign``.
+end, which is its match round read from the result's trace (the schedule's
+length for a fallback pair), and its bin in every round up to it. One hash
+round never increases the difference between two inputs, so for an input
+within ``_SESSION_MAX_CHANGES`` lifted ids of the cached one (a walk step
+changes two) only a few elements' ends move. The new run follows them from
+the cached one: the elements live in one run only are hashed a doubling
+window of rounds at a time, and only the bins they reach are worked out
+again. Every other call is ``assign``: the first call, a larger
+difference, and an empty input before or after. A full run keeps only its
+input and its result, and the next call builds the cache from them if it
+takes the incremental path, so one-shot and unrelated inputs cost what
+``assign`` costs. The cache is linear in the input. Schedules with fewer
+than ``SESSION_MIN_W`` workers (a measured crossover) or that the array
+engine does not run keep no cache, and each call is a plain ``assign``.
 
 Schedules and families are immutable; ``assign``, ``assign_set``, and
 ``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
@@ -83,7 +84,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .binhash import BinHash, seeds_np
+from .binhash import BinHash, _bin_of, seeds_np
 from .core import Assignment, TaskMultiset, WorkerTaskInput
 from .hashing import bins_np, derive, derive_np
 from .reduction import id_dtype, lift_np, project_np
@@ -558,20 +559,22 @@ def _lifted_rows(T: TaskMultiset, w: int) -> np.ndarray:
 # below it every call is a plain ``assign``, because the incremental path's
 # fixed cost per call loses to a full run of the short schedule. Time of
 # ``assign`` over time of the session on the same 600-step walks (t = 4w,
-# fixed-size / size-varying, restarted every 64 steps, the two called in
-# alternating order; two seeds), on a 2-core x86-64 VM with Python 3.11.7
-# and numpy 2.4.6: w=64 (no cache, so the noise) 0.99-1.00 / 0.98-0.99,
-# w=96 0.96-1.00 / 0.88-0.89, w=128 1.04-1.05 / 0.85-0.97, w=160 1.12-1.13
-# / 1.04-1.09, w=192 1.18-1.19 / 1.16-1.18, w=256 1.31-1.33 / 1.21-1.22,
-# w=1024 (t=64w) 2.46-2.50 / -.
+# fixed-size / size-varying, restarted every 64 steps, the size-varying ones
+# at a random size; the two called in alternating order; two seeds), on a
+# 2-core x86-64 VM with Python 3.11.7 and numpy 2.4.6: w=64 (no cache, so
+# the noise) 0.99-1.00 / 0.98-0.99, w=96 1.04-1.06 / 0.88-0.92, w=128
+# 1.07-1.08 / 0.91-1.00, w=160 1.16-1.18 / 1.07-1.14, w=192 1.26-1.27 /
+# 1.13-1.23, w=256 1.37-1.39 / 1.30-1.35, w=1024 (t=64w) 2.23-2.28 / -.
 SESSION_MIN_W = 160
 # An input that differs from the cached one in more than this many lifted
 # ids, added plus removed, workers and tasks together, is run in full.
 _SESSION_MAX_CHANGES = 8
-# A new-only element is hashed under this many rounds ahead at first, and
-# under twice as many as it has been hashed under each time it outlives them.
-_CHUNK = 256
-_NO_BINS = np.empty(0, np.int64)
+# The replay hashes new-only elements a window of rounds at a time: this
+# many rounds first, and each next window twice as many as the one before.
+# Session time per walk step at w=1024, t=65536 over that at 128, the
+# variants called in turn on the same steps (3 x 1500 steps): 64 and 256
+# both 1.01.
+_WINDOW = 128
 _NO_LIMIT = np.iinfo(np.int64).max
 
 
@@ -583,19 +586,18 @@ class AssignSession:
     tasks and match rounds. The function stays memoryless; the session only
     keeps the last input's result as a cache (see :class:`_Cache`).
 
-    One hash round never increases the difference between two inputs, so
-    when ``T``'s lifted ids differ from the cached input's in at most
-    ``_SESSION_MAX_CHANGES`` ids (one walk step changes two), the new run is
-    worked out from the cached one event by event (see :class:`_Replay`),
-    and rounds that no changed element reaches are taken over as they are.
-    Every other call is a full run on the array engine, the same work as
-    ``assign``: the first call, a larger difference, and an empty input
-    before or after. A full run keeps only its input and its result; the
-    tables the incremental path reads are built from them by the first call
-    that takes that path, so one-shot and unrelated inputs never pay for
+    In a run, each element is live from round 0 up to its end: its match
+    round, or the schedule's length if the fallback paired it. One hash
+    round never increases the difference between two inputs, so when ``T``'s
+    lifted ids differ from the cached input's in at most
+    ``_SESSION_MAX_CHANGES`` ids (one walk step changes two), only a few
+    ends move, and the new run is worked out by following them (see
+    :class:`_Replay`). Every other call is ``assign``: the first call, a
+    larger difference, and an empty input before or after. A full run keeps
+    only its input and its result; the first call that replays builds the
+    cache's tables from them, so one-shot and unrelated inputs never pay for
     them. Schedules the array engine does not run, or with fewer than
-    ``SESSION_MIN_W`` workers, keep no cache: each call is a plain
-    ``assign``.
+    ``SESSION_MIN_W`` workers, keep no cache: each call is a plain ``assign``.
 
     A call that raises drops the cache, so the next call is a full run. One
     session is not for concurrent use; :func:`assign` still is.
@@ -629,9 +631,7 @@ class AssignSession:
         else:
             changed = None if cache is None else cache.advance(T)
             if changed is None:
-                wt = _lifted_rows(T, schedule.w)
-                run = _run_arrays((grid.seeds, grid.ks), wt)
-                cache = _Cache(grid, T, _result(schedule.w, wt, run, grid.total, True))
+                cache = _Cache(grid, T, assign(schedule, T))
             else:
                 self.replays += 1
                 self.changed_rounds += changed
@@ -702,15 +702,15 @@ class _Cache:
     """One input's result, in the form :class:`AssignSession` updates it in.
 
     ``end[s]`` maps each worker (``s = 0``) or lifted task (``s = 1``) of the
-    input to the round it was matched in, or to the schedule's length if the
-    fallback paired it; an element is live in every round up to its end.
-    ``pairs``, ``tasks`` and ``rounds`` are the result's pairs, lifted tasks
-    and match rounds as lists, and ``residual`` the fallback's workers over
-    its tasks. Each element has a slot below ``w``, ``slot[s][x]``, and
+    input to its end: the round it was matched in, or the schedule's length
+    if the fallback paired it; an element is live in every round up to its
+    end. ``pairs``, ``tasks`` and ``rounds`` are the result's pairs, lifted
+    tasks and match rounds as lists, and ``residual`` the fallback's workers
+    over its tasks. Each element has a slot below ``w``, ``slot[s][x]``, and
     ``cells[s]`` is the sorted array of ``(round * K + bin) << shift | slot``
-    over every round each element of side ``s`` is live in: about 13 cells
-    per element at w=1024, so the cache stays linear in the input. The cells
-    of one bin form a run of the array, found by bisection.
+    over every round each element of side ``s`` is live in: 6 to 7 cells
+    per element at w=1024 and t=65536, so the cache stays linear in the
+    input. The cells of one bin form a run of the array, found by bisection.
 
     A full run keeps only ``T`` and ``result``; :meth:`advance` builds the
     rest from the result the first time it replays.
@@ -757,41 +757,38 @@ class _Cache:
         # The first cell at or past a key's lowest cell holds the key if any does.
         return cells.take(cells.searchsorted(keys << shift), mode="clip") >> shift == keys
 
-    def bin_of(self, s: int, x: int, r: int) -> int:
-        """The bin of element ``x`` of side ``s`` in round ``r``, a round it is live in."""
-        grid, cells, key = self.grid, self.cells[s], r * self.grid.K
-        lo, hi = cells.searchsorted([key << grid.shift, (key + grid.K) << grid.shift]).tolist()
-        row = cells[lo:hi]
-        return int(row[(row & grid.mask) == self.slot[s][x]][0] >> grid.shift) - key
+    def update(self, s: int, ends: dict[int, int], grow: dict[int, np.ndarray]) -> None:
+        """Move the ends of side ``s``'s elements to ``ends``, -1 for one that left the input.
 
-    def update(self, s: int, cuts: dict[int, int], grows: dict[int, tuple[int, np.ndarray]]) -> None:
-        """Change which rounds elements of side ``s`` are live in.
-
-        Each element in ``cuts`` is live up to the given round only, or has
-        left the input at -1; each element in ``grows`` is live in more
-        rounds, from the given first round on, in the given bins.
+        An element whose end comes earlier drops its cells past the new end.
+        One whose end comes later gains cells up to it, and ``grow`` holds
+        its bins from the round after its old end on.
         """
-        grid, cells, slot = self.grid, self.cells[s], self.slot[s]
+        grid, end, slot, free = self.grid, self.end[s], self.slot[s], self.free[s]
+        cells = self.cells[s]
+        cuts = [(x, e) for x, e in ends.items() if e < end.get(x, -1)]
         if cuts:
             limit = np.full(grid.w, _NO_LIMIT, np.int64)  # per slot, the first cell it drops
-            for x, last in cuts.items():
-                del self.end[s][x]
-                limit[slot[x]] = (last + 1) * grid.K << grid.shift
-                if last < 0:
-                    self.free[s].append(slot.pop(x))
-                    self.elems[s][self.free[s][-1]] = None
+            for x, e in cuts:
+                limit[slot[x]] = (e + 1) * grid.K << grid.shift
+                if e < 0:
+                    free.append(slot.pop(x))
+                    self.elems[s][free[-1]] = None
+                    del end[x]
             cells = cells[cells < limit[cells & grid.mask]]
         added = []
-        for x, (first, bins) in grows.items():
+        for x, bins in grow.items():
             i = slot.get(x)
             if i is None:
-                i = self.free[s].pop() if self.free[s] else len(slot)
+                i = free.pop() if free else len(slot)
                 slot[x], self.elems[s][i] = i, x
-            added.append((grid.base[first : first + len(bins)] + bins) << grid.shift | i)
+            first, stop = end.get(x, -1) + 1, min(ends[x] + 1, grid.total)
+            added.append((grid.base[first:stop] + bins[: stop - first]) << grid.shift | i)
         if added:
             # A stable sort merges the sorted cells with the few new ones in linear time.
             cells = np.sort(np.concatenate([cells, *added]), kind="stable")
         self.cells[s] = cells
+        end.update((x, e) for x, e in ends.items() if e >= 0)
 
     def advance(self, T: TaskMultiset) -> int | None:
         """Update the cache, its result included, to the input ``T``; returns the rounds that changed.
@@ -819,162 +816,134 @@ class _Cache:
 
 
 class _Replay:
-    """The new run worked out from the cached one, event by event.
+    """The new run worked out from the cached one by following the elements whose end moves.
 
-    Both runs go through the same rounds. In each round an element is live
-    in both runs, in neither, or in one only; the last kind is the delta,
-    and by the composition-friendliness lemma it stays a few elements. A
-    bin's pair can differ between the runs only if the bin holds a delta
-    element: one live in the new run only that shares the bin with a live
-    element of the other side, or one live in the old run only that the old
-    run matched there. So each new-only element is hashed under the rounds
-    ahead, ``_CHUNK`` of them at first and twice as many each time it
-    outlives them; its bins are looked up in the other side's cells and
-    compared with the other new-only elements' bins. Each old-only element
-    adds its old match round. Those bins are resolved in round order, from
-    the cached cells of the bin, and every element that
-    pairs differently joins the delta from the next round on. Past the
-    cached run's last round only new-only elements are live, so the same
-    events carry the new run on to its end.
+    In each round an element is live in both runs, in neither, or in one
+    only; the last kind is the delta, and by the composition-friendliness
+    lemma it stays a few elements. ``ends[s]`` maps each element whose end
+    may have moved to its end in the new run: -1 if it left the input, the
+    schedule's length while it is unmatched. An element is new-only in the
+    rounds after its old end up to its new one, old-only the other way round.
+
+    A bin's pair can differ between the runs only if it holds a delta
+    element: a new-only one that shares the bin with a live element of the
+    other side, or an old-only one that the old run matched there. So the
+    unmatched new-only elements are hashed a window of rounds at a time
+    (``_WINDOW`` rounds, then twice as many per window), one ``bins_np``
+    call per side, and one that turns new-only inside a window over the rest
+    of it. Each bin where one meets a cached cell of the other side or
+    another new-only element is queued, and so is each old-only element's
+    old match, one scalar hash. Queued bins are resolved in round order, and
+    every element they pair differently moves its end. Past the cached run's
+    last match only new-only elements are live, so the same events carry the
+    new run on to its end.
     """
 
     def __init__(self, cache: _Cache, removed, added) -> None:
         self.cache, self.grid = cache, cache.grid
-        self.live: tuple[dict, dict] = ({}, {})  # new-only element -> (round, its bins from there on)
-        self.dead: tuple[set, set] = (set(), set())  # old-only elements
-        self.grow: tuple[dict, dict] = ({}, {})  # every element that was new-only -> (first round, [bins])
-        self.shrink: tuple[set, set] = (set(), set())  # every element that was old-only
-        self.matches: tuple[dict, dict] = ({}, {})  # element -> (round, partner) of every changed pair
+        total = self.grid.total
+        self.ends: tuple[dict, dict] = ({}, {})
+        self.partner: dict[int, int] = {}  # worker -> its new lifted task, for every worker that pairs differently
+        self.live: tuple[dict, dict] = ({}, {})  # unmatched new-only element -> (round, its bins from there on)
+        self.grow: tuple[dict, dict] = ({}, {})  # every element that was new-only -> its bins, window by window
         self.changes: set[int] = set()  # rounds whose pairs differ
-        # (round, bin, side, element that queued it). Bin -1 asks to hash the
-        # element further; side + 2 marks a stored key the element meets, of
-        # which only the next one is queued at a time.
-        self.heap: list[tuple[int, int, int, int]] = []
-        self.hits: tuple[dict, dict] = ({}, {})  # new-only element -> its later stored-key meetings
+        self.heap: list[tuple[int, int, int, int]] = []  # (round, bin, side, element that queued it)
         for s in (0, 1):
             for x in removed[s]:
-                self._kill(s, x, 0)
-        self.pending = [list(ids) for ids in added]  # new-only from the next flush on
-        self._flush(0)
-        heap, live, dead = self.heap, self.live, self.dead
-        while heap:
-            r = heap[0][0]
-            bins = set()
-            while heap and heap[0][0] == r:
-                _, b, s, x = heappop(heap)
-                if b < 0:
-                    if x in live[s]:
-                        self._hash(s, x, r, 2 * (r - self.grow[s][x][0]))
-                elif s > 1:  # a stored key met; queue the element's next one
-                    s -= 2
-                    if x in live[s]:
+                self.ends[s][x] = -1
+                self._kill(s, x)
+            for x in added[s]:
+                self.ends[s][x] = total
+                self.grow[s][x] = []
+            self.live[s].update(dict.fromkeys(added[s]))  # hashed when the first window opens
+        heap, ends, end = self.heap, self.ends, cache.end
+        start, size = 0, _WINDOW
+        while start < total and (heap or self.live[0] or self.live[1]):
+            self.stop = stop = min(start + size, total)
+            for s in (0, 1):
+                self._hash(s, list(self.live[s]), start, s == 1)
+            while heap and heap[0][0] < stop:
+                r = heap[0][0]
+                bins = set()
+                while heap and heap[0][0] == r:
+                    _, b, s, x = heappop(heap)
+                    old, new = end[s].get(x, -1), ends[s][x]
+                    if old < r <= new or new < r <= old:  # still in the delta
                         bins.add(b)
-                        for later in self.hits[s][x]:
-                            heappush(heap, (*later, s + 2, x))
-                            break
-                elif x in live[s] or x in dead[s]:
-                    bins.add(b)
-            for b in bins:
-                self._resolve(r, b)
-            if self.pending[0] or self.pending[1]:
-                self._flush(r + 1)
+                for b in bins:
+                    self._resolve(r, b)
+            start, size = stop, 2 * size
 
-    def _kill(self, s: int, x: int, start: int) -> None:
-        """``x`` is live in the old run only from round ``start`` on."""
-        self.shrink[s].add(x)
-        self.dead[s].add(x)
-        m = self.cache.end[s][x]
-        if m < self.grid.total:
-            heappush(self.heap, (m, self.cache.bin_of(s, x, m), s, x))
+    def _kill(self, s: int, x: int) -> None:
+        """``x`` is live in the old run only from now on: queue the bin of its old match."""
+        grid, m = self.grid, self.cache.end[s][x]
+        if m < grid.total:
+            heappush(self.heap, (m, _bin_of(int(grid.seeds[s, m]), x, int(grid.ks[m])), s, x))
 
-    def _flush(self, start: int) -> None:
-        """Make the pending elements new-only from round ``start`` on."""
-        for s in (0, 1):
-            xs, self.pending[s] = self.pending[s], []
-            for x in xs:
-                self.live[s][x] = (start, _NO_BINS)
-                self.grow[s][x] = (start, [_NO_BINS])
-                if start < self.grid.total:
-                    self._hash(s, x, start, _CHUNK)
+    def _hash(self, s: int, xs: list[int], start: int, meet_new: bool) -> None:
+        """Hash the new-only ``xs`` of side ``s`` from round ``start`` to the window's end and queue what they meet.
 
-    def _hash(self, s: int, x: int, start: int, count: int) -> None:
-        """Hash the new-only ``x`` under ``count`` more rounds from ``start`` and queue what it meets."""
-        grid, heap = self.grid, self.heap
-        stop = min(start + count, grid.total)
-        bins = bins_np(grid.seeds[s, start:stop], np.array([x], np.uint64), grid.ks[start:stop])
-        bins = bins.view(np.int64)
-        hits = np.flatnonzero(self.cache.meets(1 - s, bins + grid.base[start:stop]))
-        self.hits[s][x] = later = zip((hits + start).tolist(), bins[hits].tolist())
-        for first in later:
-            heappush(heap, (*first, s + 2, x))
-            break
-        # Another new-only element's bins are held from its last hashing on,
-        # which is never after ``start``; later rounds meet when it is hashed again.
-        for first, other in self.live[1 - s].values():
-            hi = min(stop, first + len(other))
-            if start < hi:
-                same = np.flatnonzero(bins[: hi - start] == other[start - first : hi - first])
-                for j, b in zip(same.tolist(), bins[same].tolist()):
-                    heappush(heap, (start + j, b, s, x))
-        self.live[s][x] = (start, bins)
-        self.grow[s][x][1].append(bins)
-        if stop < grid.total:
-            heappush(heap, (stop, -1, s, x))
+        With ``meet_new``, meetings with the other side's new-only elements,
+        hashed from ``start`` or before, are queued too.
+        """
+        if not xs:
+            return
+        grid, rows = self.grid, slice(start, self.stop)
+        bins = bins_np(grid.seeds[s, rows], np.array(xs, np.uint64)[:, None], grid.ks[rows]).view(np.int64)
+        hits = self.cache.meets(1 - s, bins + grid.base[rows])
+        if meet_new:
+            for first, other in self.live[1 - s].values():
+                hits |= bins == other[start - first :]
+        at, j = np.nonzero(hits)
+        for i, r, b in zip(at.tolist(), (j + start).tolist(), bins[at, j].tolist()):
+            heappush(self.heap, (r, b, s, xs[i]))
+        for x, row in zip(xs, bins):
+            self.live[s][x] = (start, row)
+            self.grow[s][x].append(row)
 
     def _resolve(self, r: int, b: int) -> None:
         """Work out bin ``b`` of round ``r`` in the new run and record how it differs."""
-        cache, old, new = self.cache, [], []
+        cache, ends, old, new = self.cache, self.ends, [], []
         for s in (0, 1):
             group = cache.members(s, r, b)
-            here = [x for x in group if x not in self.dead[s]]
-            here += [x for x, (first, row) in self.live[s].items() if row[r - first] == b]
+            here = [x for x in group if x not in ends[s]]  # an old member with a moved end is old-only
+            here += [x for x, (first, row) in self.live[s].items() if first <= r and row[r - first] == b]
             old.append(min(group, default=None))
             new.append(min(here, default=None))
-        old_pair = None if None in old else tuple(old)
-        new_pair = None if None in new else tuple(new)
+        old_pair = (None, None) if None in old else tuple(old)
+        new_pair = (None, None) if None in new else tuple(new)
         if old_pair == new_pair:
             return
         self.changes.add(r)
-        for s in (0, 1):
-            o = None if old_pair is None else old_pair[s]
-            n = None if new_pair is None else new_pair[s]
+        if new_pair[0] is not None:
+            self.partner[new_pair[0]] = new_pair[1]
+        for s, o, n in zip((0, 1), old_pair, new_pair):
             if n is not None:
-                self.matches[s][n] = (r, new_pair[1 - s])
+                ends[s][n] = r
             if o == n:
                 continue  # matched in this round by both runs, maybe to another partner
-            if o is not None:  # matched here by the old run only
-                if o in self.dead[s]:
-                    self.dead[s].discard(o)
-                else:
-                    self.pending[s].append(o)
-            if n is not None:  # matched here by the new run only
-                if n in self.live[s]:
-                    del self.live[s][n]
-                else:
-                    self._kill(s, n, r + 1)
+            if o is not None and o not in ends[s]:  # live in both runs until now: new-only from the next round
+                ends[s][o] = self.grid.total
+                self.grow[s][o] = []
+                self._hash(s, [o], r + 1, True)
+            if n is not None and self.live[s].pop(n, None) is None:  # live in both until now: old-only from here
+                self._kill(s, n)
 
     def finish(self, w: int, size: int) -> None:
-        """Apply the recorded differences to the cache, its result included."""
-        cache, total = self.cache, self.grid.total
+        """Apply the moved ends to the cache, its result included."""
+        cache, ends, total = self.cache, self.ends, self.grid.total
         cache.residual = residual = [
-            sorted([x for x in cache.residual[s] if x not in self.shrink[s]] + list(self.live[s]))
+            sorted([x for x in cache.residual[s] if x not in ends[s]] + [x for x, e in ends[s].items() if e == total])
             for s in (0, 1)
         ]
         for s in (0, 1):
-            matches, grows = self.matches[s], {}
-            cuts = {x: matches[x][0] if x in matches else -1 for x in self.shrink[s]}
-            for x, (first, bins) in self.grow[s].items():
-                last = min(matches[x][0] if x in matches else total, total - 1)
-                grows[x] = (first, np.concatenate(bins)[: last + 1 - first])
-            cache.update(s, cuts, grows)
-            cache.end[s].update(dict.fromkeys(grows, total))
-            cache.end[s].update((x, r) for x, (r, _) in matches.items())
+            cache.update(s, ends[s], {x: np.concatenate(rows) for x, rows in self.grow[s].items()})
         # Only the workers that pair differently, and the fallback's, get new entries.
         pairs, tasks, rounds = cache.pairs, cache.tasks, cache.rounds
         for rows in (pairs, tasks, rounds):
             del rows[size:]
             rows.extend([None] * (size - len(rows)))
-        changed = [(x, y, r) for x, (r, y) in self.matches[0].items()]
+        changed = [(x, y, ends[0][x]) for x, y in self.partner.items()]
         for x, y, r in chain(changed, zip(*residual, [-1] * len(residual[0]))):
             pairs[x - 1], tasks[x - 1], rounds[x - 1] = (x, (y - 1) // w + 1), y, r
         # A run that leaves no residual ends with the round of its last match.

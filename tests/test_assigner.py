@@ -634,6 +634,31 @@ class TestAssignSession:
         assert session.calls == 50 and session.replays == 49
         assert 0 < session.changed_rounds / session.replays < 40
 
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("w", [assigner.SESSION_MIN_W, 333])
+    def test_long_walk_matches_assign(self, w, cut):
+        # The hypothesis walk test caps walks at 16 moves; this walk makes 300.
+        # Half the runs at t = 2**33 + 7 end within about the first tenth of
+        # the schedule, so the cut keeps a tenth of it: residuals are left on
+        # some inputs but not on others, and fallbacks come and go.
+        t = 2**33 + 7
+        schedule = build_schedule(w, t, 1, w)
+        if cut:
+            schedule = RoundSchedule(w, t, 1, w, schedule.rounds[: schedule.total_rounds // 10])
+        rng = Random(w + cut)
+        moves = rng.choices(["step", "varying", "restart"], weights=[48, 48, 4], k=299)
+        moves.insert(150, "empty")
+        session = assigner.AssignSession(schedule)
+        fallbacks = set()
+        for i, T in enumerate(walk_inputs(rng, w, t, moves)):
+            want = assign(schedule, T)
+            assert session(T) == want
+            if i % 10 == 0:
+                assert_cache_is_fresh(session, T)
+            fallbacks.add(want.fallback_pairs)
+        assert session.calls == 301 and session.replays > 250
+        assert (len(fallbacks) > 1 and 0 in fallbacks) if cut else fallbacks == {0}
+
     def test_fallbacks_come_and_go(self):
         # A cut schedule at w=200 leaves residuals on some inputs of the walk
         # but not on others, so the incremental path moves pairs in and out
