@@ -29,10 +29,18 @@ Two engines give bit-identical output, the same pairs and the same trace:
   stage loop: stages built from callables run only on it, so
   :func:`seed_sweep` and the explicit variant always do;
 * the array engine (``_run_arrays``) reads the schedule's seed and bin
-  count arrays as they are (``RoundSchedule.round_arrays``). While more than
-  ``_TAIL_N`` workers remain it runs one numpy round at a time. Below that
-  it hashes the residual under a block of upcoming rounds at once and
-  visits only the rounds where some worker shares a bin with some task.
+  count arrays as they are (``RoundSchedule.round_arrays``). It runs the
+  rounds in blocks, each sized to about ``_TAIL_HITS`` expected collisions
+  (``_block_size``), in three regimes:
+
+  - head rounds: above ``_TAIL_N`` workers, a block of one round is one
+    numpy round, a scatter over the bins or, where they are sparse, one
+    sort of the round's keys;
+  - sorted blocks: above ``_TAIL_N``, a longer block hashes the residual
+    under all its rounds in one call and sorts the keys once, and only the
+    bins where a worker meets a task are visited, in round order;
+  - the all-pairs tail: at ``_TAIL_N`` workers or fewer, every worker's bin
+    is compared with every task's in each round of the block.
 
 The trace of a run is each worker's match round, -1 for the fallback.
 Wrapped by ``_run_scalar`` in the array engine's form, both engines take
@@ -230,7 +238,11 @@ class RoundSchedule:
         These are the arrays of a built schedule's :class:`SeededRounds`,
         read as they are. None when ``rounds`` is any other sequence, or when
         ``n >= 2**63`` or ``w >= 2**31``: past those, ids or the engine's sort
-        keys (below ``4 * w * w``) no longer fit in a uint64.
+        keys no longer fit in a uint64. A block of B rounds of at most
+        ``k <= w`` bins over a residual of n keys each id below ``4 * B * k * n``
+        (:func:`_colliding_bins`); B is 1 with ``n <= w``, or else
+        ``B * n <= _TAIL_BUDGET`` (:func:`_block_size`), so every key is below
+        ``4 * w * max(w, _TAIL_BUDGET)``, which is below 2**64.
         """
         rounds = self.rounds
         if not isinstance(rounds, SeededRounds) or self.n >= 1 << 63 or self.w >= 1 << 31:
@@ -334,7 +346,11 @@ def _run_stages(
 # 1.05 / 0.92, w=16 1.17 / 1.03, w=32 1.52 (random size), w=64 1.91 / 1.81,
 # w=1024 4.9 (size w), w=16384 10.8 (size w).
 ARRAY_MIN_W = 16
-# Residuals of more than this many workers run one round at a time.
+# Residuals of at most this many workers run the all-pairs tail block; larger
+# ones run a sorted block or one head round (see ``_block_size``). Time of a
+# sorted block over that of the tail block on the same residual of 8 to 64
+# and rounds, on the machine below: 1.3-2.4 at w=64, t=256 (59 bins), where
+# walk-64-mix runs; 0.8-1.0 at w=1024 (931 bins), 0.3-0.8 at w=16384.
 _TAIL_N = 64
 # A head round over a residual of n in k <= _DENSE_BINS * n bins finds each
 # bin's first worker and task with a scatter over k slots; sparser rounds
@@ -342,11 +358,12 @@ _TAIL_N = 64
 # 65 to 8000 on the machine above: 1.5-4.9 at k = n, 0.8-1.2 at k = 16n,
 # 0.3-1.0 at k = 64n.
 _DENSE_BINS = 8
-# A tail block of B rounds over a residual of n makes B * n * n bin
-# comparisons, at most ``_TAIL_BUDGET``. A round of k bins has about n*n/k
-# colliding pairs, so blocks also stop at about ``_TAIL_HITS`` expected
-# collisions: rounds that match a lot shrink the residual and go in short
-# blocks, rounds that rarely match go in long ones.
+# A block of rounds stops at about ``_TAIL_HITS`` expected collisions and
+# at ``_TAIL_BUDGET`` work (see ``_block_size``). Time of a whole ``assign``
+# with 32 over that with 16, the two alternating in one process on the same
+# random multisets of size w with t = 4w, three runs on the machine above:
+# w=64 0.95-1.09, w=256 1.04-1.18, w=1024 1.07-1.10, w=4096 1.03-1.07,
+# w=16384 0.93-0.99.
 _TAIL_BUDGET = 1 << 16
 _TAIL_HITS = 16
 
@@ -383,38 +400,90 @@ def _run_arrays(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> Run:
     """Array engine over a seeded schedule, bit-identical to :func:`_run_stages`.
 
     ``wt`` is the residual as one uint64 array, sorted workers in row 0 and
-    sorted tasks in row 1, so each hash call covers both sides. Each head
-    round's matches stay the arrays it found them in, with the round's
-    index; the tail blocks' few matches are gathered into one set of lists.
-    The residual left over stays sorted.
+    sorted tasks in row 1, so each hash call covers both sides. The next
+    :func:`_block_size` rounds run as one block, in the regime the module
+    docstring gives for the residual's size. Each head round's matches stay
+    the arrays it found them in, with the round's index; the blocks' few
+    matches are gathered into one set of lists. The residual left over stays
+    sorted.
     """
     seeds, ks = arrays
     rounds = len(ks)
     matched: Matches = []
-    tail: list[tuple[int, int, int]] = []
+    blocks: list[tuple[int, int, int]] = []
     r = 0
     while r < rounds and wt.shape[1]:
-        n = wt.shape[1]
-        if n > _TAIL_N:
-            keep = _head_round(seeds[:, r, None], wt, int(ks[r]), r, matched)
-            r += 1
+        n, k = wt.shape[1], int(ks[r])
+        block = min(rounds - r, _block_size(n, k))
+        rows = slice(r, r + block)
+        if n <= _TAIL_N:
+            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], r, blocks)
+        elif block > 1:
+            keep = _sort_block(seeds[:, rows, None], wt, ks[rows, None], k, r, blocks)
         else:
-            cap = min(_TAIL_BUDGET, _TAIL_HITS * int(ks[r]))
-            block = min(rounds - r, max(1, cap // (n * n)))
-            rows = slice(r, r + block)
-            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], r, tail)
-            r += block
+            keep = _head_round(seeds[:, r, None], wt, k, r, matched)
+        r += block
         wt = wt[keep].reshape(2, -1)
-    if tail:
-        matched.append(tuple(map(list, zip(*tail))))
+    if blocks:
+        matched.append(tuple(map(list, zip(*blocks))))
     return matched, wt
+
+
+def _block_size(n: int, k: int) -> int:
+    """How many rounds of ``k`` bins or fewer to run at once over a residual of ``n``.
+
+    A round of k bins has about n*n/k colliding pairs, so a block stops at
+    about ``_TAIL_HITS`` expected collisions: rounds that match a lot shrink
+    the residual and go in short blocks, rounds that rarely match go in long
+    ones. A block also stays within ``_TAIL_BUDGET``: B * n * n bin
+    comparisons in the all-pairs tail, B * n ids per side in a sorted block.
+    Above ``_TAIL_N`` a block of 1 is a head round.
+    """
+    if n <= _TAIL_N:
+        return max(1, min(_TAIL_BUDGET, _TAIL_HITS * k) // (n * n))
+    return max(1, min(_TAIL_HITS * k // (n * n), _TAIL_BUDGET // n))
+
+
+def _colliding_bins(bins: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort a block's bins and find the bins where a worker meets a task.
+
+    ``bins`` has shape ``(2, B, n)``: each residual position's bin, all below
+    ``k``, in each of B rounds, workers in row 0 and tasks in row 1. Sorting
+    the keys ``((h*k + bin)*2 + side) << s | p`` of block round h and
+    position p, with ``s`` the bit length of ``n - 1``, lists each (round,
+    bin, side) group's positions in ascending order, so in id order, with
+    the groups in round order. The keys stay below ``4*B*k*n``, which
+    ``RoundSchedule.round_arrays`` bounds.
+
+    Returns each group's ``(h*k + bin)*2 + side``, the sorted positions, the
+    index of each group's first key there, and the groups ``i`` that are a
+    bin's workers followed by that bin's tasks in group ``i + 1``.
+    """
+    _, B, n = bins.shape
+    shift = np.uint64((n - 1).bit_length())
+    keys = bins + np.arange(0, B * k, k, dtype=np.uint64)[:, None]
+    keys <<= shift + np.uint64(1)
+    keys[1] |= np.uint64(1) << shift
+    keys |= np.arange(n, dtype=np.uint64)
+    keys = keys.ravel()
+    keys.sort()
+    groups, pos = keys >> shift, keys & ((np.uint64(1) << shift) - np.uint64(1))
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(groups[1:], groups[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    groups = groups[starts]
+    both = np.flatnonzero(groups[1:] - groups[:-1] == (groups[1:] & np.uint64(1)))
+    return groups, pos, starts, both
 
 
 def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matches) -> np.ndarray:
     """Run round ``r`` over a large residual; returns the mask of ids left unmatched.
 
     A bin holding a worker and a task pairs its smallest of each. The rows
-    are sorted, so those sit at the bin's first position in each row.
+    are sorted, so those sit at the bin's first position in each row: a
+    scatter over the k bins finds them, or, in more than ``_DENSE_BINS``
+    bins per id, :func:`_colliding_bins` as a block of one round.
     """
     n = wt.shape[1]
     bins = bins_np(seeds, wt, np.uint64(k))
@@ -425,23 +494,48 @@ def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matc
         np.minimum.at(first[1], bins[1], at)
         pos_w, pos_t = first[:, (first < n).all(axis=0)]
     else:
-        # Sorting ``key * 2n + p`` over flattened positions p, with key
-        # ``2*bin + row``, puts each key's first position first. A bin
-        # matches where key ``2b`` is followed by ``2b+1``.
-        size = 2 * n
-        keys = bins << np.uint64(1)
-        keys[1] |= np.uint64(1)
-        order = np.sort(keys.ravel() * np.uint64(size) + np.arange(size, dtype=np.uint64))
-        keys, pos = np.divmod(order, np.uint64(size))
-        first = np.empty(size, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys, pos = keys[first], pos[first]
-        both = np.flatnonzero(keys[1:] - keys[:-1] == (keys[1:] & np.uint64(1)))
-        pos_w, pos_t = pos[both], pos[both + 1] - np.uint64(n)
+        _, pos, starts, both = _colliding_bins(bins[:, None], k)
+        pos_w, pos_t = pos[starts[both]], pos[starts[both + 1]]
     matched.append((wt[0, pos_w], wt[1, pos_t], r))
     keep = np.ones((2, n), dtype=bool)
     keep[0, pos_w] = keep[1, pos_t] = False
+    return keep
+
+
+def _sort_block(
+    seeds: np.ndarray, wt: np.ndarray, ks: np.ndarray, k: int, start: int, pairs: list[tuple[int, int, int]]
+) -> np.ndarray:
+    """Run the block of rounds from ``start`` over a residual above ``_TAIL_N``; returns the mask of ids left unmatched.
+
+    ``k`` is the block's first and largest bin count. The residual is
+    hashed under every round of the block at once, and one sort
+    (:func:`_colliding_bins`) lists the bins holding a worker and a task.
+    They are visited in round order: each pairs its smallest live worker
+    with its smallest live task, and the pair is appended to ``pairs`` with
+    its round. A member matched earlier in the block is skipped, and the
+    next member of its bin takes its place.
+    """
+    groups, pos, starts, both = _colliding_bins(bins_np(seeds, wt[:, None, :], ks), k)
+    rounds = ((groups[both] >> np.uint64(1)) // np.uint64(k) + np.uint64(start)).tolist()
+    runs = np.append(starts, pos.size)[both + np.arange(3)[:, None]]  # a bin's workers, then its tasks
+    firsts = pos[runs[:2]].tolist()  # each bin's smallest worker and task
+    used_w: set[int] = set()
+    used_t: set[int] = set()
+    found = []
+    for r, a, b, c, x, y in zip(rounds, *runs.tolist(), *firsts):
+        if x in used_w:
+            x = next((p for p in pos[a + 1 : b].tolist() if p not in used_w), None)
+        if y in used_t:
+            y = next((p for p in pos[b + 1 : c].tolist() if p not in used_t), None)
+        if x is not None and y is not None:
+            used_w.add(x)
+            used_t.add(y)
+            found.append((x, y, r))
+    keep = np.ones(wt.shape, dtype=bool)
+    if found:
+        at_w, at_t, rs = map(list, zip(*found))
+        keep[0, at_w] = keep[1, at_t] = False
+        pairs.extend(zip(wt[0, at_w].tolist(), wt[1, at_t].tolist(), rs))
     return keep
 
 

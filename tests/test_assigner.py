@@ -24,7 +24,7 @@ from lowchurn.assigner import (
     single_bin_family,
     trivial_families,
 )
-from lowchurn.binhash import BinHash, is_matching
+from lowchurn.binhash import BinHash, _bin_of, is_matching
 from lowchurn.core import (
     Assignment,
     TaskMultiset,
@@ -33,7 +33,7 @@ from lowchurn.core import (
     random_multiset,
     switching_cost,
 )
-from lowchurn.hashing import derive
+from lowchurn.hashing import GOLDEN, MASK64, derive
 from lowchurn.reduction import decode, lift
 
 
@@ -191,7 +191,7 @@ def assert_matches_reference(got, per_round, rows, project=lambda task: task):
 class TestArrayEngine:
     @settings(max_examples=80, deadline=None)
     @given(
-        w=st.sampled_from([1, 3, 8, 15, 16, 17, 40, 64, 65, 130, 300]),
+        w=st.sampled_from([1, 3, 8, 15, 16, 17, 40, 64, 65, 130, 300, 1024, 2048]),
         t=st.sampled_from([1, 3, 2**33 + 7]),
         c=st.integers(1, 2),
         master_seed=st.integers(0, 2**64 - 1),
@@ -204,7 +204,8 @@ class TestArrayEngine:
         keep = data.draw(st.none() | st.integers(1, schedule.total_rounds), label="rounds kept")
         if keep is not None:
             schedule = RoundSchedule(w, t, c, master_seed, schedule.rounds[:keep])
-        # Full workforces reach the one-round-at-a-time regime above 64.
+        # Full workforces reach the one-round-at-a-time regime above 64, and
+        # at 1024 and 2048 workers the sorted blocks above 64 too.
         size = data.draw(st.just(w) | st.integers(0, w), label="size")
         rng = data.draw(st.randoms(use_true_random=False))
         workers = rng.sample(range(1, w + 1), size)
@@ -227,6 +228,49 @@ class TestArrayEngine:
         assert cut.fallback_pairs > 0
         assert len(cut.per_round_pairs) == 3
         assert_matches_reference(cut, *reference_run(short, range(1, 41), tasks))
+
+    def test_block_keys_fit_at_the_guard(self):
+        # A sorted block packs its round, bin, side and position into one
+        # uint64 key. Run one at the extremes round_arrays allows: ids past
+        # 2**32, the bin counts of the largest w below 2**31 and the longest
+        # block _block_size gives, with rounds from two outer rounds. Each
+        # listed round forces one chosen worker and task into a shared bin
+        # by its task seed; some of them were matched by an earlier round.
+        w = 2**31 - 1
+        n = assigner._TAIL_N + 1
+        k = bins_for_round(w, 1)
+        B = assigner._block_size(n, k)
+        assert B > 1000 and B == assigner._block_size(n, w)  # the largest block above _TAIL_N
+        ks = np.array([k] * (B // 2) + [bins_for_round(w, 2)] * (B - B // 2), np.uint64)
+        rng = Random(17)
+        ids = rng.sample(range(2**62, 2**63), 2 * n)
+        wt = np.array([sorted(ids[:n]), sorted(ids[n:])], np.uint64)
+        seeds = [[rng.getrandbits(64) for _ in range(B)] for _ in range(2)]
+        forced = {B - 1: (ids[0], ids[n])}  # in the last round, a worker and a task no other round forces
+        for h in rng.sample(range(B - 1), 40):
+            forced[h] = rng.choice(ids[1:n]), rng.choice(ids[n + 1 :])
+        for h, (x, y) in forced.items():
+            seeds[1][h] = seeds[0][h] ^ ((x * GOLDEN) & MASK64) ^ ((y * GOLDEN) & MASK64)
+        start = 5000
+        pairs = []
+        keep = assigner._sort_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], k, start, pairs)
+        # Each round's pairs, from bins of one id at a time.
+        live, want = [set(ids[:n]), set(ids[n:])], []
+        for h in range(B):
+            best = [{}, {}]
+            for side in (0, 1):
+                for x in live[side]:
+                    b = _bin_of(seeds[side][h], x, int(ks[h]))
+                    best[side][b] = min(x, best[side].get(b, x))
+            for b, x in best[0].items():
+                if b in best[1]:
+                    want.append((x, best[1][b], start + h))
+                    live[0].discard(x)
+                    live[1].discard(best[1][b])
+        assert sorted(pairs) == sorted(want)
+        assert {(x, y) for x, y, r in pairs if r - start in forced} <= set(forced.values())
+        assert B - 1 + start in {r for *_, r in pairs} and 20 < len(pairs) < 40  # some forced pairs were taken
+        assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
 
     def test_engine_selection(self):
         assert build_schedule(assigner.ARRAY_MIN_W, 2).round_arrays is not None
@@ -368,6 +412,37 @@ class TestArrayNativeAssign:
         short = assign(cut, T)
         assert short.fallback_pairs > assigner._TAIL_N
         assert_matches_scalar_assign(short, cut, T)
+
+    def test_blocks_above_the_tail_skip_matched_members(self, monkeypatch):
+        # Residuals of a little over 64 in about 900 bins run sorted blocks of
+        # rounds. Pinned here, on each side: a bin whose smallest member was
+        # matched by an earlier round of the same block, so the next member
+        # pairs instead. Random draws reach that case only by chance.
+        blocks = []
+        sort_block = assigner._sort_block
+
+        def spy(seeds, wt, ks, k, start, pairs):
+            before = len(pairs)
+            keep = sort_block(seeds, wt, ks, k, start, pairs)
+            blocks.append((seeds, wt.tolist(), ks, start, pairs[before:]))
+            return keep
+
+        monkeypatch.setattr(assigner, "_sort_block", spy)
+        for seed in (2, 6):
+            s = build_schedule(1024, 3, c=1, master_seed=seed)
+            rng = Random(seed)
+            T = TaskMultiset.from_elements((rng.randint(1, 3) for _ in range(1024)), 3)
+            assert_matches_scalar_assign(assign(s, T), s, T)
+        assert blocks and all(len(wt[0]) > assigner._TAIL_N for _, wt, *_ in blocks)
+        skipped = [0, 0]
+        for seeds, wt, ks, start, pairs in blocks:
+            for pair in pairs:
+                h = pair[2] - start
+                for side in (0, 1):
+                    bin_of = lambda x: _bin_of(int(seeds[side, h, 0]), x, int(ks[h, 0]))  # noqa: E731
+                    smallest = min(x for x in wt[side] if bin_of(x) == bin_of(pair[side]))
+                    skipped[side] += smallest != pair[side]
+        assert all(skipped)
 
     def test_sparse_head_rounds(self):
         # Past 512 workers, a head-round residual of a little over 64 ids
