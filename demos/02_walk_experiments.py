@@ -11,7 +11,7 @@ from lowchurn.harness import run_walk
 W, T, C, SEED, STEPS = 16, 64, 4, 11, 500
 
 for algorithm in ("sorted", "randperm", "mrbb"):
-    records, summary = run_walk(W, T, C, SEED, algorithm, STEPS)
+    *records, summary = run_walk(W, T, C, SEED, algorithm, STEPS)
     print(
         f"{algorithm:9s} churn mean {summary['mean_switching_cost']:6.2f}   "
         f"p50 {summary['p50_switching_cost']:3d}   p99 {summary['p99_switching_cost']:3d}   "
@@ -21,13 +21,13 @@ for algorithm in ("sorted", "randperm", "mrbb"):
     )
 
 print("\nsample records (mrbb):")
-records, _ = run_walk(W, T, C, SEED, "mrbb", 3)
+*records, _ = run_walk(W, T, C, SEED, "mrbb", 3)
 for rec in records:
     line = rec.to_json()
     assert ExperimentRecord.from_json(line) == rec  # records round-trip exactly
     print(line)
 
-again, _ = run_walk(W, T, C, SEED, "mrbb", 3)
+*again, _ = run_walk(W, T, C, SEED, "mrbb", 3)
 same = all(
     a.switching_cost == b.switching_cost and a.t2 == b.t2 for a, b in zip(records, again)
 )

@@ -20,7 +20,7 @@ print("churn of one adjacent step (run_walk, mrbb, c=4)")
 print(f"{'w':>6} {'t':>8} {'steps':>5}   {'mean':>5} {'p99':>4} {'max':>4}   {'log2 w*log2 wt':>14} {'4R':>6}   fallbacks")
 for w, steps in STEPS.items():
     for t in (4 * w, 64 * w):
-        _, summary = run_walk(w, t, C, SEED, "mrbb", steps)
+        *_, summary = run_walk(w, t, C, SEED, "mrbb", steps)
         shape = math.log2(w) * math.log2(w * t)
         bound = 4 * build_schedule(w, t, C, SEED).total_rounds
         print(
@@ -32,7 +32,7 @@ for w, steps in STEPS.items():
 W, STEPS_C = 256, 300
 print(f"\nfallback rate against c (w={W}, t={4 * W}, {STEPS_C} steps; calls that used the fallback)")
 for c in (1, 2, 3, 4):
-    _, summary = run_walk(W, 4 * W, c, SEED, "mrbb", STEPS_C)
+    *_, summary = run_walk(W, 4 * W, c, SEED, "mrbb", STEPS_C)
     rounds = build_schedule(W, 4 * W, c, SEED).total_rounds
     rate = summary["fallbacks"] / (STEPS_C + 1)
     print(f"c={c}: R={rounds:5d}   fallback in {summary['fallbacks']:3d} of {STEPS_C + 1} calls ({rate:.1%})")

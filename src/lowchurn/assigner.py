@@ -55,10 +55,9 @@ objects it builds are the trace's tuples and the one :class:`Assignment`
 it returns. ``assign_set`` is the same path wrapped for plain id sets, and
 ``assign_explicit`` the same path on the explicit variant's stages.
 
-``assign`` and ``assign_set`` pick the array engine when the schedule has at
-least ``ARRAY_MIN_W`` workers and ``round_arrays`` exists (rounds from
-:func:`build_schedule`, ``n < 2**63`` and ``w < 2**31``), and the scalar
-loop otherwise.
+``assign`` and ``assign_set`` run the array engine whenever
+``round_arrays`` exists (rounds from :func:`build_schedule`, ``n < 2**63``
+and ``w < 2**31``), and the scalar loop otherwise.
 
 :class:`AssignSession` answers a sequence of multisets with the results
 ``assign`` gives, and keeps the last input's run as a cache: each element's
@@ -337,15 +336,6 @@ def _run_stages(
     return pairs, per_round
 
 
-# ``assign_set`` runs schedules for fewer workers on the scalar loop. The array
-# engine pays a fixed numpy cost per round or block, which loses where
-# schedules are short and most rounds match. Speed-up of a whole ``assign``
-# call (scalar time over array time), both engines alternating on the same
-# random multisets with t = 4w, of random size / of size w, on a 2-core
-# x86-64 VM with Python 3.11.7 and numpy 2.4.6: w=4 0.80 / 0.77, w=8
-# 1.05 / 0.92, w=16 1.17 / 1.03, w=32 1.52 (random size), w=64 1.91 / 1.81,
-# w=1024 4.9 (size w), w=16384 10.8 (size w).
-ARRAY_MIN_W = 16
 # Residuals of at most this many workers run the all-pairs tail block; larger
 # ones run a sorted block or one head round (see ``_block_size``). Time of a
 # sorted block over that of the tail block on the same residual of 8 to 64
@@ -390,7 +380,7 @@ def _run_scalar(stages: Sequence[BinHash], wt: np.ndarray) -> Run:
 
 def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
     """Run ``schedule`` over the residual ``wt`` on the engine the module docstring picks."""
-    arrays = schedule.round_arrays if schedule.w >= ARRAY_MIN_W else None
+    arrays = schedule.round_arrays
     if arrays is None:
         return _run_scalar(schedule.stages, wt)
     return _run_arrays(arrays, wt)

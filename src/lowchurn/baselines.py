@@ -56,14 +56,25 @@ def sorted_order(T: TaskMultiset, w: int) -> Assignment:
     return Assignment(w, tuple((i + 1, task) for i, task in enumerate(elements)))
 
 
+# The greedy pass builds the key matrix this many cells at a time, in blocks
+# of whole worker rows, so its memory stays bounded at any size; inputs of
+# up to 1024 tasks are one block.
+_KEY_CELLS = 1 << 20
+_TAKEN = 0xFFFFFFFFFFFFFFFF  # the largest key: a task already chosen
+
+
 def _greedy_order(oracle, workers: Sequence[int], tasks: Sequence[int]) -> np.ndarray:
     """Tasks chosen by the greedy pass, in worker order. ``tasks`` must be sorted."""
-    keys = oracle.priority_matrix(workers, tasks)
     chosen = []
-    for row in keys:
-        j = row.argmin()
-        keys[:, j] = 0xFFFFFFFFFFFFFFFF  # taken: no later worker prefers it
-        chosen.append(j)
+    rows = max(1, _KEY_CELLS // len(tasks))
+    for start in range(0, len(workers), rows):
+        keys = oracle.priority_matrix(workers[start:start + rows], tasks)
+        if chosen:
+            keys[:, chosen] = _TAKEN
+        for row in keys:
+            j = row.argmin()
+            keys[:, j] = _TAKEN  # no later worker prefers it
+            chosen.append(j)
     return np.asarray(tasks)[chosen]
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import combinations
 from math import comb
 from random import Random
@@ -38,11 +39,10 @@ _MAX_RAMSEY_SUBSETS = 1_000_000
 # ramsey and embed (whose --k and --n are a w and t). 16384 workers is the
 # largest scale tests and benchmarks run. A schedule has c * ceil(log2 wt) *
 # ceil(log_1.1 w) rounds of 40 bytes: 14 MB at the caps, 100+ GiB at c = 10**9.
-# randperm holds a few w x w arrays of 8-byte keys (400 MB at 4096 workers);
-# walk keeps every step's two w-element multisets until it prints them.
+# walk prints each step as it is measured and randperm builds its keys a block
+# of rows at a time, so neither needs a cap of its own.
 _CAPS = {
-    "--w": 1 << 14, "--t": 1 << 40, "--c": 64, "--steps": 1 << 20, "--k": 1 << 14, "--n": 1 << 40,
-    "--pairs": 1 << 20, "randperm --w": 1 << 12, "--w * --steps": 1 << 24,
+    "--w": 1 << 14, "--t": 1 << 40, "--c": 64, "--steps": 1 << 20, "--k": 1 << 14, "--n": 1 << 40, "--pairs": 1 << 20,
 }
 
 
@@ -62,7 +62,7 @@ def _default_seed() -> str:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", type=int, required=True,
-                   help=f"worker count (at most {_CAPS['--w']}; {_CAPS['randperm --w']} with --alg randperm)")
+                   help=f"worker count (at most {_CAPS['--w']})")
     p.add_argument("--t", type=int, required=True, help=f"task universe size (at most {_CAPS['--t']})")
     p.add_argument("--c", type=int, default=4, help=f"repetition constant (default 4, at most {_CAPS['--c']})")
     p.add_argument("--seed", type=_seed, default=_default_seed(), help="master seed")
@@ -71,14 +71,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _check_caps(args: argparse.Namespace) -> None:
     """Reject a size argument past its documented cap (see ``_CAPS``)."""
-    sizes = {f"--{name}": getattr(args, name) for name in getattr(args, "capped", ())}
-    if getattr(args, "alg", None) == "randperm":
-        sizes["randperm --w"] = args.w
-    if args.command == "walk":
-        sizes["--w * --steps"] = args.w * args.steps
-    for flag, value in sizes.items():
-        if value is not None and value > _CAPS[flag]:
-            raise ValueError(f"{flag} {value} over the documented cap {_CAPS[flag]}")
+    for name in getattr(args, "capped", ()):
+        value, cap = getattr(args, name), _CAPS[f"--{name}"]
+        if value is not None and value > cap:
+            raise ValueError(f"--{name} {value} over the documented cap {cap}")
 
 
 def _emit(obj: dict) -> None:
@@ -100,12 +96,8 @@ def cmd_assign(args: argparse.Namespace) -> int:
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
-    records, summary = run_walk(
-        args.w, args.t, args.c, args.seed, args.alg, args.steps, args.size_varying
-    )
-    for rec in records:
-        sys.stdout.write(rec.to_json() + "\n")
-    _emit(summary)
+    for item in run_walk(args.w, args.t, args.c, args.seed, args.alg, args.steps, args.size_varying):
+        _emit(item if isinstance(item, dict) else asdict(item))
     return 0
 
 
@@ -290,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk = sub.add_parser("walk", help="random adjacent walk, one JSONL record per step")
     _add_common(p_walk)
     p_walk.add_argument("--alg", choices=ALGORITHMS, default="mrbb")
-    p_walk.add_argument("--steps", type=int, required=True,
-                        help=f"at most {_CAPS['--steps']}, and --w * --steps at most {_CAPS['--w * --steps']}")
+    p_walk.add_argument("--steps", type=int, required=True, help=f"at most {_CAPS['--steps']}")
     p_walk.add_argument("--size-varying", action="store_true", dest="size_varying")
     p_walk.set_defaults(func=cmd_walk, capped=("w", "t", "c", "steps"))
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain, compress
 from operator import ne, or_
 from random import Random
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from .assigner import AssignResult, AssignSession, build_schedule
 from .assigner import assign as pipeline_assign  # noqa: F401  (perfbench's tracer wraps this name)
@@ -142,8 +142,13 @@ def run_walk(
     algorithm: str,
     steps: int,
     size_varying: bool = False,
-) -> tuple[list[ExperimentRecord], dict]:
-    """Random adjacent walk of ``steps`` moves; returns the records and a summary.
+) -> Iterator[ExperimentRecord | dict]:
+    """Random adjacent walk of ``steps`` moves: yields each record once measured, then a summary.
+
+    The arguments are checked and the assigner built when this is called, so
+    a bad argument raises there; the walk runs as the result is iterated and
+    keeps only each step's cost and wall time. Collect a whole walk with
+    ``*records, summary = run_walk(...)``.
 
     The summary reports the switching cost's mean, nearest-rank p50 and p99,
     and max over the steps, and the same percentiles and max of the steps'
@@ -153,57 +158,58 @@ def run_walk(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     assigner = make_assigner(algorithm, w, t, c, seed)
-    rng = Random(derive(seed, 0xA1C))
-    current = random_multiset(w, t, rng)
-    out_cur = assigner(current)
 
-    records: list[ExperimentRecord] = []
-    fallbacks = int(out_cur.fallback_used)
-    costs: list[int] = []
-    walls: list[int] = []
-    for step in range(steps):
-        start = time.perf_counter_ns()
-        nxt = adjacent_step(current, rng, w=w, size_varying=size_varying)
-        out_nxt = assigner(nxt)
-        cost = switching_cost(out_cur.assignment, out_nxt.assignment)
-        elapsed_us = (time.perf_counter_ns() - start) // 1000
-        fallback = out_cur.fallback_used or out_nxt.fallback_used
-        records.append(
-            ExperimentRecord(
+    def walk() -> Iterator[ExperimentRecord | dict]:
+        rng = Random(derive(seed, 0xA1C))
+        current = random_multiset(w, t, rng)
+        out_cur = assigner(current)
+        text = current.format()  # each multiset is formatted once: as t2, then as the next t1
+
+        fallbacks = int(out_cur.fallback_used)
+        costs: list[int] = []
+        walls: list[int] = []
+        for step in range(steps):
+            start = time.perf_counter_ns()
+            nxt = adjacent_step(current, rng, w=w, size_varying=size_varying)
+            out_nxt = assigner(nxt)
+            cost = switching_cost(out_cur.assignment, out_nxt.assignment)
+            elapsed_us = (time.perf_counter_ns() - start) // 1000
+            nxt_text = nxt.format()
+            yield ExperimentRecord(
                 experiment_id=f"walk-{step:06d}",
                 seed=seed,
                 w=w,
                 t=t,
                 c=c,
                 algorithm=algorithm,
-                t1=current.format(),
-                t2=nxt.format(),
+                t1=text,
+                t2=nxt_text,
                 switching_cost=cost,
                 per_round_costs=_round_costs(out_cur.result, out_nxt.result),
-                fallback_used=fallback,
-                wall_time_us=int(elapsed_us),
+                fallback_used=out_cur.fallback_used or out_nxt.fallback_used,
+                wall_time_us=elapsed_us,
             )
-        )
-        fallbacks += int(out_nxt.fallback_used)
-        costs.append(cost)
-        walls.append(elapsed_us)
-        current, out_cur = nxt, out_nxt
+            fallbacks += int(out_nxt.fallback_used)
+            costs.append(cost)
+            walls.append(elapsed_us)
+            current, out_cur, text = nxt, out_nxt, nxt_text
 
-    summary = {
-        "summary": True,
-        "algorithm": algorithm,
-        "w": w,
-        "t": t,
-        "c": c,
-        "seed": seed,
-        "steps": steps,
-        "max_switching_cost": max(costs),
-        "mean_switching_cost": sum(costs) / steps,
-        "p50_switching_cost": _percentile(costs, 50),
-        "p99_switching_cost": _percentile(costs, 99),
-        "p50_wall_time_us": _percentile(walls, 50),
-        "p99_wall_time_us": _percentile(walls, 99),
-        "max_wall_time_us": max(walls),
-        "fallbacks": fallbacks,
-    }
-    return records, summary
+        yield {
+            "summary": True,
+            "algorithm": algorithm,
+            "w": w,
+            "t": t,
+            "c": c,
+            "seed": seed,
+            "steps": steps,
+            "max_switching_cost": max(costs),
+            "mean_switching_cost": sum(costs) / steps,
+            "p50_switching_cost": _percentile(costs, 50),
+            "p99_switching_cost": _percentile(costs, 99),
+            "p50_wall_time_us": _percentile(walls, 50),
+            "p99_wall_time_us": _percentile(walls, 99),
+            "max_wall_time_us": max(walls),
+            "fallbacks": fallbacks,
+        }
+
+    return walk()

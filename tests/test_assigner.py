@@ -136,24 +136,28 @@ class TestAssignSet:
     def test_per_round_pairs_match_compose_trace(self):
         # Two routes to the same pipeline: the engine and stages composed by
         # hand from BinHash.apply, on a schedule for each engine of assign_set.
+        # As a plain tuple, the same rounds have no seed arrays, so the scalar
+        # loop runs them.
         rng = Random(4)
-        for w, t, array_engine in ((6, 3, False), (40, 5, True)):
-            s = build_schedule(w, t, c=2, master_seed=9)
-            assert (w >= assigner.ARRAY_MIN_W) == array_engine
+        for w, t in ((6, 3), (40, 5)):
+            seeded = build_schedule(w, t, c=2, master_seed=9)
+            unseeded = RoundSchedule(w, t, 2, 9, tuple(seeded.rounds))
+            assert seeded.round_arrays is not None and unseeded.round_arrays is None
             for _ in range(30):
                 j = rng.randint(0, w)
                 W = rng.sample(range(1, w + 1), j)
-                T = rng.sample(range(1, s.n + 1), j)
-                res = assign_set(s, W, T)
+                T = rng.sample(range(1, seeded.n + 1), j)
                 trace, residual = [], WorkerTaskInput(frozenset(W), frozenset(T))
-                for stage in (r.hash for r in s.rounds):
+                for stage in (r.hash for r in seeded.rounds):
                     if not residual.workers and not residual.tasks:
                         break
                     out = stage.apply(residual)
                     trace.append(out.matched)
                     residual = out.residual
-                assert res.per_round_pairs == tuple(trace)
-                assert res.fallback_pairs == len(residual.workers)
+                for s in (seeded, unseeded):
+                    res = assign_set(s, W, T)
+                    assert res.per_round_pairs == tuple(trace)
+                    assert res.fallback_pairs == len(residual.workers)
 
 
 def run_arrays(schedule, workers, tasks):
@@ -272,8 +276,14 @@ class TestArrayEngine:
         assert B - 1 + start in {r for *_, r in pairs} and 20 < len(pairs) < 40  # some forced pairs were taken
         assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
 
-    def test_engine_selection(self):
-        assert build_schedule(assigner.ARRAY_MIN_W, 2).round_arrays is not None
+    def test_engine_selection(self, monkeypatch):
+        # Every seeded schedule runs on the array engine, however few its workers.
+        runs = []
+        run_arrays = assigner._run_arrays
+        monkeypatch.setattr(assigner, "_run_arrays", lambda *args: runs.append(args) or run_arrays(*args))
+        for w in (1, 2, 15):
+            assign(build_schedule(w, 3), random_multiset(w, 3, Random(w)))
+        assert len(runs) == 3
         # Callable-backed stages have no seeds, so only the scalar loop runs them.
         stage = BinHash(2, lambda _w: 1, lambda _t: 2)
         unseeded = RoundSchedule(20, 4, 1, 0, (Round(1, 1, 2, stage),))
@@ -339,17 +349,18 @@ class TestSeedArraySchedule:
 
         monkeypatch.setattr(BinHash, "__init__", counting_init)
         big = build_schedule(1024, 64)
-        small = build_schedule(4, 10)  # below ARRAY_MIN_W: the scalar loop runs it
+        huge = build_schedule(4, 2**62)  # n past 2**63: no round arrays, so the scalar loop runs it
         assert built == []
         rng = Random(3)
-        for _ in range(5):
-            assign(big, random_multiset(rng.randint(0, 1024), 64, rng))
+        for w, schedule in ((1024, big), (4, build_schedule(4, 10))):
+            for _ in range(5):
+                assign(schedule, random_multiset(rng.randint(0, w), schedule.t, rng))
         assert built == []  # the array engine reads the arrays only
         for _ in range(5):
-            assign(small, random_multiset(rng.randint(0, 4), 10, rng))
-        assert len(built) == small.total_rounds
-        assert [r.hash for r in small.rounds] == built
-        assert small.rounds[0] is small.rounds[0]
+            assign(huge, random_multiset(rng.randint(0, 4), 2**62, rng))
+        assert len(built) == huge.total_rounds
+        assert [r.hash for r in huge.rounds] == built
+        assert huge.rounds[0] is huge.rounds[0]
 
     def test_rounds_view_slices_compares_and_hashes(self):
         a = build_schedule(40, 9, c=2, master_seed=-7)

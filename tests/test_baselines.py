@@ -1,13 +1,15 @@
+import tracemalloc
 from random import Random
 
 import numpy as np
 import pytest
 
+from lowchurn import baselines
 from lowchurn.baselines import PriorityOracle, _greedy_order, random_permutation_assign, sorted_order
 from lowchurn.core import TaskMultiset, adjacent_step, random_multiset, switching_cost
 from lowchurn.hashing import derive
 from lowchurn.oracle import exhaustive_max_switching
-from lowchurn.reduction import decode
+from lowchurn.reduction import decode, lift_np
 
 
 def ms(*elements, t=9):
@@ -120,6 +122,31 @@ class TestRandomPermutationAssign:
     def test_oversized_rejected(self):
         with pytest.raises(ValueError):
             random_permutation_assign(PriorityOracle(1), ms(1, 2), w=1)
+
+    def test_blocks_of_rows_match_the_scalar_greedy(self):
+        # 1500 lifted tasks: the key matrix is built in three blocks of rows.
+        w = 1500
+        assert w * w > 2 * baselines._KEY_CELLS
+        oracle = PriorityOracle(derive(6))
+        T = random_multiset(w, 500, Random(8))
+        left = lift_np(T, w).tolist()
+        want = {}
+        for worker in range(1, w + 1):
+            task = min(left, key=lambda x: (oracle.priority(worker, x), x))
+            left.remove(task)
+            want[worker] = decode(task, w)[0]
+        assert random_permutation_assign(oracle, T, w).mapping == want
+
+    def test_keys_take_bounded_memory(self):
+        w = 2048
+        T = random_multiset(w, 4 * w, Random(2))
+        tracemalloc.start()
+        try:
+            random_permutation_assign(PriorityOracle(derive(4)), T, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20  # the whole 2048 x 2048 key matrix with its temporaries is 96 MB
 
 
 class TestPriorityOracle:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowchurn.cli import main
-from lowchurn.harness import ExperimentRecord
+from lowchurn.core import Assignment
+from lowchurn.harness import ExperimentRecord, StepOutcome
 
 
 def unmeasured(row):
@@ -355,10 +356,9 @@ def test_tracebacks_found_by_the_property_test_exit_2(capsys, argv, message):
         (["assign", "--w", "16385", "--t", "9", "--multiset", "1"], "--w 16385 over the documented cap 16384"),
         (["assign", "--w", "3", "--t", str(2**40 + 1), "--multiset", "1"], f"--t {2**40 + 1} over the documented cap {2**40}"),
         (["assign", "--w", "3", "--t", "9", "--c", "1000000000", "--multiset", "1"], "--c 1000000000 over the documented cap 64"),
-        (["assign", "--w", "4097", "--t", "9", "--alg", "randperm", "--multiset", "1"],
-         "randperm --w 4097 over the documented cap 4096"),
+        (["assign", "--w", "16385", "--t", "9", "--alg", "randperm", "--multiset", "1"], "--w 16385 over the documented cap 16384"),
         (["walk", "--w", "3", "--t", "9", "--steps", str(2**20 + 1)], f"--steps {2**20 + 1} over the documented cap {2**20}"),
-        (["walk", "--w", "16384", "--t", "9", "--steps", "1025"], f"--w * --steps {16384 * 1025} over the documented cap {2**24}"),
+        (["walk", "--w", "16384", "--t", "9", "--steps", str(2**20 + 1)], f"--steps {2**20 + 1} over the documented cap {2**20}"),
         (["oracle", "audit", "--w", "2", "--t", "3", "--c", "65"], "--c 65 over the documented cap 64"),
         (["oracle", "ramsey", "--w", "16385", "--t", "3"], "--w 16385 over the documented cap 16384"),
         (["embed", "--k", "16385", "--n", "8", "--input", "v.txt", "--all-pairs"], "--k 16385 over the documented cap 16384"),
@@ -380,6 +380,21 @@ def test_size_past_its_cap_exits_2_before_running(capsys, monkeypatch, argv, mes
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_sizes_past_the_deleted_caps_reach_their_work(capsys, monkeypatch):
+    # Only the caps of every algorithm bound randperm's --w, and only --w and --steps a walk.
+    import lowchurn.cli as cli
+
+    calls = []
+    unassigned = lambda w: lambda T: StepOutcome(Assignment(w, ()), False)  # noqa: E731
+    monkeypatch.setattr(cli, "make_assigner", lambda *args: calls.append(args) or unassigned(args[1]))
+    monkeypatch.setattr(cli, "run_walk", lambda *args: calls.append(args) or iter([{"summary": True}]))
+    rc, out, _ = run_cli(capsys, "assign", "--w", "4097", "--t", "9", "--alg", "randperm", "--seed", "0", "--multiset", "1")
+    assert rc == 0 and len(out.splitlines()) == 4098
+    rc, out, _ = run_cli(capsys, "walk", "--w", "16384", "--t", "65536", "--alg", "sorted", "--seed", "0", "--steps", "1025")
+    assert rc == 0 and out == '{"summary":true}\n'
+    assert calls == [("randperm", 4097, 9, 4, 0), (16384, 65536, 4, 0, "sorted", 1025, False)]
 
 
 def test_sizes_at_their_caps_run(capsys):
