@@ -91,18 +91,17 @@ class BinHash:
     def match(self, workers: Iterable[int], tasks: Iterable[int]) -> list[tuple[int, int]]:
         """Matched (worker, task) pairs for this stage, unordered."""
         best_w = _smallest_per_bin(workers, self.k, self._seed_w, self.h1)
-        best_t = _smallest_per_bin(tasks, self.k, self._seed_t, self.h2)
-        return [(worker, best_t[b]) for b, worker in best_w.items() if b in best_t]
+        best_t = _smallest_per_bin(tasks, self.k, self._seed_t, self.h2, best_w)
+        return [(best_w[b], task) for b, task in best_t.items()]
 
     def apply(self, wt: WorkerTaskInput) -> StageOutcome:
         """Run the stage on one worker-task input."""
-        pairs = self.match(wt.workers, wt.tasks)
-        matched = frozenset(pairs)
-        residual = WorkerTaskInput(
-            wt.workers.difference(w for w, _ in pairs),
-            wt.tasks.difference(t for _, t in pairs),
-        )
-        return StageOutcome(matched, residual, len(matched))
+        best_w = _smallest_per_bin(wt.workers, self.k, self._seed_w, self.h1)
+        best_t = _smallest_per_bin(wt.tasks, self.k, self._seed_t, self.h2, best_w)
+        workers = [best_w[b] for b in best_t]
+        tasks = list(best_t.values())
+        residual = WorkerTaskInput(wt.workers.difference(workers), wt.tasks.difference(tasks))
+        return StageOutcome(frozenset(zip(workers, tasks)), residual, len(tasks))
 
 
 def seeds_np(seed: np.ndarray) -> np.ndarray:
@@ -119,15 +118,23 @@ def _bin_of(seed: int, x: int, k: int) -> int:
 
 
 def _smallest_per_bin(
-    xs: Iterable[int], k: int, seed: int | None, h: Callable[[int], int],
+    xs: Iterable[int], k: int, seed: int | None, h: Callable[[int], int], wanted: dict | None = None,
     gold: int = GOLDEN, mask: int = MASK64, mul1: int = MUL1, mul2: int = MUL2,
 ) -> dict[int, int]:
     """The smallest of ``xs`` in each bin: bins are ``_bin_of(seed, x, k)``, or ``h(x)`` when ``seed`` is None.
 
-    ``mix64`` is inlined with its constants bound as locals: the scalar engine spends most of its time here.
+    Only bins in ``wanted`` are kept when it is given: a stage needs a task's
+    bin only if some worker landed there. ``xs`` is scanned in increasing
+    order, so the first element seen in a bin is its smallest, and the scan
+    stops once every wanted bin (or all ``k``) holds one. ``mix64`` is inlined
+    with its constants bound as locals: the scalar engine spends most of its
+    time here.
     """
     best: dict[int, int] = {}
-    for x in xs:
+    need = k if wanted is None else len(wanted)
+    if not need:
+        return best
+    for x in sorted(xs):
         if seed is None:
             b = h(x)
         else:
@@ -135,9 +142,10 @@ def _smallest_per_bin(
             v = ((v ^ (v >> 30)) * mul1) & mask
             v = ((v ^ (v >> 27)) * mul2) & mask
             b = (v ^ (v >> 31)) % k
-        cur = best.get(b)
-        if cur is None or x < cur:
+        if b not in best and (wanted is None or b in wanted):
             best[b] = x
+            if len(best) == need:
+                break
     return best
 
 

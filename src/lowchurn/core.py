@@ -194,7 +194,7 @@ def switching_cost(a1: Assignment, a2: Assignment) -> int:
     return sum(1 for worker in m1.keys() | m2.keys() if m1.get(worker) != m2.get(worker))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WorkerTaskInput:
     """A pair of plain sets: unmatched workers and unmatched tasks.
 
@@ -206,9 +206,9 @@ class WorkerTaskInput:
     workers: frozenset[int]
     tasks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", frozenset(self.workers))
-        object.__setattr__(self, "tasks", frozenset(self.tasks))
+    def __init__(self, workers: Iterable[int], tasks: Iterable[int]) -> None:
+        # Writes the frozen fields directly: a stage builds one residual per call.
+        self.__dict__.update(workers=frozenset(workers), tasks=frozenset(tasks))
 
 
 def is_adjacent(t1: TaskMultiset, t2: TaskMultiset) -> bool:
