@@ -50,10 +50,10 @@ rounds plus the residual left at the end. ``_pack`` scatters those and the
 rank-order fallback, which is that residual's rows side by side, into one
 task and one round per worker. ``assign`` stays in numpy from input to
 result: the lift (``reduction.lift_np``), the engine, the scatter and the
-projection to base tasks (``reduction.project_np``); the only Python
-objects it builds are the trace's tuples and the one :class:`Assignment`
-it returns. ``assign_set`` is the same path wrapped for plain id sets, and
-``assign_explicit`` the same path on the explicit variant's stages.
+projection to base tasks (``reduction.project_np``). The result keeps those
+arrays, and its tuples are built only when read. ``assign_set`` is the same
+path wrapped for plain id sets, and ``assign_explicit`` the same path on the
+explicit variant's stages.
 
 ``assign`` and ``assign_set`` run the array engine whenever
 ``round_arrays`` exists (rounds from :func:`build_schedule`, ``n < 2**63``
@@ -92,7 +92,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .binhash import BinHash, _bin_of, seeds_np
-from .core import Assignment, TaskMultiset, WorkerTaskInput
+from .core import Assignment, TaskMultiset, WorkerTaskInput, _frozen
 from .hashing import bins_np, derive, derive_np
 from .reduction import id_dtype, lift_np, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
@@ -277,30 +277,35 @@ def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSch
     return RoundSchedule(w, t, c, master_seed, SeededRounds(seeds_np(seeds.ravel()), ks, ij))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AssignResult:
     """An assignment plus the bookkeeping needed to audit how it was produced.
 
-    The trace has one entry per worker, in the order of ``assignment.pairs``:
-    ``lifted_tasks`` holds the task id the engine paired it with (a lifted id
-    when a multiset was assigned) and ``match_rounds`` the index of the round
-    that matched them, -1 for a fallback pair. ``rounds_executed`` is all of
-    the schedule's rounds if a residual was left, else those up to the round
-    that emptied the input. ``fallback_pairs == 0`` means every pair came
-    from schedule rounds, so the switching-cost guarantee applies.
-    ``per_round_pairs`` and ``per_round_matches`` are derived when read.
+    The trace is two read-only arrays, one entry per worker in the order of
+    ``assignment.workers``: ``lifted``, the task id the engine paired it with
+    (a lifted id when a multiset was assigned), and ``rounds`` (int64), the
+    index of the round that matched them, -1 for a fallback pair.
+    ``rounds_executed`` is all of the schedule's rounds if a residual was
+    left, else those up to the round that emptied the input.
+    ``fallback_pairs == 0`` means every pair came from schedule rounds, so
+    the switching-cost guarantee applies. ``lifted_tasks``, ``match_rounds``,
+    ``per_round_pairs`` and ``per_round_matches`` are built when read.
     """
 
     assignment: Assignment
     fallback_pairs: int
-    lifted_tasks: tuple[int, ...]
-    match_rounds: tuple[int, ...]
+    lifted_tasks: tuple[int, ...] = cached_property(lambda self: tuple(self.lifted.tolist()))
+    match_rounds: tuple[int, ...] = cached_property(lambda self: tuple(self.rounds.tolist()))
     rounds_executed: int
+
+    def __init__(self, assignment, fallback_pairs, lifted_tasks, match_rounds, rounds_executed) -> None:
+        self.__dict__.update(assignment=assignment, fallback_pairs=fallback_pairs, lifted=_frozen(lifted_tasks),
+                             rounds=_frozen(match_rounds), rounds_executed=rounds_executed)
 
     @cached_property
     def per_round_pairs(self) -> tuple[frozenset[tuple[int, int]], ...]:
         matched: dict[int, list[tuple[int, int]]] = {}
-        for (worker, _), task, r in zip(self.assignment.pairs, self.lifted_tasks, self.match_rounds):
+        for worker, task, r in zip(self.assignment.workers.tolist(), self.lifted.tolist(), self.rounds.tolist()):
             if r >= 0:
                 matched.setdefault(r, []).append((worker, task))
         rounds = [frozenset()] * self.rounds_executed  # most rounds match nothing
@@ -579,17 +584,17 @@ def _pack(workers: np.ndarray, matched: Matches, residual: np.ndarray) -> tuple[
 
 
 def _result(w: int, wt: np.ndarray, run: Run, total: int, lifted: bool) -> AssignResult:
-    """The :class:`AssignResult` of an engine run over the input ``wt`` on ``total`` rounds.
+    """The :class:`AssignResult` of an engine run over the input ``wt`` on ``total`` rounds, holding the packed arrays.
 
-    With ``lifted``, ``wt`` holds lifted ids and the assignment their base tasks.
+    With ``lifted``, ``wt`` holds lifted ids and the assignment their base
+    tasks. The workers ``wt[0]`` are checked once, in array form.
     """
     matched, residual = run
     task_of, round_of = _pack(wt[0], matched, residual)
-    tasks = project_np(task_of, w) if lifted else task_of
-    assignment = Assignment(w, tuple(zip(wt[0].tolist(), tasks.tolist())))
+    assignment = Assignment.from_arrays(w, wt[0], project_np(task_of, w) if lifted else task_of)
     fallback = residual.shape[1]
     executed = total if fallback else int(round_of.max(initial=-1)) + 1
-    return AssignResult(assignment, fallback, tuple(task_of.tolist()), tuple(round_of.tolist()), executed)
+    return AssignResult(assignment, fallback, task_of, round_of, executed)
 
 
 def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[int]) -> AssignResult:
@@ -617,8 +622,8 @@ def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
     :func:`assign_set`, and projects back; workers ``|T|+1..w`` stay
     unassigned. The trace (``lifted_tasks`` and the derived
     ``per_round_pairs``) remains in lifted ids. The lifted ids, the pairs,
-    the fallback and the projection all stay numpy arrays up to the one
-    :class:`Assignment` built at the end.
+    the fallback and the projection stay numpy arrays, and the result keeps
+    them: no tuple is built until one is read.
     """
     _check_multiset(schedule, T)
     wt = _lifted_rows(T, schedule.w)
@@ -788,13 +793,12 @@ class _Cache:
     ``end[s]`` maps each worker (``s = 0``) or lifted task (``s = 1``) of the
     input to its end: the round it was matched in, or the schedule's length
     if the fallback paired it; an element is live in every round up to its
-    end. ``pairs``, ``tasks`` and ``rounds`` are the result's pairs, lifted
-    tasks and match rounds as lists, and ``residual`` the fallback's workers
-    over its tasks. Each element has a slot below ``w``, ``slot[s][x]``, and
-    ``cells[s]`` is the sorted array of ``(round * K + bin) << shift | slot``
-    over every round each element of side ``s`` is live in: 6 to 7 cells
-    per element at w=1024 and t=65536, so the cache stays linear in the
-    input. The cells of one bin form a run of the array, found by bisection.
+    end. ``residual`` holds the fallback's workers over its tasks. Each
+    element has a slot below ``w``, ``slot[s][x]``, and ``cells[s]`` is the
+    sorted array of ``(round * K + bin) << shift | slot`` over every round
+    each element of side ``s`` is live in: 6 to 7 cells per element at
+    w=1024 and t=65536, so the cache stays linear in the input. The cells of
+    one bin form a run of the array, found by bisection.
 
     A full run keeps only ``T`` and ``result``; :meth:`advance` builds the
     rest from the result the first time it replays.
@@ -806,13 +810,11 @@ class _Cache:
 
     def _build(self) -> None:
         """Build the tables from the result's trace, in one vectorized pass per side."""
-        grid, w, result = self.grid, self.grid.w, self.result
-        trace = (result.assignment.pairs, result.lifted_tasks, result.match_rounds)
-        self.pairs, self.tasks, self.rounds = map(list, trace)
-        workers = range(1, len(self.rounds) + 1)
-        ends = [grid.total if r < 0 else r for r in self.rounds]
-        self.end = (dict(zip(workers, ends)), dict(zip(self.tasks, ends)))
-        self.residual = [[x for x, r in zip(ids, self.rounds) if r < 0] for ids in (workers, self.tasks)]
+        grid, w, tasks, rounds = self.grid, self.grid.w, self.result.lifted.tolist(), self.result.rounds.tolist()
+        workers = range(1, len(rounds) + 1)
+        ends = [grid.total if r < 0 else r for r in rounds]
+        self.end = (dict(zip(workers, ends)), dict(zip(tasks, ends)))
+        self.residual = [[x for x, r in zip(ids, rounds) if r < 0] for ids in (workers, tasks)]
         sides = [sorted(end) for end in self.end]
         self.slot = tuple({x: i for i, x in enumerate(side)} for side in sides)
         self.elems = [side + [None] * (w - len(side)) for side in sides]  # the element in each slot
@@ -1022,18 +1024,17 @@ class _Replay:
         ]
         for s in (0, 1):
             cache.update(s, ends[s], {x: np.concatenate(rows) for x, rows in self.grow[s].items()})
-        # Only the workers that pair differently, and the fallback's, get new entries.
-        pairs, tasks, rounds = cache.pairs, cache.tasks, cache.rounds
-        for rows in (pairs, tasks, rounds):
-            del rows[size:]
-            rows.extend([None] * (size - len(rows)))
-        changed = [(x, y, ends[0][x]) for x, y in self.partner.items()]
-        for x, y, r in chain(changed, zip(*residual, [-1] * len(residual[0]))):
-            pairs[x - 1], tasks[x - 1], rounds[x - 1] = (x, (y - 1) // w + 1), y, r
+        # Copies of the trace, resized to the new input, so results already returned keep
+        # theirs; only the workers that pair differently, and the fallback's, change.
+        tasks, rounds = (a[:size].copy() if size <= a.size else np.resize(a, size)  # a copy costs far less
+                         for a in (cache.result.lifted, cache.result.rounds))
+        at = np.array([*self.partner, *residual[0]], np.int64) - 1
+        tasks[at] = [*self.partner.values(), *residual[1]]
+        rounds[at] = [ends[0][x] for x in self.partner] + [-1] * len(residual[0])
         # A run that leaves no residual ends with the round of its last match.
-        executed = total if residual[0] else max(rounds) + 1
-        assignment = Assignment._from_checked(w, tuple(pairs))
-        cache.result = AssignResult(assignment, len(residual[0]), tuple(tasks), tuple(rounds), executed)
+        executed = total if residual[0] else int(rounds.max()) + 1
+        assignment = Assignment.from_arrays(w, np.arange(1, size + 1, dtype=tasks.dtype), project_np(tasks, w))
+        cache.result = AssignResult(assignment, len(residual[0]), tasks, rounds, executed)
 
 
 @dataclass(frozen=True)

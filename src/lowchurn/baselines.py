@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Assignment, TaskMultiset
 from .hashing import GOLDEN, MASK64, mix64, mix64_np
-from .reduction import lift_np, project_np
+from .reduction import id_dtype, lift_np, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = ["PriorityOracle", "sorted_order", "random_permutation_assign"]
@@ -50,10 +50,9 @@ class PriorityOracle:
 
 def sorted_order(T: TaskMultiset, w: int) -> Assignment:
     """Worker ``i`` takes the i-th smallest element of ``T`` (with multiplicity)."""
-    elements = T.elements()
-    if len(elements) > w:
+    if len(T) > w:
         raise ValueError("multiset larger than worker count")
-    return Assignment(w, tuple((i + 1, task) for i, task in enumerate(elements)))
+    return Assignment.from_arrays(w, np.arange(1, len(T) + 1), np.array(T.elements(), id_dtype(T.t)))
 
 
 # The greedy pass builds the key matrix this many cells at a time, in blocks
@@ -89,6 +88,6 @@ def random_permutation_assign(oracle: PriorityOracle, T: TaskMultiset, w: int) -
         raise ValueError("multiset larger than worker count")
     if size == 0:
         return Assignment(w, ())
-    workers = list(range(1, size + 1))
+    workers = np.arange(1, size + 1)
     chosen = _greedy_order(oracle, workers, lift_np(T, w))
-    return Assignment(w, tuple(zip(workers, project_np(chosen, w).tolist())))
+    return Assignment.from_arrays(w, workers, project_np(chosen, w))

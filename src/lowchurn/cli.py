@@ -3,7 +3,8 @@
 Every command is deterministic given its flags; ``--seed`` (default: the
 ``ASSIGN_SEED`` environment variable, else 0) fixes all randomness, and JSONL
 output is identical across reruns except for the wall-time field. Exit
-codes: 0 success, 1 detected invariant violation, 2 usage or parse error.
+codes: 0 success, 1 detected invariant violation, 2 usage or parse error,
+141 (128 + SIGPIPE) when the reader closed standard output early.
 """
 from __future__ import annotations
 
@@ -345,7 +346,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_caps(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early is met here, not at exit
+        return code
+    except BrokenPipeError:  # ``| head``: stop quietly, with nothing left to flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, OverflowError) as exc:  # OverflowError: sizes past what Python can index
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,8 @@ support. Because the code's coordinates are a permutation of the support,
 ``Ham(code_x, code_y) >= |T(x) \\ T(y)| >= Ham(x, y) / 2`` holds per pair
 with no assumptions; the upper side is inherited from the assigner's
 switching cost along a chain of adjacent supports, which the audit reports
-next to the observed worst ratio.
+next to the observed worst ratio. A code keeps the assignment's task array,
+and :func:`hamming` compares two codes' arrays.
 
 Vectors with non-negative integer entries are supported too: the support
 becomes a multiset (position repeated by its value) and the input metric is
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+
+import numpy as np
 
 from .assigner import AssignResult, RoundSchedule, assign
-from .core import TaskMultiset
+from .core import TaskMultiset, _frozen
 
 __all__ = [
     "SparseVector",
@@ -110,11 +112,14 @@ class SparseVector:
         return TaskMultiset._from_checked(self.entries, self.n, self.weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DenseCode:
-    """Length-``k`` code word; ``coords[i-1]`` is the task of worker ``i``."""
+    """Length-``k`` code word: ``tasks[i-1]`` (a read-only array) is worker ``i``'s task; ``coords`` is its tuple."""
 
-    coords: tuple[int, ...]
+    coords: tuple[int, ...] = cached_property(lambda self: tuple(self.tasks.tolist()))
+
+    def __init__(self, coords) -> None:
+        self.__dict__["tasks"] = _frozen(coords)
 
 
 def hamming(u, v) -> int:
@@ -124,9 +129,9 @@ def hamming(u, v) -> int:
     for valued vectors it is the l1 distance (they coincide on binary input).
     """
     if isinstance(u, DenseCode) and isinstance(v, DenseCode):
-        if len(u.coords) != len(v.coords):
+        if u.tasks.size != v.tasks.size:
             raise ValueError("codes of different length")
-        return sum(1 for a, b in zip(u.coords, v.coords) if a != b)
+        return int(np.count_nonzero(u.tasks != v.tasks))
     if isinstance(u, SparseVector) and isinstance(v, SparseVector):
         if u.n != v.n:
             raise ValueError("vectors of different dimension")
@@ -142,8 +147,7 @@ def embed_with_result(schedule: RoundSchedule, x: SparseVector) -> tuple[DenseCo
     if x.n != schedule.t:
         raise ValueError(f"vector dimension {x.n} does not match schedule tasks {schedule.t}")
     result = assign(schedule, x.to_multiset())
-    coords = tuple(map(itemgetter(1), result.assignment.pairs))
-    return DenseCode(coords), result
+    return DenseCode(result.assignment.tasks), result
 
 
 def embed(schedule: RoundSchedule, x: SparseVector) -> DenseCode:

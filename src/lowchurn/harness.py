@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain, compress
-from operator import ne, or_
 from random import Random
 from typing import Iterator, Protocol
+
+import numpy as np
 
 from .assigner import AssignResult, AssignSession, build_schedule
 from .assigner import assign as pipeline_assign  # noqa: F401  (perfbench's tracer wraps this name)
@@ -115,17 +115,10 @@ def _round_costs(a: AssignResult | None, b: AssignResult | None) -> tuple[int, .
     """
     if a is None or b is None:
         return ()
-    costs = [0] * max(a.rounds_executed, b.rounds_executed)
-    n = min(len(a.match_rounds), len(b.match_rounds))
-    differ = map(or_, map(ne, a.match_rounds, b.match_rounds), map(ne, a.lifted_tasks, b.lifted_tasks))
-    changed = list(compress(range(n), differ))
-    for rounds in (a.match_rounds, b.match_rounds):
-        for i in chain(changed, range(n, len(rounds))):
-            if rounds[i] >= 0:
-                costs[rounds[i]] += 1
-    while costs and costs[-1] == 0:
-        costs.pop()
-    return tuple(costs)
+    n = min(a.rounds.size, b.rounds.size)
+    changed = (a.rounds[:n] != b.rounds[:n]) | (a.lifted[:n] != b.lifted[:n])
+    rounds = np.concatenate([a.rounds[:n][changed], b.rounds[:n][changed], a.rounds[n:], b.rounds[n:]])
+    return tuple(np.bincount(rounds + 1)[1:].tolist())  # bin 0 counts the fallback's -1
 
 
 def _percentile(values: list[int], p: int) -> int:

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lowchurn
 from lowchurn.cli import main
 from lowchurn.core import Assignment
 from lowchurn.harness import ExperimentRecord, StepOutcome
@@ -403,3 +408,26 @@ def test_sizes_at_their_caps_run(capsys):
     assert rc == 0 and len(lines) == 16384 + 1
     assert sorted(line.rsplit(" ", 1)[1] for line in lines[:3]) == ["1", "5", "5"]
     assert lines[3] == "worker 4 -> unassigned" and lines[-1] == "fallback: no"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "--w", "64", "--t", "256", "--alg", "mrbb", "--steps", "5000"),
+        ("assign", "--w", "16384", "--t", "9", "--alg", "sorted", "--multiset", ""),  # 16385 lines, past a pipe's buffer
+    ],
+)
+def test_reader_closing_early_exits_141_quietly(argv):
+    # Like ``lowchurn walk ... | head -1``: the reader takes one line and closes the pipe.
+    src = str(Path(lowchurn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lowchurn.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert first.startswith(b'{"experiment_id":"walk-000000"' if argv[0] == "walk" else b"worker 1 -> unassigned")
