@@ -7,7 +7,8 @@ Four tools live here, all exact within their budgets:
   a target switching cost. States are visited in BFS order from the
   lexicographically smallest one so each new state is already constrained by
   fixed neighbors, and the first state is pinned to sorted order (worker
-  relabeling is a symmetry of the problem).
+  relabeling is a symmetry of the problem). Domains are bitsets, pruned with
+  one ``&`` per neighbor against masks built on first use within the call.
 * :func:`exhaustive_max_switching` measures the true worst adjacent transition
   of a concrete assignment function by enumerating every adjacent pair.
 * :func:`disperser_search` hunts for tiny verified strong-disperser tables by
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
-from operator import ne
+from itertools import accumulate, combinations, combinations_with_replacement, permutations
 from random import Random
 from typing import Callable, Iterable, Literal
+
+import numpy as np
 
 from .assigner import DisperserFamily
 from .core import Assignment, TaskMultiset, switching_cost
@@ -80,19 +82,25 @@ def _neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
     """Each state's adjacent states, as ascending index lists.
 
     A neighbor swaps one element of a sorted state tuple for another task in
-    ``[1, t]``; the sorted result is looked up in a state-to-index table, so
-    the scan costs ``len(states) * w * t`` lookups instead of a test of every
-    pair of states.
+    ``[1, t]``, so it is one of the states that extend the same ``rest`` (the
+    state less that element) by one task. Each ``rest`` is extended once, by
+    inserting every task at its place in the sorted tuple and looking the
+    result up in a state-to-index table; a state's neighbors are the union of
+    its rests' extensions, less the state itself.
     """
     index = {state: i for i, state in enumerate(states)}
+    extensions: dict[tuple[int, ...], list[int]] = {}
     out = []
-    for state in states:
+    for me, state in enumerate(states):
         found = set()
-        for i, old in enumerate(state):
+        for i in range(len(state)):
             rest = state[:i] + state[i + 1 :]
-            swapped = (tuple(sorted(rest + (new,))) for new in range(1, t + 1) if new != old)
-            found.update(map(index.get, swapped))
-        found.discard(None)
+            if rest not in extensions:
+                gaps = enumerate(zip((0,) + rest, rest + (t,)))
+                grown = (rest[:j] + (new,) + rest[j:] for j, (lo, hi) in gaps for new in range(lo + 1, hi + 1))
+                extensions[rest] = [k for k in map(index.get, grown) if k is not None]
+            found.update(extensions[rest])
+        found.discard(me)
         out.append(sorted(found))
     return out
 
@@ -130,6 +138,13 @@ def exact_feasible(
     forward checking on not-yet-assigned neighbors. ``feasible`` and
     ``infeasible`` verdicts are exact; ``budget_exhausted`` draws no
     conclusion.
+
+    A domain is an int whose bit ``j`` allows the state's ``j``-th sorted
+    candidate, tried in increasing bit order. Placing ``j`` prunes each later
+    neighbor with one ``&`` against a mask row that one numpy compare builds
+    the first time ``j`` is tried there and keeps until the call returns: at
+    most one row per node, so O(nodes x degree) memory. At ``target_k >= w``
+    nothing can be pruned and no row is built.
     """
     if target_k < 0:
         raise ValueError("target switching cost must be >= 0")
@@ -142,62 +157,77 @@ def exact_feasible(
     order = _bfs_order(states, neighbors)
     position = {idx: pos for pos, idx in enumerate(order)}
 
-    all_candidates = [sorted(set(permutations(state))) for state in states]
-    # Worker relabeling permutes every state's tuple the same way, so the
-    # first state can be pinned to its sorted assignment.
-    all_candidates[order[0]] = [states[order[0]]]
-
+    # Per position, its state's candidates. Worker relabeling permutes every
+    # state's tuple the same way, so the first state is pinned to sorted order.
+    cands = [sorted(set(permutations(states[idx]))) for idx in order]
+    cands[0] = [states[order[0]]]
+    # Each position's not-yet-placed neighbors, in the order they are pruned;
+    # none at target_k >= w, where every pair of candidates is within reach.
+    prunable = neighbors if target_k < w else [[] for _ in states]
+    later = [[q for q in map(position.__getitem__, prunable[idx]) if q > p] for p, idx in enumerate(order)]
     # Per-position domains, rewritten destructively with an undo trail.
-    domains: list[list[tuple[int, ...]]] = [all_candidates[idx] for idx in order]
-    chosen: list[tuple[int, ...] | None] = [None] * len(order)
+    full = [(1 << len(c)) - 1 for c in cands]
+    domains = full[:]
+    dtype = np.min_scalar_type(t)
+    padded: dict[int, np.ndarray] = {}
+    masks: list[dict[int, list[tuple[int, int]]]] = [{} for _ in order]
+
+    def mask_row(p: int, j: int) -> list[tuple[int, int]]:
+        """``(q, mask)`` for each later neighbor ``q`` of ``p`` that candidate ``j`` prunes."""
+        for q in later[p]:
+            if q not in padded:  # whole bytes per neighbor, so its mask is one slice of the packed bits
+                padded[q] = np.array(cands[q] + [(0,) * w] * (-len(cands[q]) % 8), dtype)
+        diff = np.concatenate([padded[q] for q in later[p]]) != np.array(cands[p][j], dtype)
+        packed = np.packbits(np.count_nonzero(diff, axis=1) <= target_k, bitorder="little").tobytes()
+        bounds = [0, *accumulate(len(padded[q]) // 8 for q in later[p])]
+        row = [(q, int.from_bytes(packed[a:b], "little")) for q, a, b in zip(later[p], bounds, bounds[1:])]
+        return [(q, mask) for q, mask in row if ~mask & full[q]]  # an all-ones mask prunes nothing
+
     nodes = 0
 
     # Depth-first over positions with an explicit stack: ``next_cand[p]`` is
-    # the index of the next candidate to try at position ``p`` and
-    # ``trails[p]`` undoes the pruning done by its current one.
+    # the bit after the one placed at position ``p`` and ``trails[p]`` undoes
+    # the pruning done by it.
     depth = len(order)
     next_cand = [0] * (depth + 1)
-    trails: list[list[tuple[int, list[tuple[int, ...]]]] | None] = [None] * depth
+    trails: list[list[tuple[int, int]] | None] = [None] * depth
     pos = 0
     found = True
     while pos < depth:
         trail = trails[pos]
         if trail is not None:  # back from a failed subtree: undo its candidate
-            for nb_pos, old in trail:
-                domains[nb_pos] = old
-            chosen[pos] = None
+            for q, old in trail:
+                domains[q] = old
             trails[pos] = None
-        state_idx = order[pos]
-        domain = domains[pos]
-        for idx in range(next_cand[pos], len(domain)):
-            cand = domain[idx]
+        j = next_cand[pos] - 1
+        bits = domains[pos] >> next_cand[pos]
+        while bits:
+            step = (bits & -bits).bit_length()
+            bits >>= step
+            j += step
             nodes += 1
             if nodes > budget.node_limit or (
                 deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline
             ):
                 return FeasibilityResult("budget_exhausted", None, nodes)
-            chosen[pos] = cand
+            row = masks[pos].get(j) if later[pos] else ()
+            if row is None:
+                row = masks[pos][j] = mask_row(pos, j)
             trail = []
-            ok = True
-            for nb in neighbors[state_idx]:
-                nb_pos = position[nb]
-                if chosen[nb_pos] is not None:
-                    continue  # already checked when that neighbor was placed
-                # Keep candidates within target_k positions of ``cand``.
-                pruned = [c for c in domains[nb_pos] if sum(map(ne, c, cand)) <= target_k]
-                if len(pruned) != len(domains[nb_pos]):
-                    trail.append((nb_pos, domains[nb_pos]))
-                    domains[nb_pos] = pruned
-                if not pruned:
-                    ok = False
-                    break
-            if ok:
-                next_cand[pos] = idx + 1
+            for q, mask in row:
+                old = domains[q]
+                new = old & mask
+                if new != old:
+                    trail.append((q, old))
+                    domains[q] = new
+                    if not new:
+                        break  # q has no candidate left
+            else:  # every later neighbor kept a candidate: place j
+                next_cand[pos] = j + 1
                 trails[pos] = trail
                 break
-            for nb_pos, old in trail:
-                domains[nb_pos] = old
-            chosen[pos] = None
+            for q, old in trail:
+                domains[q] = old
         else:  # every candidate failed: backtrack
             if pos == 0:
                 found = False
@@ -209,7 +239,7 @@ def exact_feasible(
 
     if not found:
         return FeasibilityResult("infeasible", None, nodes)
-    solution = {states[idx]: chosen[pos] for pos, idx in enumerate(order)}
+    solution = {states[idx]: cands[pos][next_cand[pos] - 1] for pos, idx in enumerate(order)}
     return FeasibilityResult("feasible", solution, nodes)
 
 

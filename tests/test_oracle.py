@@ -1,21 +1,138 @@
-from itertools import combinations
+import time
+from itertools import combinations, permutations
+from operator import ne
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowchurn.assigner import DisperserFamily, build_schedule, assign, single_bin_family
 from lowchurn.baselines import sorted_order
 from lowchurn.core import TaskMultiset, switching_cost
 from lowchurn.oracle import (
+    FeasibilityResult,
     RamseyWitness,
     SearchBudget,
+    _bfs_order,
+    _neighbors,
     _qualifying_subsets,
+    _states,
     disperser_search,
     exact_feasible,
     exhaustive_max_switching,
     ramsey_witness,
     verify_disperser,
 )
+
+
+# The reference engine: the list-domain search and neighbor scan that the
+# bitset search and ``_neighbors`` replaced, kept to test them against.
+def reference_neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
+    """The plain neighbor scan: ``_neighbors`` by sorting every swapped tuple."""
+    index = {state: i for i, state in enumerate(states)}
+    out = []
+    for state in states:
+        found = set()
+        for i, old in enumerate(state):
+            rest = state[:i] + state[i + 1 :]
+            swapped = (tuple(sorted(rest + (new,))) for new in range(1, t + 1) if new != old)
+            found.update(map(index.get, swapped))
+        found.discard(None)
+        out.append(sorted(found))
+    return out
+
+
+def reference_exact_feasible(
+    w: int,
+    t: int,
+    target_k: int,
+    *,
+    multisets: bool = False,
+    budget: SearchBudget | None = None,
+) -> FeasibilityResult:
+    """The plain search: ``exact_feasible`` with list domains, filtered by Hamming distance."""
+    if target_k < 0:
+        raise ValueError("target switching cost must be >= 0")
+    budget = budget or SearchBudget()
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
+
+    states = _states(w, t, multisets)
+    neighbors = reference_neighbors(states, t)
+
+    order = _bfs_order(states, neighbors)
+    position = {idx: pos for pos, idx in enumerate(order)}
+
+    all_candidates = [sorted(set(permutations(state))) for state in states]
+    # Worker relabeling permutes every state's tuple the same way, so the
+    # first state can be pinned to its sorted assignment.
+    all_candidates[order[0]] = [states[order[0]]]
+
+    # Per-position domains, rewritten destructively with an undo trail.
+    domains: list[list[tuple[int, ...]]] = [all_candidates[idx] for idx in order]
+    chosen: list[tuple[int, ...] | None] = [None] * len(order)
+    nodes = 0
+
+    # Depth-first over positions with an explicit stack: ``next_cand[p]`` is
+    # the index of the next candidate to try at position ``p`` and
+    # ``trails[p]`` undoes the pruning done by its current one.
+    depth = len(order)
+    next_cand = [0] * (depth + 1)
+    trails: list[list[tuple[int, list[tuple[int, ...]]]] | None] = [None] * depth
+    pos = 0
+    found = True
+    while pos < depth:
+        trail = trails[pos]
+        if trail is not None:  # back from a failed subtree: undo its candidate
+            for nb_pos, old in trail:
+                domains[nb_pos] = old
+            chosen[pos] = None
+            trails[pos] = None
+        state_idx = order[pos]
+        domain = domains[pos]
+        for idx in range(next_cand[pos], len(domain)):
+            cand = domain[idx]
+            nodes += 1
+            if nodes > budget.node_limit or (
+                deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline
+            ):
+                return FeasibilityResult("budget_exhausted", None, nodes)
+            chosen[pos] = cand
+            trail = []
+            ok = True
+            for nb in neighbors[state_idx]:
+                nb_pos = position[nb]
+                if chosen[nb_pos] is not None:
+                    continue  # already checked when that neighbor was placed
+                # Keep candidates within target_k positions of ``cand``.
+                pruned = [c for c in domains[nb_pos] if sum(map(ne, c, cand)) <= target_k]
+                if len(pruned) != len(domains[nb_pos]):
+                    trail.append((nb_pos, domains[nb_pos]))
+                    domains[nb_pos] = pruned
+                if not pruned:
+                    ok = False
+                    break
+            if ok:
+                next_cand[pos] = idx + 1
+                trails[pos] = trail
+                break
+            for nb_pos, old in trail:
+                domains[nb_pos] = old
+            chosen[pos] = None
+        else:  # every candidate failed: backtrack
+            if pos == 0:
+                found = False
+                break
+            pos -= 1
+            continue
+        pos += 1
+        next_cand[pos] = 0
+
+    if not found:
+        return FeasibilityResult("infeasible", None, nodes)
+    solution = {states[idx]: chosen[pos] for pos, idx in enumerate(order)}
+    return FeasibilityResult("feasible", solution, nodes)
 
 
 class TestExactFeasible:
@@ -79,6 +196,88 @@ class TestExactFeasible:
         assert exact_feasible(3, 5, 2, multisets=True).nodes == 92_971
         res = exact_feasible(4, 8, 3, budget=SearchBudget(node_limit=20_000))
         assert (res.verdict, res.nodes) == ("budget_exhausted", 20_001)
+
+    def test_deadline_ends_the_search_at_a_check(self):
+        # The deadline is read every 4096 nodes, so an expired one ends the
+        # search at node 4096.
+        res = exact_feasible(3, 5, 2, multisets=True, budget=SearchBudget(time_limit=0.0))
+        assert (res.verdict, res.nodes) == ("budget_exhausted", 4096)
+
+    def test_masks_are_built_at_most_once_per_node(self, monkeypatch):
+        # Mask rows are built when a candidate is first tried, never ahead of
+        # the search, so no mask work runs unchecked between two deadline
+        # reads: an expired deadline stops this 2002-state instance at 4096
+        # nodes with at most that many rows built.
+        rows = []
+        packbits = np.packbits
+        monkeypatch.setattr(np, "packbits", lambda *a, **kw: rows.append(1) or packbits(*a, **kw))
+        res = exact_feasible(5, 14, 4, budget=SearchBudget(time_limit=0.0))
+        assert (res.verdict, res.nodes) == ("budget_exhausted", 4096)
+        assert 0 < len(rows) <= res.nodes
+
+
+def _both(args, multisets, limit):
+    budget = SearchBudget(node_limit=limit) if limit else None
+    return (
+        exact_feasible(*args, multisets=multisets, budget=budget),
+        reference_exact_feasible(*args, multisets=multisets, budget=budget),
+    )
+
+
+class TestAgainstReference:
+    """The bitset search and neighbor scan against the reference engine.
+
+    Results are compared whole: verdict, node count and solution map, so a
+    ``budget_exhausted`` exit must come at the same node.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=st.integers(1, 3), t=st.integers(1, 6), multisets=st.booleans(), data=st.data())
+    @example(w=0, t=2, multisets=False, data=None)
+    @example(w=3, t=5, multisets=True, data=None)
+    def test_search_matches_reference(self, w, t, multisets, data):
+        if not multisets and t < w:
+            with pytest.raises(ValueError):
+                exact_feasible(w, t, 0)
+            return
+        if data is None:  # searched to the end; w3t5k2-multi is infeasible at 92 971 nodes
+            target_k, limit = min(w, 2), 100_000
+        else:
+            target_k = data.draw(st.integers(0, w), label="target_k")
+            # A limit at or under the search's length (capped at 4000 nodes),
+            # so most draws end in ``budget_exhausted`` and the rest finish.
+            length = exact_feasible(w, t, target_k, multisets=multisets, budget=SearchBudget(node_limit=4000)).nodes
+            limit = data.draw(st.integers(1, length), label="node_limit")
+        ours, ref = _both((w, t, target_k), multisets, limit)
+        assert ours == ref
+
+    @pytest.mark.parametrize(
+        "args, multisets, limit",
+        [
+            ((4, 6, 2), False, None),
+            ((4, 6, 3), False, None),
+            ((4, 7, 2), False, 3000),
+            ((4, 8, 3), False, 3000),
+            ((4, 4, 2), True, None),
+            ((4, 5, 1), True, 3000),
+            ((5, 6, 2), False, None),
+            ((5, 7, 4), False, None),
+            ((5, 8, 2), False, 1500),
+            ((5, 10, 3), False, 2000),
+            ((5, 4, 3), True, 3000),
+        ],
+    )
+    def test_wider_instances_match_reference(self, args, multisets, limit):
+        ours, ref = _both(args, multisets, limit)
+        assert ours == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=st.integers(0, 4), t=st.integers(1, 8), multisets=st.booleans())
+    def test_neighbors_match_reference(self, w, t, multisets):
+        if not multisets and t < w:
+            return
+        states = _states(w, t, multisets)
+        assert _neighbors(states, t) == reference_neighbors(states, t)
 
 
 class TaskMultisetPair:
