@@ -60,21 +60,10 @@ explicit variant's stages.
 and ``w < 2**31``), and the scalar loop otherwise.
 
 :class:`AssignSession` answers a sequence of multisets with the results
-``assign`` gives, and keeps the last input's run as a cache: each element's
-end, which is its match round read from the result's trace (the schedule's
-length for a fallback pair), and its bin in every round up to it. One hash
-round never increases the difference between two inputs, so for an input
-within ``_SESSION_MAX_CHANGES`` lifted ids of the cached one (a walk step
-changes two) only a few elements' ends move. The new run follows them from
-the cached one: the elements live in one run only are hashed a doubling
-window of rounds at a time, and only the bins they reach are worked out
-again. Every other call is ``assign``: the first call, a larger
-difference, and an empty input before or after. A full run keeps only its
-input and its result, and the next call builds the cache from them if it
-takes the incremental path, so one-shot and unrelated inputs cost what
-``assign`` costs. The cache is linear in the input. Schedules with fewer
-than ``SESSION_MIN_W`` workers (a measured crossover) or that the array
-engine does not run keep no cache, and each call is a plain ``assign``.
+``assign`` gives, working each one out from the last when their lifted sets
+differ in a few ids (``reduction.lifted_changes``). Its docstring is the
+contract; :class:`_Cache` holds the cell layout and :class:`_Replay` the
+events that carry one run to the next.
 
 Schedules and families are immutable; ``assign``, ``assign_set``, and
 ``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
@@ -94,7 +83,7 @@ import numpy as np
 from .binhash import BinHash, _bin_of, seeds_np
 from .core import Assignment, TaskMultiset, WorkerTaskInput, _frozen
 from .hashing import bins_np, derive, derive_np
-from .reduction import id_dtype, lift_np, project_np
+from .reduction import id_dtype, lift_np, lifted_changes, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
@@ -322,23 +311,18 @@ class AssignResult:
         return self.fallback_pairs > 0
 
 
-def _run_stages(
-    stages: Sequence[BinHash], workers: set[int], tasks: set[int]
-) -> tuple[list[tuple[int, int]], list[frozenset[tuple[int, int]]]]:
-    """The scalar reference loop; mutates the given sets."""
-    pairs: list[tuple[int, int]] = []
+def _run_stages(stages: Sequence[BinHash], workers: set[int], tasks: set[int]) -> list[frozenset[tuple[int, int]]]:
+    """The scalar reference loop: each run stage's pairs, until the sets empty; mutates the given sets."""
     per_round: list[frozenset[tuple[int, int]]] = []
     for stage in stages:
         if not workers and not tasks:
             break
         matched = stage.match(workers, tasks)
         per_round.append(frozenset(matched))
-        if matched:
-            pairs.extend(matched)
-            for worker, task in matched:
-                workers.discard(worker)
-                tasks.discard(task)
-    return pairs, per_round
+        for worker, task in matched:
+            workers.discard(worker)
+            tasks.discard(task)
+    return per_round
 
 
 # Residuals of at most this many workers run the all-pairs tail block; larger
@@ -377,7 +361,7 @@ def _rows(workers: Iterable[int], tasks: Iterable[int], dtype: type) -> np.ndarr
 def _run_scalar(stages: Sequence[BinHash], wt: np.ndarray) -> Run:
     """The scalar loop over the residual ``wt``, in the array engine's form."""
     W, T = set(wt[0].tolist()), set(wt[1].tolist())
-    _, per_round = _run_stages(stages, W, T)
+    per_round = _run_stages(stages, W, T)
     rows = [(x, y, r) for r in compress(count(), per_round) for x, y in per_round[r]]
     ws, ts, rs = np.array(rows, wt.dtype).reshape(-1, 3).T
     return [(ws, ts, rs)], _rows(W, T, wt.dtype)
@@ -603,16 +587,20 @@ def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[
     Runs the whole round grid on the pair, then completes any residual by
     rank-order matching. The result is always a perfect matching.
     """
-    W = set(workers)
-    T = set(tasks)
+    wt = _rows(*_check_sets(workers, tasks, schedule.w, schedule.n), id_dtype(schedule.n))
+    return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, False)
+
+
+def _check_sets(workers: Iterable[int], tasks: Iterable[int], w: int, n: float) -> tuple[set[int], set[int]]:
+    """The worker and task sets, once they are checked to be of one size, in ``[1, w]`` and ``[1, n]``."""
+    W, T = set(workers), set(tasks)
     if len(W) != len(T):
         raise ValueError(f"|workers| != |tasks|: {len(W)} vs {len(T)}")
-    if W and not (1 <= min(W) and max(W) <= schedule.w):
-        raise ValueError(f"workers outside [1, {schedule.w}]")
-    if T and not (1 <= min(T) and max(T) <= schedule.n):
-        raise ValueError(f"tasks outside [1, {schedule.n}]")
-    wt = _rows(W, T, id_dtype(schedule.n))
-    return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, False)
+    if W and not (1 <= min(W) and max(W) <= w):
+        raise ValueError(f"workers outside [1, {w}]")
+    if T and not (1 <= min(T) and max(T) <= n):
+        raise ValueError(f"tasks outside [1, {n}]")
+    return W, T
 
 
 def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
@@ -685,8 +673,10 @@ class AssignSession:
     larger difference, and an empty input before or after. A full run keeps
     only its input and its result; the first call that replays builds the
     cache's tables from them, so one-shot and unrelated inputs never pay for
-    them. Schedules the array engine does not run, or with fewer than
-    ``SESSION_MIN_W`` workers, keep no cache: each call is a plain ``assign``.
+    them. The tables are linear in the input, whatever ``w``. Schedules the
+    array engine does not run, with fewer than ``SESSION_MIN_W`` workers (a
+    measured crossover), or whose cells would not fit in an int64 keep no
+    cache: each call is a plain ``assign``.
 
     A call that raises drops the cache, so the next call is a full run. One
     session is not for concurrent use; :func:`assign` still is.
@@ -741,67 +731,18 @@ class _Grid:
         self.mask = (1 << self.shift) - 1
 
 
-def _common_run(a: Sequence, i: int, b: Sequence, j: int) -> int:
-    """The largest ``n`` with ``a[i:i+n] == b[j:j+n]``, found with slice comparisons.
-
-    Steps of 64 find the block holding the first difference, then bisection
-    finds it within the block, so about ``n`` items are compared in all.
-    """
-    lo, limit = 0, min(len(a) - i, len(b) - j)
-    while lo < limit and a[i + lo : i + lo + 64] == b[j + lo : j + lo + 64]:
-        lo += 64
-    lo, hi = min(lo, limit), min(lo + 63, limit)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[i + lo : i + mid] == b[j + lo : j + mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _changed_ids(a: TaskMultiset, b: TaskMultiset, w: int, limit: int) -> tuple[list, list] | None:
-    """The lifted ids only ``a`` has and those only ``b`` has, or None past ``limit`` of them.
-
-    On walk-1k steps (w=1024) this takes about 42 us, where a set symmetric
-    difference of the two entry tuples took 120-300 us of the ~1 ms step.
-    """
-    ea, eb = a.entries, b.entries
-    gone: list[int] = []
-    new: list[int] = []
-    i = j = 0
-    while True:
-        run = _common_run(ea, i, eb, j)
-        i, j = i + run, j + run
-        if i == len(ea) and j == len(eb):
-            return gone, new
-        # Runs are sorted by task, so the smaller task at the mismatch is the changed one.
-        task = min(ea[i][0] if i < len(ea) else b.t + 1, eb[j][0] if j < len(eb) else b.t + 1)
-        x = ea[i][1] if i < len(ea) and ea[i][0] == task else 0
-        y = eb[j][1] if j < len(eb) and eb[j][0] == task else 0
-        i, j = i + (x > 0), j + (y > 0)
-        first = (task - 1) * w
-        gone.extend(range(first + y + 1, first + x + 1))
-        new.extend(range(first + x + 1, first + y + 1))
-        if len(gone) + len(new) > limit:
-            return None
-
-
 class _Cache:
     """One input's result, in the form :class:`AssignSession` updates it in.
 
     ``end[s]`` maps each worker (``s = 0``) or lifted task (``s = 1``) of the
-    input to its end: the round it was matched in, or the schedule's length
-    if the fallback paired it; an element is live in every round up to its
-    end. ``residual`` holds the fallback's workers over its tasks. Each
-    element has a slot below ``w``, ``slot[s][x]``, and ``cells[s]`` is the
+    input to its end (see :class:`AssignSession`). Each element has a slot, ``slot[s][x]``, and
+    ``elems[s][i]`` is the element in slot ``i``, None once it left the
+    input; freed slots are taken first, so there are no more slots than
+    elements in one input, and each is below ``w``. ``cells[s]`` is the
     sorted array of ``(round * K + bin) << shift | slot`` over every round
     each element of side ``s`` is live in: 6 to 7 cells per element at
-    w=1024 and t=65536, so the cache stays linear in the input. The cells of
-    one bin form a run of the array, found by bisection.
-
-    A full run keeps only ``T`` and ``result``; :meth:`advance` builds the
-    rest from the result the first time it replays.
+    w=1024 and t=65536. The cells of one bin form a run of the array, found
+    by bisection.
     """
 
     def __init__(self, grid: _Grid, T: TaskMultiset, result: AssignResult) -> None:
@@ -810,14 +751,11 @@ class _Cache:
 
     def _build(self) -> None:
         """Build the tables from the result's trace, in one vectorized pass per side."""
-        grid, w, tasks, rounds = self.grid, self.grid.w, self.result.lifted.tolist(), self.result.rounds.tolist()
-        workers = range(1, len(rounds) + 1)
+        grid, tasks, rounds = self.grid, self.result.lifted.tolist(), self.result.rounds.tolist()
         ends = [grid.total if r < 0 else r for r in rounds]
-        self.end = (dict(zip(workers, ends)), dict(zip(tasks, ends)))
-        self.residual = [[x for x, r in zip(ids, rounds) if r < 0] for ids in (workers, tasks)]
-        sides = [sorted(end) for end in self.end]
-        self.slot = tuple({x: i for i, x in enumerate(side)} for side in sides)
-        self.elems = [side + [None] * (w - len(side)) for side in sides]  # the element in each slot
+        self.end = (dict(zip(range(1, len(rounds) + 1), ends)), dict(zip(tasks, ends)))
+        self.elems = [sorted(end) for end in self.end]
+        self.slot = tuple({x: i for i, x in enumerate(side)} for side in self.elems)
         self.free: tuple[list, list] = ([], [])  # slots of elements that left the input
         self.cells = []
         for s, end in enumerate(self.end):
@@ -850,24 +788,25 @@ class _Cache:
         One whose end comes later gains cells up to it, and ``grow`` holds
         its bins from the round after its old end on.
         """
-        grid, end, slot, free = self.grid, self.end[s], self.slot[s], self.free[s]
+        grid, end, slot, free, elems = self.grid, self.end[s], self.slot[s], self.free[s], self.elems[s]
         cells = self.cells[s]
         cuts = [(x, e) for x, e in ends.items() if e < end.get(x, -1)]
         if cuts:
-            limit = np.full(grid.w, _NO_LIMIT, np.int64)  # per slot, the first cell it drops
+            limit = np.full(len(elems), _NO_LIMIT, np.int64)  # per slot, the first cell it drops
             for x, e in cuts:
                 limit[slot[x]] = (e + 1) * grid.K << grid.shift
                 if e < 0:
                     free.append(slot.pop(x))
-                    self.elems[s][free[-1]] = None
+                    elems[free[-1]] = None
                     del end[x]
             cells = cells[cells < limit[cells & grid.mask]]
         added = []
         for x, bins in grow.items():
             i = slot.get(x)
             if i is None:
-                i = free.pop() if free else len(slot)
-                slot[x], self.elems[s][i] = i, x
+                i = free.pop() if free else len(elems)
+                elems[i:i + 1] = [x]  # a free slot, or a new one at the end
+                slot[x] = i
             first, stop = end.get(x, -1) + 1, min(ends[x] + 1, grid.total)
             added.append((grid.base[first:stop] + bins[: stop - first]) << grid.shift | i)
         if added:
@@ -886,27 +825,42 @@ class _Cache:
         limit = _SESSION_MAX_CHANGES - abs(old_size - size)
         if not old_size or not size or limit < 0:
             return None
-        tasks = _changed_ids(self.T, T, w, limit)
-        if tasks is None:
+        changes = lifted_changes(self.T, T, w, limit)
+        if changes is None:
             return None
-        changed = 0
-        if tasks[0] or tasks[1] or old_size != size:
-            if self.cells is None:
-                self._build()
-            workers = range(size + 1, old_size + 1), range(old_size + 1, size + 1)
-            replay = _Replay(self, (workers[0], tasks[0]), (workers[1], tasks[1]))
-            replay.finish(w, size)
-            changed = len(replay.changes)
-        self.T = T
-        return changed
+        self.T, old, total = T, self.result, self.grid.total
+        if not (changes[0] or changes[1] or old_size != size):
+            return 0
+        if self.cells is None:
+            self._build()
+        workers = range(size + 1, old_size + 1), range(old_size + 1, size + 1)
+        replay = _Replay(self, (workers[0], changes[0]), (workers[1], changes[1]))
+        ends, fallback = replay.ends, old.rounds < 0  # the old run's fallback, read from its trace
+        residual = [
+            sorted([x for x in ids[fallback].tolist() if x not in ends[s]] + [x for x, e in ends[s].items() if e == total])
+            for s, ids in enumerate((old.assignment.workers, old.lifted))
+        ]
+        for s in (0, 1):
+            self.update(s, ends[s], {x: np.concatenate(rows) for x, rows in replay.grow[s].items()})
+        # Copies of the trace, resized to the new input, so results already returned keep
+        # theirs; only the workers that pair differently, and the fallback's, change.
+        tasks, rounds = (a[:size].copy() if size <= a.size else np.resize(a, size)  # a copy costs far less
+                         for a in (old.lifted, old.rounds))
+        at = np.array([*replay.partner, *residual[0]], np.int64) - 1
+        tasks[at] = [*replay.partner.values(), *residual[1]]
+        rounds[at] = [ends[0][x] for x in replay.partner] + [-1] * len(residual[0])
+        # A run that leaves no residual ends with the round of its last match.
+        executed = total if residual[0] else int(rounds.max()) + 1
+        assignment = Assignment.from_arrays(w, np.arange(1, size + 1, dtype=tasks.dtype), project_np(tasks, w))
+        self.result = AssignResult(assignment, len(residual[0]), tasks, rounds, executed)
+        return len(replay.changes)
 
 
 class _Replay:
     """The new run worked out from the cached one by following the elements whose end moves.
 
     In each round an element is live in both runs, in neither, or in one
-    only; the last kind is the delta, and by the composition-friendliness
-    lemma it stays a few elements. ``ends[s]`` maps each element whose end
+    only; the last kind is the delta. ``ends[s]`` maps each element whose end
     may have moved to its end in the new run: -1 if it left the input, the
     schedule's length while it is unmatched. An element is new-only in the
     rounds after its old end up to its new one, old-only the other way round.
@@ -922,7 +876,8 @@ class _Replay:
     old match, one scalar hash. Queued bins are resolved in round order, and
     every element they pair differently moves its end. Past the cached run's
     last match only new-only elements are live, so the same events carry the
-    new run on to its end.
+    new run on to its end. :meth:`_Cache.advance` applies ``ends``, ``grow``
+    and ``partner`` to the cache and its result.
     """
 
     def __init__(self, cache: _Cache, removed, added) -> None:
@@ -1015,27 +970,6 @@ class _Replay:
             if n is not None and self.live[s].pop(n, None) is None:  # live in both until now: old-only from here
                 self._kill(s, n)
 
-    def finish(self, w: int, size: int) -> None:
-        """Apply the moved ends to the cache, its result included."""
-        cache, ends, total = self.cache, self.ends, self.grid.total
-        cache.residual = residual = [
-            sorted([x for x in cache.residual[s] if x not in ends[s]] + [x for x, e in ends[s].items() if e == total])
-            for s in (0, 1)
-        ]
-        for s in (0, 1):
-            cache.update(s, ends[s], {x: np.concatenate(rows) for x, rows in self.grow[s].items()})
-        # Copies of the trace, resized to the new input, so results already returned keep
-        # theirs; only the workers that pair differently, and the fallback's, change.
-        tasks, rounds = (a[:size].copy() if size <= a.size else np.resize(a, size)  # a copy costs far less
-                         for a in (cache.result.lifted, cache.result.rounds))
-        at = np.array([*self.partner, *residual[0]], np.int64) - 1
-        tasks[at] = [*self.partner.values(), *residual[1]]
-        rounds[at] = [ends[0][x] for x in self.partner] + [-1] * len(residual[0])
-        # A run that leaves no residual ends with the round of its last match.
-        executed = total if residual[0] else int(rounds.max()) + 1
-        assignment = Assignment.from_arrays(w, np.arange(1, size + 1, dtype=tasks.dtype), project_np(tasks, w))
-        cache.result = AssignResult(assignment, len(residual[0]), tasks, rounds, executed)
-
 
 @dataclass(frozen=True)
 class DisperserFamily:
@@ -1100,8 +1034,8 @@ def seed_sweep(
     """One pass over the family's seeds on the scalar loop: the pairs, the residual, each run stage's pairs."""
     stages = [family.stage(j, provenance + (j,)) for j in range(1, family.D + 1)]
     workers, tasks = set(wt.workers), set(wt.tasks)
-    pairs, per_stage = _run_stages(stages, workers, tasks)
-    return frozenset(pairs), WorkerTaskInput(workers, tasks), per_stage
+    per_stage = _run_stages(stages, workers, tasks)
+    return frozenset().union(*per_stage), WorkerTaskInput(workers, tasks), per_stage
 
 
 def _explicit_stages(families: Sequence[DisperserFamily], reps: int, w: int, needed: int) -> list[BinHash]:
@@ -1138,14 +1072,7 @@ def assign_explicit_set(
 
     Falls back like the randomized variant if anything remains.
     """
-    W = set(workers)
-    T = set(tasks)
-    if len(W) != len(T):
-        raise ValueError(f"|workers| != |tasks|: {len(W)} vs {len(T)}")
-    if W and not (1 <= min(W) and max(W) <= w):
-        raise ValueError(f"workers outside [1, {w}]")
-    if T and min(T) < 1:
-        raise ValueError("task ids start at 1")
+    W, T = _check_sets(workers, tasks, w, float("inf"))  # the families' domain bounds the tasks
     needed = max(W | T, default=1)
     stages = _explicit_stages(families, reps, w, needed)
     wt = _rows(W, T, id_dtype(needed))

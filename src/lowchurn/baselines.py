@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Assignment, TaskMultiset
-from .hashing import GOLDEN, MASK64, mix64, mix64_np
+from .hashing import GOLDEN, MASK64, derive_np, mix64
 from .reduction import id_dtype, lift_np, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -43,9 +43,8 @@ class PriorityOracle:
 
     def priority_matrix(self, workers: Sequence[int], tasks: Sequence[int]) -> np.ndarray:
         """uint64 key matrix, bit-identical to :meth:`priority` entrywise."""
-        ws = mix64_np(np.uint64(self.seed) ^ (np.asarray(workers, dtype=np.uint64) * np.uint64(GOLDEN)))
-        ts = np.asarray(tasks, dtype=np.uint64) * np.uint64(GOLDEN)
-        return mix64_np(ws[:, None] ^ ts[None, :])
+        ws = derive_np(np.uint64(self.seed), np.asarray(workers, dtype=np.uint64))
+        return derive_np(ws[:, None], np.asarray(tasks, dtype=np.uint64))
 
 
 def sorted_order(T: TaskMultiset, w: int) -> Assignment:

@@ -97,13 +97,6 @@ class SparseVector:
     def is_binary(self) -> bool:
         return all(val == 1 for _, val in self.entries)
 
-    @cached_property
-    def _values(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def value_at(self, pos: int) -> int:
-        return self._values.get(pos, 0)
-
     def to_multiset(self) -> TaskMultiset:
         """The support as a task multiset over ``[n]`` (position repeated by value).
 
@@ -135,8 +128,8 @@ def hamming(u, v) -> int:
     if isinstance(u, SparseVector) and isinstance(v, SparseVector):
         if u.n != v.n:
             raise ValueError("vectors of different dimension")
-        positions = {p for p, _ in u.entries} | {p for p, _ in v.entries}
-        return sum(abs(u.value_at(p) - v.value_at(p)) for p in positions)
+        U, V = u.to_multiset(), v.to_multiset()
+        return len(U.difference(V)) + len(V.difference(U))
     raise TypeError("hamming() needs two DenseCodes or two SparseVectors")
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -174,7 +175,7 @@ def reference_run(schedule, workers, tasks):
     sorted by worker, with round -1 for the fallback's pairs.
     """
     W, T = set(workers), set(tasks)
-    _, per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
+    per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
     rows = [(x, y, r) for r, matched in enumerate(per_round) for x, y in matched]
     rows += [(x, y, -1) for x, y in zip(sorted(W), sorted(T))]
     return tuple(per_round), sorted(rows)
@@ -668,7 +669,6 @@ def assert_cache_is_fresh(session, T):
     fresh._build()
     assert cache.end == fresh.end
     assert cache.result == fresh.result
-    assert cache.residual == fresh.residual
     assert cache_cells(cache) == cache_cells(fresh)
 
 
@@ -791,6 +791,44 @@ class TestAssignSession:
                 assert session(T) == assign(schedule, T)
                 T = adjacent_step(T, rng, w=w)
             assert session.calls == 5 and session.replays == 0 and session._cache is None
+
+    def test_replay_memory_follows_the_input(self):
+        # A table with a slot for each of w = 2**22 workers would take tens
+        # of MB; the session's tables grow with the 3-task inputs instead.
+        schedule = build_schedule(2**22, 8, 1, 0)
+        session = assigner.AssignSession(schedule)
+        rng = Random(6)
+        T = random_multiset(3, 8, rng)
+        session(T)
+        for _ in range(6):
+            T = adjacent_step(T, rng, w=schedule.w)
+            tracemalloc.start()
+            try:
+                got = session(T)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20
+            assert got == assign(schedule, T)
+        assert session.replays == 6
+
+    @pytest.mark.parametrize("w", [2**25 + 1, 2**26])
+    def test_cells_past_63_bits_keep_no_cache(self, w):
+        # With t = 2 and c = 1, a cell ``(round * K + bin) << shift | slot``
+        # fits in an int64 up to w = 2**25 and no longer from 2**25 + 1 on,
+        # so the session keeps no grid.
+        assert assigner.AssignSession(build_schedule(2**25, 2, 1, 0))._grid is not None
+        schedule = build_schedule(w, 2, 1, 0)
+        grid = assigner._Grid(schedule.w, *schedule.round_arrays)
+        assert (grid.total * grid.K) << grid.shift >= 1 << 63
+        session = assigner.AssignSession(schedule)
+        assert session._grid is None
+        rng = Random(2)
+        T = random_multiset(3, 2, rng)
+        for _ in range(3):
+            assert session(T) == assign(schedule, T)
+            T = adjacent_step(T, rng, w=schedule.w)
+        assert session.calls == 3 and session.replays == 0 and session._cache is None
 
     def test_no_call_builds_the_per_round_pairs(self):
         # The trace is the per-worker match rounds; the per-round pair sets

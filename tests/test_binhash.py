@@ -132,17 +132,17 @@ class TestCompose:
         b = BinHash.from_seed(4, seed=8)
         inp = wt({1, 2, 5}, {3, 6, 9})
         workers, tasks = set(inp.workers), set(inp.tasks)
-        pairs, trace = _run_stages([b], workers, tasks)
+        trace = _run_stages([b], workers, tasks)
         direct = b.apply(inp)
-        assert frozenset(pairs) == direct.matched
+        assert frozenset().union(*trace) == direct.matched
         assert wt(workers, tasks) == direct.residual
         assert trace == [direct.matched]
 
     def test_second_stage_sees_nothing_when_first_matches_all(self):
         b1 = BinHash.from_seed(1, seed=3)  # single bin matches the min pair
         b2 = BinHash.from_seed(1, seed=4)
-        pairs, trace = _run_stages([b1, b2], {2}, {7})
-        assert pairs == [(2, 7)]
+        trace = _run_stages([b1, b2], {2}, {7})
+        assert frozenset().union(*trace) == {(2, 7)}
         assert len(trace) == 1  # trailing stages are skipped once empty
         matched, residual, trace = seed_sweep(single_bin_family(8, D=3), wt({2}, {7}))
         assert matched == {(2, 7)}

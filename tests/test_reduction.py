@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lowchurn.core import Assignment, TaskMultiset, adjacent_step, is_adjacent, random_multiset, switching_cost
-from lowchurn.reduction import decode, encode, lift, lift_np, project_np
+from lowchurn.reduction import decode, encode, lift, lift_np, lifted_changes, project_np
 
 
 def ms(*elements, t=8):
@@ -68,6 +68,30 @@ def test_lift_np_matches_lift(w, t, elements):
         want = sorted(encode(task, x, w) for task, count in T.entries for x in range(1, count + 1))
         assert lift_np(T, w).tolist() == want
         assert lift(T, w) == frozenset(want)
+
+
+@pytest.mark.parametrize("w", [1, 3, 64, 1024])
+def test_lifted_changes_is_the_lifted_set_difference(w):
+    rng = Random(w)
+    for _ in range(750):
+        t = rng.choice([1, 5, 2**33 + 7])
+        a = b = random_multiset(rng.randint(0, w), t, rng)
+        move = rng.choice(["fixed", "varying", "restart", "empty"])
+        if move == "restart":
+            b = random_multiset(rng.randint(0, w), t, rng)
+        elif move == "empty":
+            b = TaskMultiset((), t)
+            if rng.random() < 0.5:
+                a, b = b, a
+        else:
+            for _ in range(rng.randint(1, 5)):
+                try:
+                    b = adjacent_step(b, rng, w=w, size_varying=move == "varying")
+                except ValueError:  # no adjacent multiset of this kind
+                    break
+        limit = rng.choice([0, 1, 2, 8, 10**9])
+        gone, new = sorted(lift(a, w) - lift(b, w)), sorted(lift(b, w) - lift(a, w))
+        assert lifted_changes(a, b, w, limit) == ((gone, new) if len(gone) + len(new) <= limit else None)
 
 
 def test_project_np_is_decode():
