@@ -81,7 +81,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .binhash import BinHash, _bin_of, seeds_np
-from .core import Assignment, TaskMultiset, WorkerTaskInput, _frozen
+from .core import Assignment, TaskMultiset, WorkerTaskInput, _check_fits, _frozen
 from .hashing import bins_np, derive, derive_np
 from .reduction import id_dtype, lift_np, lifted_changes, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
@@ -568,17 +568,22 @@ def _pack(workers: np.ndarray, matched: Matches, residual: np.ndarray) -> tuple[
 
 
 def _result(w: int, wt: np.ndarray, run: Run, total: int, lifted: bool) -> AssignResult:
-    """The :class:`AssignResult` of an engine run over the input ``wt`` on ``total`` rounds, holding the packed arrays.
-
-    With ``lifted``, ``wt`` holds lifted ids and the assignment their base
-    tasks. The workers ``wt[0]`` are checked once, in array form.
-    """
+    """The :class:`AssignResult` of an engine run over the input ``wt`` on ``total`` rounds, holding the packed arrays."""
     matched, residual = run
-    task_of, round_of = _pack(wt[0], matched, residual)
-    assignment = Assignment.from_arrays(w, wt[0], project_np(task_of, w) if lifted else task_of)
-    fallback = residual.shape[1]
-    executed = total if fallback else int(round_of.max(initial=-1)) + 1
-    return AssignResult(assignment, fallback, task_of, round_of, executed)
+    return _finish(w, wt[0], *_pack(wt[0], matched, residual), residual.shape[1], total, lifted)
+
+
+def _finish(w: int, workers: np.ndarray, tasks: np.ndarray, rounds: np.ndarray, fallback: int, total: int,
+            lifted: bool) -> AssignResult:
+    """The :class:`AssignResult` of a run's trace: each of the sorted ``workers``' task and match round.
+
+    With ``lifted``, ``tasks`` are lifted ids and the assignment holds their
+    base tasks. The workers are checked once, in array form.
+    """
+    assignment = Assignment.from_arrays(w, workers, project_np(tasks, w) if lifted else tasks)
+    # A run that leaves no residual ends with the round of its last match.
+    executed = total if fallback else int(rounds.max(initial=-1)) + 1
+    return AssignResult(assignment, fallback, tasks, rounds, executed)
 
 
 def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[int]) -> AssignResult:
@@ -622,8 +627,7 @@ def _check_multiset(schedule: RoundSchedule, T: TaskMultiset) -> None:
     """Reject the multisets ``assign`` rejects."""
     if T.t != schedule.t:
         raise ValueError(f"multiset universe {T.t} does not match schedule t={schedule.t}")
-    if len(T) > schedule.w:
-        raise ValueError("multiset larger than worker count")
+    _check_fits(T, schedule.w)
 
 
 def _lifted_rows(T: TaskMultiset, w: int) -> np.ndarray:
@@ -849,10 +853,7 @@ class _Cache:
         at = np.array([*replay.partner, *residual[0]], np.int64) - 1
         tasks[at] = [*replay.partner.values(), *residual[1]]
         rounds[at] = [ends[0][x] for x in replay.partner] + [-1] * len(residual[0])
-        # A run that leaves no residual ends with the round of its last match.
-        executed = total if residual[0] else int(rounds.max()) + 1
-        assignment = Assignment.from_arrays(w, np.arange(1, size + 1, dtype=tasks.dtype), project_np(tasks, w))
-        self.result = AssignResult(assignment, len(residual[0]), tasks, rounds, executed)
+        self.result = _finish(w, np.arange(1, size + 1, dtype=tasks.dtype), tasks, rounds, len(residual[0]), total, True)
         return len(replay.changes)
 
 
@@ -873,11 +874,15 @@ class _Replay:
     call per side, and one that turns new-only inside a window over the rest
     of it. Each bin where one meets a cached cell of the other side or
     another new-only element is queued, and so is each old-only element's
-    old match, one scalar hash. Queued bins are resolved in round order, and
-    every element they pair differently moves its end. Past the cached run's
-    last match only new-only elements are live, so the same events carry the
-    new run on to its end. :meth:`_Cache.advance` applies ``ends``, ``grow``
-    and ``partner`` to the cache and its result.
+    old match, one scalar hash. Events pop in round and bin order, and a bin
+    is resolved at its first event whose element is still in the delta;
+    every element it pairs differently moves its end. An event's bin is its
+    element's bin in that round, and resolving a bin moves only its members'
+    ends and queues only later rounds, so resolving one bin never changes
+    whether another bin's event is in the delta. Past the cached run's last
+    match only new-only elements are live, so the same events carry the new
+    run on to its end. :meth:`_Cache.advance` applies ``ends``, ``grow`` and
+    ``partner`` to the cache and its result.
     """
 
     def __init__(self, cache: _Cache, removed, added) -> None:
@@ -899,19 +904,16 @@ class _Replay:
             self.live[s].update(dict.fromkeys(added[s]))  # hashed when the first window opens
         heap, ends, end = self.heap, self.ends, cache.end
         start, size = 0, _WINDOW
+        done = None  # the last bin resolved; one bin's events pop one after another
         while start < total and (heap or self.live[0] or self.live[1]):
             self.stop = stop = min(start + size, total)
             for s in (0, 1):
                 self._hash(s, list(self.live[s]), start, s == 1)
             while heap and heap[0][0] < stop:
-                r = heap[0][0]
-                bins = set()
-                while heap and heap[0][0] == r:
-                    _, b, s, x = heappop(heap)
-                    old, new = end[s].get(x, -1), ends[s][x]
-                    if old < r <= new or new < r <= old:  # still in the delta
-                        bins.add(b)
-                for b in bins:
+                r, b, s, x = heappop(heap)
+                old, new = end[s].get(x, -1), ends[s][x]
+                if (r, b) != done and (old < r <= new or new < r <= old):  # still in the delta
+                    done = (r, b)
                     self._resolve(r, b)
             start, size = stop, 2 * size
 
@@ -1083,8 +1085,7 @@ def assign_explicit(
     families: Sequence[DisperserFamily], reps: int, T: TaskMultiset, w: int
 ) -> AssignResult:
     """Explicit-variant assignment of workers ``1..|T|`` to a task multiset, lifted like :func:`assign`."""
-    if len(T) > w:
-        raise ValueError("multiset larger than worker count")
+    _check_fits(T, w)
     wt = _lifted_rows(T, w)
     stages = _explicit_stages(families, reps, w, int(wt[1, -1]) if len(T) else 1)
     return _result(w, wt, _run_scalar(stages, wt), len(stages), True)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, TaskMultiset
+from .core import Assignment, TaskMultiset, _check_fits
 from .hashing import GOLDEN, MASK64, derive_np, mix64
 from .reduction import id_dtype, lift_np, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
@@ -49,8 +49,7 @@ class PriorityOracle:
 
 def sorted_order(T: TaskMultiset, w: int) -> Assignment:
     """Worker ``i`` takes the i-th smallest element of ``T`` (with multiplicity)."""
-    if len(T) > w:
-        raise ValueError("multiset larger than worker count")
+    _check_fits(T, w)
     return Assignment.from_arrays(w, np.arange(1, len(T) + 1), np.array(T.elements(), id_dtype(T.t)))
 
 
@@ -82,11 +81,9 @@ def random_permutation_assign(oracle: PriorityOracle, T: TaskMultiset, w: int) -
     Multisets are supported through the lifted-set reduction, so preferences
     are over lifted task ids and the result is projected back to base tasks.
     """
-    size = len(T)
-    if size > w:
-        raise ValueError("multiset larger than worker count")
-    if size == 0:
+    _check_fits(T, w)
+    if not len(T):
         return Assignment(w, ())
-    workers = np.arange(1, size + 1)
+    workers = np.arange(1, len(T) + 1)
     chosen = _greedy_order(oracle, workers, lift_np(T, w))
     return Assignment.from_arrays(w, workers, project_np(chosen, w))

@@ -84,8 +84,6 @@ def _emit(obj: dict) -> None:
 
 def cmd_assign(args: argparse.Namespace) -> int:
     T = TaskMultiset.parse(args.multiset, args.t)
-    if len(T) > args.w:
-        raise ValueError("multiset larger than w")
     assigner = make_assigner(args.alg, args.w, args.t, args.c, args.seed)
     out = assigner(T)
     mapping = out.assignment.mapping
@@ -240,10 +238,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
         ]
     schedule = build_schedule(args.k, args.n, args.c, args.seed)
     report = distortion_audit(schedule, [(vectors[i], vectors[j]) for i, j in index_pairs])
-    for (i, j), row in zip(index_pairs, report.pairs):
+    for row in report.pairs:
         _emit(
             {
-                "pair": [i, j],
+                "pair": list(index_pairs[row.index]),
                 "input_distance": row.input_distance,
                 "code_distance": row.code_distance,
                 "ratio": row.ratio,

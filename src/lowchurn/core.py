@@ -240,6 +240,12 @@ def is_adjacent(t1: TaskMultiset, t2: TaskMultiset) -> bool:
     return False
 
 
+def _check_fits(T: TaskMultiset, w: int) -> None:
+    """Reject a multiset with more elements than there are workers."""
+    if len(T) > w:
+        raise ValueError("multiset larger than worker count")
+
+
 def random_multiset(size: int, t: int, rng: Random) -> TaskMultiset:
     """Multiset of ``size`` tasks drawn iid uniform from ``[1, t]``."""
     return TaskMultiset.from_elements((rng.randint(1, t) for _ in range(size)), t)
@@ -257,8 +263,7 @@ def adjacent_step(
     ``len(T) < w`` and remove requires a nonempty multiset. The output is
     always adjacent to ``T``.
     """
-    if len(T) > w:
-        raise ValueError("multiset larger than worker count")
+    _check_fits(T, w)
     moves = []
     if len(T) >= 1 and T.t >= 2:
         moves.append("swap")

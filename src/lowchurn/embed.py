@@ -151,10 +151,13 @@ def embed(schedule: RoundSchedule, x: SparseVector) -> DenseCode:
 
 @dataclass(frozen=True)
 class PairAudit:
+    """One audited pair; ``index`` is its position in the pairs given to :func:`distortion_audit`."""
+
     input_distance: int
     code_distance: int
     ratio: float
     fallback: bool
+    index: int
 
 
 @dataclass(frozen=True)
@@ -190,8 +193,6 @@ def distortion_audit(
     ``code_distance >= |T(x) \\ T(y)|``.
     """
     rows: list[PairAudit] = []
-    skipped = 0
-    fallbacks = 0
     cache: dict[SparseVector, tuple[DenseCode, AssignResult]] = {}
 
     def embedded(x: SparseVector) -> tuple[DenseCode, AssignResult]:
@@ -199,10 +200,9 @@ def distortion_audit(
             cache[x] = embed_with_result(schedule, x)
         return cache[x]
 
-    for x, y in pairs:
+    for index, (x, y) in enumerate(pairs):
         d_in = hamming(x, y)
         if d_in == 0:
-            skipped += 1
             continue
         code_x, res_x = embedded(x)
         code_y, res_y = embedded(y)
@@ -213,8 +213,7 @@ def distortion_audit(
                 f"code distance {d_code} below exact floor {one_sided}; embedding is broken"
             )
         fallback = res_x.used_fallback or res_y.used_fallback
-        fallbacks += fallback
-        rows.append(PairAudit(d_in, d_code, d_code / d_in, fallback))
+        rows.append(PairAudit(d_in, d_code, d_code / d_in, fallback, index))
 
     ratios = [r.ratio for r in rows]
     return DistortionReport(
@@ -222,6 +221,6 @@ def distortion_audit(
         min_ratio=min(ratios) if ratios else None,
         max_ratio=max(ratios) if ratios else None,
         structural_ceiling=2.0 * schedule.total_rounds,
-        fallback_pairs=fallbacks,
-        skipped_identical=skipped,
+        fallback_pairs=sum(row.fallback for row in rows),
+        skipped_identical=len(pairs) - len(rows),
     )

@@ -157,29 +157,33 @@ def exact_feasible(
     order = _bfs_order(states, neighbors)
     position = {idx: pos for pos, idx in enumerate(order)}
 
-    # Per position, its state's candidates. Worker relabeling permutes every
-    # state's tuple the same way, so the first state is pinned to sorted order.
-    cands = [sorted(set(permutations(states[idx]))) for idx in order]
-    cands[0] = [states[order[0]]]
+    # Per position, its state's candidates as the rows of one array, in
+    # ascending order: the state indexed by every permutation of its slots,
+    # which for a set are already distinct and sorted. Worker relabeling
+    # permutes every state's tuple the same way, so the first state is
+    # pinned to sorted order.
+    dtype = np.min_scalar_type(t)
+    perms = np.array(list(permutations(range(w))), np.intp)
+    cands = [np.array(states[idx], dtype)[perms] for idx in order]
+    if multisets:  # a repeated task repeats rows
+        cands = [np.unique(c, axis=0) for c in cands]
+    cands[0] = np.array([states[order[0]]], dtype)
+    # Per-position domains, rewritten destructively with an undo trail.
+    full = [(1 << len(c)) - 1 for c in cands]
+    domains = full[:]
+    # Zero rows pad each array to whole bytes, so a neighbor's mask is one slice of the packed bits.
+    cands = [np.concatenate([c, np.zeros((-len(c) % 8, w), dtype)]) for c in cands]
     # Each position's not-yet-placed neighbors, in the order they are pruned;
     # none at target_k >= w, where every pair of candidates is within reach.
     prunable = neighbors if target_k < w else [[] for _ in states]
     later = [[q for q in map(position.__getitem__, prunable[idx]) if q > p] for p, idx in enumerate(order)]
-    # Per-position domains, rewritten destructively with an undo trail.
-    full = [(1 << len(c)) - 1 for c in cands]
-    domains = full[:]
-    dtype = np.min_scalar_type(t)
-    padded: dict[int, np.ndarray] = {}
     masks: list[dict[int, list[tuple[int, int]]]] = [{} for _ in order]
 
     def mask_row(p: int, j: int) -> list[tuple[int, int]]:
         """``(q, mask)`` for each later neighbor ``q`` of ``p`` that candidate ``j`` prunes."""
-        for q in later[p]:
-            if q not in padded:  # whole bytes per neighbor, so its mask is one slice of the packed bits
-                padded[q] = np.array(cands[q] + [(0,) * w] * (-len(cands[q]) % 8), dtype)
-        diff = np.concatenate([padded[q] for q in later[p]]) != np.array(cands[p][j], dtype)
+        diff = np.concatenate([cands[q] for q in later[p]]) != cands[p][j]
         packed = np.packbits(np.count_nonzero(diff, axis=1) <= target_k, bitorder="little").tobytes()
-        bounds = [0, *accumulate(len(padded[q]) // 8 for q in later[p])]
+        bounds = [0, *accumulate(len(cands[q]) // 8 for q in later[p])]
         row = [(q, int.from_bytes(packed[a:b], "little")) for q, a, b in zip(later[p], bounds, bounds[1:])]
         return [(q, mask) for q, mask in row if ~mask & full[q]]  # an all-ones mask prunes nothing
 
@@ -239,7 +243,7 @@ def exact_feasible(
 
     if not found:
         return FeasibilityResult("infeasible", None, nodes)
-    solution = {states[idx]: cands[pos][next_cand[pos] - 1] for pos, idx in enumerate(order)}
+    solution = {states[idx]: tuple(cands[pos][next_cand[pos] - 1].tolist()) for pos, idx in enumerate(order)}
     return FeasibilityResult("feasible", solution, nodes)
 
 

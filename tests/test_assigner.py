@@ -745,6 +745,28 @@ class TestAssignSession:
         assert session.calls == 301 and session.replays > 250
         assert (len(fallbacks) > 1 and 0 in fallbacks) if cut else fallbacks == {0}
 
+    @pytest.mark.parametrize(("w", "t"), [(160, 2), (200, 5), (200, 800), (256, 3), (256, 2**33 + 7)])
+    def test_jumps_of_several_ids_match_assign(self, w, t):
+        # Inputs up to four edits apart, so a replay often starts from several
+        # new-only elements of one side; two of them that share a bin queue it
+        # twice, and the second event must not resolve it again.
+        schedule = build_schedule(w, t, 2, w + t)
+        session = assigner.AssignSession(schedule)
+        rng = Random(w * t)
+        elements = [rng.randint(1, t) for _ in range(rng.randint(1, w))]
+        for _ in range(150):
+            T = TaskMultiset.from_elements(elements, t)
+            assert session(T) == assign(schedule, T)
+            for _ in range(rng.randint(1, 4)):
+                move = rng.random()
+                if move < 0.2 and len(elements) < w:
+                    elements.append(rng.randint(1, t))
+                elif move < 0.4 and len(elements) > 1:
+                    elements.pop(rng.randrange(len(elements)))
+                else:
+                    elements[rng.randrange(len(elements))] = rng.randint(1, t)
+        assert session.replays > 100
+
     def test_fallbacks_come_and_go(self):
         # A cut schedule at w=200 leaves residuals on some inputs of the walk
         # but not on others, so the incremental path moves pairs in and out

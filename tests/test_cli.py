@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 import lowchurn
 from lowchurn.cli import main
-from lowchurn.core import Assignment
-from lowchurn.harness import ExperimentRecord, StepOutcome
+from lowchurn.assigner import AssignSession, assign, assign_explicit, build_schedule, trivial_families
+from lowchurn.baselines import PriorityOracle, random_permutation_assign, sorted_order
+from lowchurn.core import Assignment, TaskMultiset, adjacent_step
+from lowchurn.embed import SparseVector, hamming
+from lowchurn.harness import ALGORITHMS, ExperimentRecord, StepOutcome
 
 
 def unmeasured(row):
@@ -230,6 +234,25 @@ class TestEmbed:
         code = embed(build_schedule(3, 6, 4, 13), SparseVector.parse("6 3 2,4,5"))
         assert list(code.coords) == tasks
 
+    @pytest.mark.parametrize("pairs", [("--all-pairs",), ("--pairs", "12")])
+    def test_rows_name_the_pair_they_audited(self, capsys, tmp_path, pairs):
+        # Identical pairs are skipped, so a row's pair is its own, never the next audited pair's.
+        # Comment and blank lines are not vectors and take no index.
+        lines = ["# five vectors", "8 2 1,2", "", "8 2 1,2", "8 2 5,7", "   ", "8 2 1,3", "8 2 5,7"]
+        path = self.vectors_file(tmp_path, lines)
+        rc, out, _ = run_cli(capsys, "embed", "--k", "2", "--n", "8", "--seed", "0", "--input", path, *pairs)
+        *rows, summary = [json.loads(line) for line in out.strip().splitlines()]
+        assert rc == 0 and summary["skipped_identical"] > 0
+        assert summary["pairs_audited"] == len(rows)
+        vectors = [SparseVector.parse(line) for line in lines if line.strip() and not line.startswith("#")]
+        for row in rows:
+            i, j = row["pair"]
+            assert i < j and row["input_distance"] == hamming(vectors[i], vectors[j]) > 0
+        if pairs == ("--all-pairs",):
+            assert [row["pair"] for row in rows] == [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4], [2, 3], [3, 4]]
+        else:
+            assert summary["pairs_audited"] + summary["skipped_identical"] == 12
+
     def test_l1_vectors_accepted(self, capsys, tmp_path):
         path = self.vectors_file(tmp_path, ["8 3 1:2,5:1", "8 3 2:1,5:2"])
         rc, out, _ = run_cli(
@@ -431,3 +454,49 @@ def test_reader_closing_early_exits_141_quietly(argv):
     assert proc.wait(timeout=120) == 141
     assert err == b""
     assert first.startswith(b'{"experiment_id":"walk-000000"' if argv[0] == "walk" else b"worker 1 -> unassigned")
+
+
+_TOO_MANY = TaskMultiset.parse("1,2,3,4", 9)  # four tasks for three workers
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: assign(build_schedule(3, 9), _TOO_MANY),
+        lambda: AssignSession(build_schedule(3, 9))(_TOO_MANY),
+        lambda: assign_explicit(trivial_families(3, 27), 1, _TOO_MANY, 3),
+        lambda: sorted_order(_TOO_MANY, 3),
+        lambda: random_permutation_assign(PriorityOracle(0), _TOO_MANY, 3),
+        lambda: adjacent_step(_TOO_MANY, Random(0), w=3),
+        *(lambda alg=alg: main(["assign", "--w", "3", "--t", "9", "--alg", alg, "--multiset", "1,2,3,4"])
+          for alg in ALGORITHMS),
+    ],
+    ids=["assign", "session", "assign_explicit", "sorted_order", "random_permutation_assign", "adjacent_step",
+         *(f"cli-{alg}" for alg in ALGORITHMS)],
+)
+def test_every_entry_point_rejects_more_tasks_than_workers(capsys, call):
+    try:
+        rc = call()
+    except ValueError as exc:
+        assert str(exc) == "multiset larger than worker count"
+        return
+    assert rc == 2 and capsys.readouterr().err == "error: multiset larger than worker count\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "lines", "message"),
+    [
+        (["oracle", "exact", "--w", "6", "--t", "6", "--k", "2"], None, "instance over documented limit: w=6 > 5"),
+        (["oracle", "audit", "--w", "3", "--t", "100"], None, "instance over documented limit: 161700 states > 100000"),
+        (["oracle", "ramsey", "--w", "3", "--t", "100"], None, "instance over documented limit for ramsey search"),
+        (["embed", "--k", "2", "--n", "9", "--all-pairs"], ["9 2 1,2", "8 2 1,2"], "line 2: dimension 8 != --n 9"),
+        (["embed", "--k", "2", "--n", "8", "--all-pairs"], ["8 2 1,2", "", "8 3 1,2,3"], "line 3: weight 3 != --k 2"),
+    ],
+)
+def test_inputs_past_a_check_exit_2_with_its_message(capsys, tmp_path, argv, lines, message):
+    if lines is not None:
+        path = tmp_path / "vectors.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [*argv, "--input", str(path)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")

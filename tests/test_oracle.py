@@ -181,6 +181,12 @@ class TestExactFeasible:
         with pytest.raises(ValueError):
             exact_feasible(3, 2, 1)
 
+    def test_budget_and_target_are_checked(self):
+        with pytest.raises(ValueError, match="^node_limit must be >= 1$"):
+            SearchBudget(node_limit=0)
+        with pytest.raises(ValueError, match="^target switching cost must be >= 0$"):
+            exact_feasible(3, 5, -1)
+
     def test_deep_search_needs_no_recursion(self):
         # 1770 states, one search level each: deeper than the interpreter's
         # recursion limit, inside the CLI's 20 000-state cap.

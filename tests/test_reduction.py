@@ -23,6 +23,21 @@ def test_lift_empty():
     assert lift(ms(), w=3) == frozenset()
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: encode(1, 0, 3), "copy index 0 outside [1, 3]"),
+        (lambda: encode(1, 4, 3), "copy index 4 outside [1, 3]"),
+        (lambda: encode(0, 1, 3), "task ids start at 1"),
+        (lambda: decode(0, 3), "encoded ids start at 1"),
+    ],
+)
+def test_encode_and_decode_reject_ids_outside_their_ranges(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_encode_formula():
     # (base-1)*w + copy for T={1,1,1}, w=3 gives encoded {1,2,3}.
     assert lift(TaskMultiset.from_elements([1, 1, 1], 4), w=3) == frozenset({1, 2, 3})
