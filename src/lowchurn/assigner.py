@@ -328,8 +328,8 @@ def _run_stages(stages: Sequence[BinHash], workers: set[int], tasks: set[int]) -
 # Residuals of at most this many workers run the all-pairs tail block; larger
 # ones run a sorted block or one head round (see ``_block_size``). Time of a
 # sorted block over that of the tail block on the same residual of 8 to 64
-# and rounds, on the machine below: 1.3-2.4 at w=64, t=256 (59 bins), where
-# walk-64-mix runs; 0.8-1.0 at w=1024 (931 bins), 0.3-0.8 at w=16384.
+# and rounds, on the machine below: 1.3-3.5 at w=64, t=256 (59 bins), where
+# walk-64-mix runs; 1.3-2.0 at w=1024; 0.8-1.5 at w=16384, below 1 at n >= 32.
 _TAIL_N = 64
 # A head round over a residual of n in k <= _DENSE_BINS * n bins finds each
 # bin's first worker and task with a scatter over k slots; sparser rounds
@@ -341,8 +341,8 @@ _DENSE_BINS = 8
 # at ``_TAIL_BUDGET`` work (see ``_block_size``). Time of a whole ``assign``
 # with 32 over that with 16, the two alternating in one process on the same
 # random multisets of size w with t = 4w, three runs on the machine above:
-# w=64 0.95-1.09, w=256 1.04-1.18, w=1024 1.07-1.10, w=4096 1.03-1.07,
-# w=16384 0.93-0.99.
+# w=64 0.98-0.99, w=256 1.02-1.12, w=1024 1.05-1.06, w=4096 1.00-1.06,
+# w=16384 0.98-1.06.
 _TAIL_BUDGET = 1 << 16
 _TAIL_HITS = 16
 
@@ -471,7 +471,7 @@ def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matc
         at = np.arange(n)
         np.minimum.at(first[0], bins[0], at)
         np.minimum.at(first[1], bins[1], at)
-        pos_w, pos_t = first[:, (first < n).all(axis=0)]
+        pos_w, pos_t = first[:, np.flatnonzero((first[0] < n) & (first[1] < n))]
     else:
         _, pos, starts, both = _colliding_bins(bins[:, None], k)
         pos_w, pos_t = pos[starts[both]], pos[starts[both + 1]]
@@ -532,19 +532,17 @@ def _tail_block(
     """
     n = wt.shape[1]
     b = bins_np(seeds, wt[:, None, :], ks)
-    rows, iw, it = np.nonzero(b[0][:, :, None] == b[1][:, None, :])
-    bins = b[0][rows, iw]
+    # Each collision as one flat index (h*n + i)*n + j: ascending is round, worker, task order.
+    flat = np.flatnonzero(b[0][:, :, None] == b[1][:, None, :])
+    bins = b[0].ravel()[flat // n]
     ws, ts = wt.tolist()
     keep = [[True] * n, [True] * n]
     alive_w, alive_t = keep
-    cur = -1
-    seen: set[int] = set()
-    for h, i, j, bin_ in zip(rows.tolist(), iw.tolist(), it.tolist(), bins.tolist()):
-        if h != cur:
-            seen.clear()
-            cur = h
-        if alive_w[i] and alive_t[j] and bin_ not in seen:
-            seen.add(bin_)
+    seen: set[tuple[int, int]] = set()  # the (round, bin) of each pair made
+    for f, bin_ in zip(flat.tolist(), bins.tolist()):
+        h, i, j = f // n // n, f // n % n, f % n
+        if alive_w[i] and alive_t[j] and (h, bin_) not in seen:
+            seen.add((h, bin_))
             alive_w[i] = alive_t[j] = False
             pairs.append((ws[i], ts[j], start + h))
     return np.array(keep)
@@ -879,10 +877,12 @@ class _Replay:
     every element it pairs differently moves its end. An event's bin is its
     element's bin in that round, and resolving a bin moves only its members'
     ends and queues only later rounds, so resolving one bin never changes
-    whether another bin's event is in the delta. Past the cached run's last
-    match only new-only elements are live, so the same events carry the new
-    run on to its end. :meth:`_Cache.advance` applies ``ends``, ``grow`` and
-    ``partner`` to the cache and its result.
+    whether another bin's event is in the delta. The delta test only saves
+    calls, half of a w=1024 walk's: a bin with no delta element has the same
+    live members in both runs, so resolving it changes nothing. Past the
+    cached run's last match only new-only elements are live, so the same
+    events carry the new run on to its end. :meth:`_Cache.advance` applies
+    ``ends``, ``grow`` and ``partner`` to the cache and its result.
     """
 
     def __init__(self, cache: _Cache, removed, added) -> None:

@@ -168,6 +168,27 @@ def run_arrays(schedule, workers, tasks):
     return assigner._result(schedule.w, wt, run, schedule.total_rounds, False)
 
 
+def scalar_block(seeds, ks, wt, start):
+    """A block's pairs from bins of one id at a time, by round and then worker, and the ids it leaves.
+
+    ``seeds[s][h]`` is the seed of side ``s`` in block round ``h``, ``ks[h]``
+    its bin count and ``wt`` the residual, workers over tasks; the pairs
+    carry their round from ``start``.
+    """
+    live, want = [set(wt[0].tolist()), set(wt[1].tolist())], []
+    for h, k in enumerate(ks.tolist()):
+        best = [{}, {}]
+        for side in (0, 1):
+            for x in live[side]:
+                b = _bin_of(seeds[side][h], x, k)
+                best[side][b] = min(x, best[side].get(b, x))
+        for x, y in sorted((x, best[1][b]) for b, x in best[0].items() if b in best[1]):
+            want.append((x, y, start + h))
+            live[0].discard(x)
+            live[1].discard(y)
+    return want, live
+
+
 def reference_run(schedule, workers, tasks):
     """The plain reference: the stage loop on sets, then rank-order completion, with no arrays.
 
@@ -259,23 +280,53 @@ class TestArrayEngine:
         start = 5000
         pairs = []
         keep = assigner._sort_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], k, start, pairs)
-        # Each round's pairs, from bins of one id at a time.
-        live, want = [set(ids[:n]), set(ids[n:])], []
-        for h in range(B):
-            best = [{}, {}]
-            for side in (0, 1):
-                for x in live[side]:
-                    b = _bin_of(seeds[side][h], x, int(ks[h]))
-                    best[side][b] = min(x, best[side].get(b, x))
-            for b, x in best[0].items():
-                if b in best[1]:
-                    want.append((x, best[1][b], start + h))
-                    live[0].discard(x)
-                    live[1].discard(best[1][b])
+        want, live = scalar_block(seeds, ks, wt, start)
         assert sorted(pairs) == sorted(want)
         assert {(x, y) for x, y, r in pairs if r - start in forced} <= set(forced.values())
         assert B - 1 + start in {r for *_, r in pairs} and 20 < len(pairs) < 40  # some forced pairs were taken
         assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
+
+    @pytest.mark.parametrize(
+        ("n", "k", "B", "forced"),
+        [
+            # The longest blocks _block_size gives, at the largest bin count
+            # round_arrays allows: one pair forced into the block's last round,
+            # or two pairs, one each into its first and last rounds.
+            (1, bins_for_round(2**31 - 1, 1), None, "last"),
+            (2, bins_for_round(2**31 - 1, 1), None, "first and last"),
+            # A full tail residual in a block of several rounds.
+            (assigner._TAIL_N, bins_for_round(2**31 - 1, 1), None, "first and last"),
+            # Few bins: one bin holds several live workers and tasks in a round.
+            (assigner._TAIL_N, 5, 6, "first and last"),
+        ],
+    )
+    def test_tail_block_at_its_extremes(self, n, k, B, forced):
+        # The tail visits each collision by one flat index into the block's
+        # (round, worker, task) compare; its pairs must come out in that
+        # order, round by round and ascending by worker within a round. Ids
+        # are past 2**62, and a forced pair shares a bin by its task seed.
+        if B is None:
+            B = assigner._block_size(n, k)
+            assert B > 1
+        rng = Random(n * B)
+        ids = rng.sample(range(2**62, 2**63), 2 * n)
+        wt = np.array([sorted(ids[:n]), sorted(ids[n:])], np.uint64)
+        seeds = [[rng.getrandbits(64) for _ in range(B)] for _ in range(2)]
+        rounds = [B - 1] if forced == "last" else [0, B - 1]
+        forced_pairs = list(zip(ids[n - 1 :: -1], ids[n:], rounds))  # a different pair in each round
+        for x, y, h in forced_pairs:
+            seeds[1][h] = seeds[0][h] ^ ((x * GOLDEN) & MASK64) ^ ((y * GOLDEN) & MASK64)
+        ks = np.full(B, k, np.uint64)
+        start = 777
+        pairs = []
+        keep = assigner._tail_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], start, pairs)
+        want, live = scalar_block(seeds, ks, wt, start)
+        assert pairs == want
+        assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
+        if k > n:  # collisions are rare, so each forced pair is matched in its round
+            assert {(x, y, start + h) for x, y, h in forced_pairs} <= set(pairs)
+        else:  # n ids in k < n bins: every round matches, and most match several pairs
+            assert {r - start for *_, r in pairs} == set(range(B)) and len(pairs) > 2 * B
 
     def test_engine_selection(self, monkeypatch):
         # Every seeded schedule runs on the array engine, however few its workers.
@@ -766,6 +817,44 @@ class TestAssignSession:
                 else:
                     elements[rng.randrange(len(elements))] = rng.randint(1, t)
         assert session.replays > 100
+
+    def test_every_resolved_bin_holds_a_delta_element(self, monkeypatch):
+        # A replay resolves a bin only at an event whose element is still in
+        # the delta: live in one run and not the other in that round, by the
+        # two runs' traces. A bin without one has the same members in both
+        # runs, so resolving it could change nothing (see _Replay), but it
+        # costs a _resolve call; size-varying steps add and remove workers.
+        schedule = build_schedule(1024, 65536, 4, 5)
+        seeds, ks = (a.tolist() for a in schedule.round_arrays)
+        total = schedule.total_rounds
+        resolved = []
+        resolve = assigner._Replay._resolve
+        monkeypatch.setattr(assigner._Replay, "_resolve", lambda self, r, b: resolved.append((r, b)) or resolve(self, r, b))
+        session = assigner.AssignSession(schedule)
+        rng = Random(23)
+        T = random_multiset(1000, 65536, rng)
+        old, calls = session(T), 0
+        for step in range(60):
+            T = adjacent_step(T, rng, w=1024, size_varying=step % 2 == 1)
+            resolved.clear()
+            new = session(T)
+            assert new == assign(schedule, T)
+            ends = [
+                [dict(zip(ids.tolist(), (total if r < 0 else r for r in result.rounds.tolist()))) for ids in
+                 (result.assignment.workers, result.lifted)]
+                for result in (old, new)
+            ]
+            moved = [  # (side, element, old end, new end), -1 where it is not in the input
+                (s, x, a, z)
+                for s in (0, 1)
+                for x in ends[0][s].keys() | ends[1][s].keys()
+                if (a := ends[0][s].get(x, -1)) != (z := ends[1][s].get(x, -1))
+            ]
+            for r, b in resolved:
+                assert any((a < r <= z or z < r <= a) and _bin_of(seeds[s][r], x, ks[r]) == b for s, x, a, z in moved)
+            calls += len(resolved)
+            old = new
+        assert session.replays == 60 and calls > 300
 
     def test_fallbacks_come_and_go(self):
         # A cut schedule at w=200 leaves residuals on some inputs of the walk
