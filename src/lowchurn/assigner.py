@@ -144,9 +144,9 @@ class SeededRounds(Sequence[Round]):
     ``seeds[0]`` and ``seeds[1]`` hold each round's worker and task seeds
     (:attr:`BinHash.seeds`), ``ks`` its bin count and ``ij`` its grid
     coordinates ``(i, j)``, one column per round; all are read-only. The
-    first iteration or integer index builds every :class:`Round`, a
-    :meth:`BinHash.from_seeds` stage with provenance ``(i, j)``, and keeps
-    them, so each is built once. A slice is a view of the same arrays.
+    first iteration or integer index builds every :class:`Round`, its
+    ``(i, j)`` and bin count with a :meth:`BinHash.from_seeds` stage, and
+    keeps them, so each is built once. A slice is a view of the same arrays.
     Equality and hashing compare the arrays.
     """
 
@@ -170,7 +170,7 @@ class SeededRounds(Sequence[Round]):
     def _rounds(self) -> tuple[Round, ...]:
         (i, j), (seed_w, seed_t) = self.ij.tolist(), self.seeds.tolist()
         return tuple(
-            Round(i, j, k, BinHash.from_seeds(k, sw, st, (i, j)))
+            Round(i, j, k, BinHash.from_seeds(k, sw, st))
             for i, j, k, sw, st in zip(i, j, self.ks.tolist(), seed_w, seed_t)
         )
 
@@ -737,10 +737,12 @@ class _Cache:
     """One input's result, in the form :class:`AssignSession` updates it in.
 
     ``end[s]`` maps each worker (``s = 0``) or lifted task (``s = 1``) of the
-    input to its end (see :class:`AssignSession`). Each element has a slot, ``slot[s][x]``, and
-    ``elems[s][i]`` is the element in slot ``i``, None once it left the
-    input; freed slots are taken first, so there are no more slots than
-    elements in one input, and each is below ``w``. ``cells[s]`` is the
+    input to its end (see :class:`AssignSession`). Each element has a slot,
+    ``slot[s][x]``, and ``elems[s][i]`` is the element in slot ``i``, None
+    once it left the input. The tables are built from the result's trace,
+    where slot ``i`` holds worker ``i + 1`` and its task; freed slots are
+    taken first, so there are no more slots than elements in one input,
+    and each is below ``w``. ``cells[s]`` is the
     sorted array of ``(round * K + bin) << shift | slot`` over every round
     each element of side ``s`` is live in: 6 to 7 cells per element at
     w=1024 and t=65536. The cells of one bin form a run of the array, found
@@ -752,23 +754,20 @@ class _Cache:
         self.cells: list[np.ndarray] | None = None
 
     def _build(self) -> None:
-        """Build the tables from the result's trace, in one vectorized pass per side."""
-        grid, tasks, rounds = self.grid, self.result.lifted.tolist(), self.result.rounds.tolist()
-        ends = [grid.total if r < 0 else r for r in rounds]
-        self.end = (dict(zip(range(1, len(rounds) + 1), ends)), dict(zip(tasks, ends)))
-        self.elems = [sorted(end) for end in self.end]
+        """Build the tables from the result's trace, both sides in one vectorized pass."""
+        grid, trace = self.grid, self.result
+        ends = np.where(trace.rounds < 0, grid.total, trace.rounds)
+        ids = np.array([np.arange(1, ends.size + 1, dtype=np.uint64), trace.lifted])
+        self.elems = ids.tolist()
+        self.end = tuple(dict(zip(side, ends.tolist())) for side in self.elems)
         self.slot = tuple({x: i for i, x in enumerate(side)} for side in self.elems)
         self.free: tuple[list, list] = ([], [])  # slots of elements that left the input
-        self.cells = []
-        for s, end in enumerate(self.end):
-            ids = np.fromiter(end, np.int64, len(end))
-            n = np.minimum(np.fromiter(end.values(), np.int64, len(end)), grid.total - 1) + 1
-            rounds = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-            bins = bins_np(grid.seeds[s, rounds], np.repeat(ids, n).view(np.uint64), grid.ks[rounds])
-            slots = np.repeat(np.fromiter(map(self.slot[s].__getitem__, end), np.int64, len(end)), n)
-            cells = (grid.base[rounds] + bins.view(np.int64)) << grid.shift | slots
-            cells.sort()
-            self.cells.append(cells)
+        n = np.minimum(ends, grid.total - 1) + 1  # each element is live in rounds 0 to n - 1
+        rounds = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        bins = bins_np(grid.seeds[:, rounds], np.repeat(ids, n, axis=1), grid.ks[rounds])
+        cells = (grid.base[rounds] + bins.view(np.int64)) << grid.shift | np.repeat(np.arange(ends.size), n)
+        cells.sort()
+        self.cells = list(cells)
 
     def members(self, s: int, r: int, b: int) -> list[int]:
         """The elements of side ``s`` live in bin ``b`` of round ``r``."""
@@ -1013,10 +1012,10 @@ class DisperserFamily:
         table = tuple(tuple(rng.randrange(M) for _ in range(D)) for _ in range(N))
         return cls(N, D, M, k_param, epsilon, table)
 
-    def stage(self, seed: int, provenance: tuple = ()) -> BinHash:
+    def stage(self, seed: int) -> BinHash:
         """The partial-assignment stage using ``eval(., seed)`` for workers and tasks."""
         h = lambda x: self.eval(x, seed)  # noqa: E731
-        return BinHash(self.M, h, h, provenance)
+        return BinHash(self.M, h, h)
 
 
 def single_bin_family(N: int, D: int, k_param: int = 0, epsilon: float = 0.25) -> DisperserFamily:
@@ -1031,10 +1030,10 @@ def trivial_families(w: int, N: int, D: int = 4) -> tuple[DisperserFamily, ...]:
 
 
 def seed_sweep(
-    family: DisperserFamily, wt: WorkerTaskInput, provenance: tuple = ()
+    family: DisperserFamily, wt: WorkerTaskInput
 ) -> tuple[frozenset[tuple[int, int]], WorkerTaskInput, list[frozenset[tuple[int, int]]]]:
     """One pass over the family's seeds on the scalar loop: the pairs, the residual, each run stage's pairs."""
-    stages = [family.stage(j, provenance + (j,)) for j in range(1, family.D + 1)]
+    stages = [family.stage(j) for j in range(1, family.D + 1)]
     workers, tasks = set(wt.workers), set(wt.tasks)
     per_stage = _run_stages(stages, workers, tasks)
     return frozenset().union(*per_stage), WorkerTaskInput(workers, tasks), per_stage
@@ -1056,11 +1055,7 @@ def _explicit_stages(families: Sequence[DisperserFamily], reps: int, w: int, nee
             raise ValueError(f"family declares k_param={family.k_param}, level requires {levels - i}")
         if family.N < needed:
             raise ValueError(f"family domain N={family.N} smaller than needed {needed}")
-    return [
-        stage
-        for level, family in enumerate(families, start=1)
-        for stage in [family.stage(j, (level, j)) for j in range(1, family.D + 1)] * reps
-    ]
+    return [stage for family in families for stage in [family.stage(j) for j in range(1, family.D + 1)] * reps]
 
 
 def assign_explicit_set(

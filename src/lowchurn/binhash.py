@@ -11,8 +11,10 @@ perturbs the matching by at most two pairs.
 Stages are composed by threading each one's residual into the next; the
 package's one loop that does so is ``assigner._run_stages``.
 
-``BinHash`` objects are immutable after construction and ``match``/``apply``
-are pure, so stages can be shared freely across threads.
+``BinHash.match`` runs the stage; ``BinHash.apply`` is the same stage on one
+:class:`WorkerTaskInput`, with the residual its pairs leave. ``BinHash``
+objects are immutable after construction and both methods are pure, so
+stages can be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -48,37 +50,25 @@ class BinHash:
     accepted so tests and disperser-backed stages can inject their own tables.
     """
 
-    __slots__ = ("k", "h1", "h2", "provenance", "_seed_w", "_seed_t")
+    __slots__ = ("k", "h1", "h2", "_seed_w", "_seed_t")
 
-    def __init__(
-        self,
-        k: int,
-        h1: Callable[[int], int],
-        h2: Callable[[int], int],
-        provenance: tuple = (),
-    ) -> None:
+    def __init__(self, k: int, h1: Callable[[int], int], h2: Callable[[int], int]) -> None:
         if k < 1:
             raise ValueError("bin count must be >= 1")
         self.k = k
         self.h1 = h1
         self.h2 = h2
-        self.provenance = provenance
         self._seed_w: int | None = None
         self._seed_t: int | None = None
 
     @classmethod
-    def from_seed(cls, k: int, seed: int, provenance: tuple = ()) -> "BinHash":
-        return cls.from_seeds(k, mix64(seed ^ _TAG_WORKER), mix64(seed ^ _TAG_TASK), provenance)
+    def from_seed(cls, k: int, seed: int) -> "BinHash":
+        return cls.from_seeds(k, mix64(seed ^ _TAG_WORKER), mix64(seed ^ _TAG_TASK))
 
     @classmethod
-    def from_seeds(cls, k: int, seed_w: int, seed_t: int, provenance: tuple = ()) -> "BinHash":
+    def from_seeds(cls, k: int, seed_w: int, seed_t: int) -> "BinHash":
         """The seeded stage with the worker and task seeds already derived (see :func:`seeds_np`)."""
-        obj = cls(
-            k,
-            lambda x: _bin_of(seed_w, x, k),
-            lambda x: _bin_of(seed_t, x, k),
-            provenance,
-        )
+        obj = cls(k, lambda x: _bin_of(seed_w, x, k), lambda x: _bin_of(seed_t, x, k))
         obj._seed_w = seed_w
         obj._seed_t = seed_t
         return obj
@@ -95,13 +85,11 @@ class BinHash:
         return [(best_w[b], task) for b, task in best_t.items()]
 
     def apply(self, wt: WorkerTaskInput) -> StageOutcome:
-        """Run the stage on one worker-task input."""
-        best_w = _smallest_per_bin(wt.workers, self.k, self._seed_w, self.h1)
-        best_t = _smallest_per_bin(wt.tasks, self.k, self._seed_t, self.h2, best_w)
-        workers = [best_w[b] for b in best_t]
-        tasks = list(best_t.values())
+        """Run the stage on one worker-task input: :meth:`match`'s pairs and the residual they leave."""
+        pairs = self.match(wt.workers, wt.tasks)
+        workers, tasks = zip(*pairs) if pairs else ((), ())
         residual = WorkerTaskInput(wt.workers.difference(workers), wt.tasks.difference(tasks))
-        return StageOutcome(frozenset(zip(workers, tasks)), residual, len(tasks))
+        return StageOutcome(frozenset(pairs), residual, len(pairs))
 
 
 def seeds_np(seed: np.ndarray) -> np.ndarray:

@@ -41,9 +41,11 @@ _MAX_RAMSEY_SUBSETS = 1_000_000
 # largest scale tests and benchmarks run. A schedule has c * ceil(log2 wt) *
 # ceil(log_1.1 w) rounds of 40 bytes: 14 MB at the caps, 100+ GiB at c = 10**9.
 # walk prints each step as it is measured and randperm builds its keys a block
-# of rows at a time, so neither needs a cap of its own.
+# of rows at a time, so neither needs a cap of its own. oracle disperser builds
+# an N x D table of Python ints on every restart; the library bounds N by 32.
 _CAPS = {
     "--w": 1 << 14, "--t": 1 << 40, "--c": 64, "--steps": 1 << 20, "--k": 1 << 14, "--n": 1 << 40, "--pairs": 1 << 20,
+    "--seeds": 4096,
 }
 
 
@@ -311,15 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ramsey.set_defaults(func=cmd_oracle_ramsey)
 
     p_disp = oracle_sub.add_parser("disperser", help="random-restart search for a tiny verified disperser")
-    p_disp.add_argument("--domain", type=int, required=True, help="N, table rows")
-    p_disp.add_argument("--seeds", type=int, required=True, help="D, seeds per element")
+    p_disp.add_argument("--domain", type=int, required=True, help="N, table rows (at most 32)")
+    p_disp.add_argument("--seeds", type=int, required=True, help=f"D, seeds per element (at most {_CAPS['--seeds']})")
     p_disp.add_argument("--bins", type=int, required=True, help="M, output bins")
     p_disp.add_argument("--k-param", type=int, required=True, dest="k_param")
     p_disp.add_argument("--epsilon", type=float, default=0.25)
     p_disp.add_argument("--restarts", type=int, default=20_000)
     p_disp.add_argument("--time-limit", type=float, default=None)
     p_disp.add_argument("--seed", type=_seed, default=_default_seed())
-    p_disp.set_defaults(func=cmd_oracle_disperser)
+    p_disp.set_defaults(func=cmd_oracle_disperser, capped=("seeds",))
 
     p_embed = sub.add_parser("embed", help="embed sparse vectors and audit distortion")
     p_embed.add_argument("--k", type=int, required=True,

@@ -106,21 +106,17 @@ def _neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
 
 
 def _bfs_order(states: list[tuple[int, ...]], neighbors: list[list[int]]) -> list[int]:
-    order: list[int] = []
-    seen = [False] * len(states)
+    """The states by breadth-first distance from state 0, ties by index; unreachable states last."""
+    n = len(states)
+    dist = [n] * n
+    dist[0] = 0
     queue = [0]
-    seen[0] = True
-    while queue:
-        nxt: list[int] = []
-        for idx in queue:
-            order.append(idx)
-            for nb in neighbors[idx]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    nxt.append(nb)
-        queue = sorted(nxt)
-    order.extend(i for i in range(len(states)) if not seen[i])
-    return order
+    for idx in queue:  # grows while it is read: a FIFO
+        for nb in neighbors[idx]:
+            if dist[nb] == n:
+                dist[nb] = dist[idx] + 1
+                queue.append(nb)
+    return sorted(range(n), key=dist.__getitem__)
 
 
 def exact_feasible(

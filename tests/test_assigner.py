@@ -363,7 +363,7 @@ def per_round_schedule(w, t, c, master_seed):
     """The rounds as built one by one: ``derive(master_seed, i, j)``, then ``BinHash.from_seed``."""
     reps = c * max(1, (w * t - 1).bit_length())
     return [
-        Round(i, j, k, BinHash.from_seed(k, derive(master_seed, i, j), provenance=(i, j)))
+        Round(i, j, k, BinHash.from_seed(k, derive(master_seed, i, j)))
         for i in range(1, outer_round_count(w) + 1)
         for k in [bins_for_round(w, i)]
         for j in range(1, reps + 1)
@@ -389,7 +389,6 @@ class TestSeedArraySchedule:
         for a, b in zip(got, want):
             assert (a.i, a.j, a.k) == (b.i, b.j, b.k)
             assert a.hash.k == a.k and a.hash.seeds == b.hash.seeds
-            assert a.hash.provenance == b.hash.provenance == (b.i, b.j)
 
     def test_build_makes_no_stage_and_rounds_are_built_once(self, monkeypatch):
         built = []
@@ -711,6 +710,17 @@ def cache_cells(cache):
     ]
 
 
+def scalar_cells(grid, result):
+    """``cache_cells`` worked out one element and round at a time with ``_bin_of``, from the result's trace."""
+    seeds, ks = grid.seeds.tolist(), grid.ks.tolist()
+    cells = [[], []]
+    for worker, task, end in zip(range(1, len(result.rounds) + 1), result.lifted.tolist(), result.rounds.tolist()):
+        last = grid.total - 1 if end < 0 else end  # a fallback element is live in every round
+        for s, x in enumerate((worker, task)):
+            cells[s] += [(r * grid.K + _bin_of(seeds[s][r], x, ks[r]), x) for r in range(last + 1)]
+    return [sorted(side) for side in cells]
+
+
 def assert_cache_is_fresh(session, T):
     """The session's cache, if built, holds what a cache built from ``assign``'s result on ``T`` holds."""
     cache = session._cache
@@ -888,6 +898,25 @@ class TestAssignSession:
         U = adjacent_step(T, rng, w=192)
         assert session(U) == assign(schedule, U)
         assert session._cache.cells is not None and session.replays == 1
+
+    @pytest.mark.parametrize(("w", "t", "cut"), [(200, 800, False), (200, 800, True), (160, 2**33 + 7, False)])
+    def test_build_matches_a_scalar_reference(self, w, t, cut):
+        schedule = build_schedule(w, t, 1, w)
+        if cut:  # most inputs leave a residual, so fallback elements end at the schedule's length
+            schedule = RoundSchedule(w, t, 1, w, schedule.rounds[: schedule.total_rounds // 10])
+        grid = assigner._Grid(w, *schedule.round_arrays)
+        rng = Random(w + cut)
+        fallbacks = 0
+        for size in (1, 2, w // 3, w):
+            T = random_multiset(size, t, rng)
+            result = assign(schedule, T)
+            fallbacks += result.fallback_pairs
+            cache = assigner._Cache(grid, T, result)
+            cache._build()
+            ends = [grid.total if r < 0 else r for r in result.rounds.tolist()]
+            assert cache.end == (dict(zip(range(1, size + 1), ends)), dict(zip(result.lifted.tolist(), ends)))
+            assert cache_cells(cache) == scalar_cells(grid, result)
+        assert (fallbacks > 0) == cut
 
     def test_small_schedules_keep_no_cache(self):
         # A schedule with no rounds is all fallback, whatever its w.

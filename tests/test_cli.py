@@ -395,6 +395,8 @@ def test_tracebacks_found_by_the_property_test_exit_2(capsys, argv, message):
         (["embed", "--k", "2", "--n", "8", "--c", "65", "--input", "v.txt", "--all-pairs"], "--c 65 over the documented cap 64"),
         (["embed", "--k", "2", "--n", "8", "--input", "v.txt", "--pairs", str(2**20 + 1)],
          f"--pairs {2**20 + 1} over the documented cap {2**20}"),
+        (["oracle", "disperser", "--domain", "4", "--seeds", "100000000", "--bins", "2", "--k-param", "1"],
+         "--seeds 100000000 over the documented cap 4096"),
     ],
 )
 def test_size_past_its_cap_exits_2_before_running(capsys, monkeypatch, argv, message):
@@ -403,7 +405,7 @@ def test_size_past_its_cap_exits_2_before_running(capsys, monkeypatch, argv, mes
     def never(*_a, **_k):
         raise AssertionError("an over-cap command started")
 
-    for name in ("make_assigner", "run_walk", "build_schedule", "_load_vectors"):
+    for name in ("make_assigner", "run_walk", "build_schedule", "_load_vectors", "disperser_search"):
         monkeypatch.setattr(cli, name, never)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""

@@ -44,6 +44,25 @@ def reference_neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]
     return out
 
 
+def reference_bfs_order(states: list[tuple[int, ...]], neighbors: list[list[int]]) -> list[int]:
+    """The level-by-level search that ``_bfs_order`` replaced: one sorted queue per level, then the unreached."""
+    order: list[int] = []
+    seen = [False] * len(states)
+    queue = [0]
+    seen[0] = True
+    while queue:
+        nxt: list[int] = []
+        for idx in queue:
+            order.append(idx)
+            for nb in neighbors[idx]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    nxt.append(nb)
+        queue = sorted(nxt)
+    order.extend(i for i in range(len(states)) if not seen[i])
+    return order
+
+
 def reference_exact_feasible(
     w: int,
     t: int,
@@ -61,7 +80,7 @@ def reference_exact_feasible(
     states = _states(w, t, multisets)
     neighbors = reference_neighbors(states, t)
 
-    order = _bfs_order(states, neighbors)
+    order = reference_bfs_order(states, neighbors)
     position = {idx: pos for pos, idx in enumerate(order)}
 
     all_candidates = [sorted(set(permutations(state))) for state in states]
@@ -284,6 +303,25 @@ class TestAgainstReference:
             return
         states = _states(w, t, multisets)
         assert _neighbors(states, t) == reference_neighbors(states, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=st.integers(0, 4), t=st.integers(1, 9), multisets=st.booleans())
+    @example(w=3, t=3, multisets=False)
+    @example(w=4, t=4, multisets=True)
+    def test_bfs_order_matches_reference(self, w, t, multisets):
+        if not multisets and t < w:
+            return
+        states = _states(w, t, multisets)
+        neighbors = _neighbors(states, t)
+        assert _bfs_order(states, neighbors) == reference_bfs_order(states, neighbors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=st.integers(1, 12).flatmap(lambda n: st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)))
+    def test_bfs_order_matches_reference_on_any_graph(self, graph):
+        # Directed, possibly disconnected: unreached states come last, in index order.
+        neighbors = [sorted(nbs) for nbs in graph]
+        states = [()] * len(graph)
+        assert _bfs_order(states, neighbors) == reference_bfs_order(states, neighbors)
 
 
 class TaskMultisetPair:
