@@ -14,7 +14,7 @@ is always passed explicitly), so concurrent use needs no coordination.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -32,30 +32,46 @@ __all__ = [
 ]
 
 
+def _check_runs(entries: Iterable[tuple[int, int]], n: int, faults: tuple[str, str, str]) -> int:
+    """The total count of sorted ``(id, count)`` runs over ``[1, n]``, checked in one pass.
+
+    The first fault raises ``ValueError`` with the caller's message for it from ``faults``: an
+    id outside ``[1, n]`` (formatted with the id and ``n``), ids not strictly increasing, or a
+    count below 1.
+    """
+    prev = total = 0
+    for i, count in entries:
+        if not 1 <= i <= n:
+            raise ValueError(faults[0].format(i, n))
+        if i <= prev:
+            raise ValueError(faults[1])
+        if count < 1:
+            raise ValueError(faults[2])
+        prev = i
+        total += count
+    return total
+
+
 @dataclass(frozen=True)
 class TaskMultiset:
     """Multiset over the task universe ``[1, t]``, stored as sorted (id, count) runs.
 
     The sorted-run form gives a canonical value for hashing and
-    deduplication. Size caps (``|T| <= w``) are enforced by the assignment
+    deduplication; ``size``, the total count, is recorded while the runs are
+    checked. Size caps (``|T| <= w``) are enforced by the assignment
     entry points, not here: a multiset may exceed any particular worker count.
     """
 
     entries: tuple[tuple[int, int], ...]
     t: int
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.t < 1:
             raise ValueError("task universe size must be >= 1")
-        prev = 0
-        for task, count in self.entries:
-            if not 1 <= task <= self.t:
-                raise ValueError(f"task id {task} outside universe [1, {self.t}]")
-            if task <= prev:
-                raise ValueError("task ids must be strictly increasing")
-            if count < 1:
-                raise ValueError("multiplicities must be >= 1")
-            prev = task
+        faults = ("task id {} outside universe [1, {}]", "task ids must be strictly increasing",
+                  "multiplicities must be >= 1")
+        object.__setattr__(self, "size", _check_runs(self.entries, self.t, faults))
 
     @classmethod
     def _from_checked(cls, entries: tuple[tuple[int, int], ...], t: int, size: int) -> "TaskMultiset":
@@ -66,7 +82,7 @@ class TaskMultiset:
         ``>= 1`` that sum to ``size``.
         """
         obj = object.__new__(cls)
-        obj.__dict__.update(entries=entries, t=t, size=size)  # ``size`` fills its cached_property
+        obj.__dict__.update(entries=entries, t=t, size=size)
         return obj
 
     @classmethod
@@ -91,10 +107,6 @@ class TaskMultiset:
     def format(self) -> str:
         return ",".join(str(e) for e in self.elements())
 
-    @cached_property
-    def size(self) -> int:
-        return sum(count for _, count in self.entries)
-
     def __len__(self) -> int:
         return self.size
 
@@ -114,13 +126,10 @@ class TaskMultiset:
     def multiplicity(self, task: int) -> int:
         return self._counts.get(task, 0)
 
-    def _require_same_universe(self, other: "TaskMultiset") -> None:
-        if self.t != other.t:
-            raise ValueError(f"multisets over different universes: {self.t} vs {other.t}")
-
     def difference(self, other: "TaskMultiset") -> "TaskMultiset":
         """Pointwise ``max(0, m_self - m_other)``."""
-        self._require_same_universe(other)
+        if self.t != other.t:
+            raise ValueError(f"multisets over different universes: {self.t} vs {other.t}")
         entries = []
         for task, count in self.entries:
             kept = count - other.multiplicity(task)
@@ -230,8 +239,7 @@ class WorkerTaskInput:
 
 def is_adjacent(t1: TaskMultiset, t2: TaskMultiset) -> bool:
     """True for equal-size multisets swapping one element, or sizes differing by one with symmetric difference one."""
-    t1._require_same_universe(t2)
-    d12 = t1.difference(t2)
+    d12 = t1.difference(t2)  # checks that the universes match
     d21 = t2.difference(t1)
     if len(t1) == len(t2):
         return len(d12) == 1 and len(d21) == 1

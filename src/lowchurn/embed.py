@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .assigner import AssignResult, RoundSchedule, assign
-from .core import TaskMultiset, _frozen
+from .core import TaskMultiset, _check_runs, _frozen
 
 __all__ = [
     "SparseVector",
@@ -51,17 +51,8 @@ class SparseVector:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        prev = weight = 0
-        for pos, val in self.entries:
-            if not 1 <= pos <= self.n:
-                raise ValueError(f"position {pos} outside [1, {self.n}]")
-            if pos <= prev:
-                raise ValueError("positions must be strictly increasing")
-            if val < 1:
-                raise ValueError("stored values must be >= 1")
-            prev = pos
-            weight += val
-        object.__setattr__(self, "weight", weight)
+        faults = ("position {} outside [1, {}]", "positions must be strictly increasing", "stored values must be >= 1")
+        object.__setattr__(self, "weight", _check_runs(self.entries, self.n, faults))
 
     @classmethod
     def from_support(cls, n: int, positions) -> "SparseVector":

@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from random import Random
-from typing import Iterator, Protocol
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -73,8 +73,7 @@ class StepOutcome:
         return () if self.result is None else self.result.per_round_pairs
 
 
-class Assigner(Protocol):
-    def __call__(self, T: TaskMultiset) -> StepOutcome: ...
+Assigner = Callable[[TaskMultiset], StepOutcome]
 
 
 def make_assigner(algorithm: str, w: int, t: int, c: int, seed: int) -> Assigner:

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement, permutations
 from random import Random
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -59,6 +59,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
+        if self.time_limit != self.time_limit:  # NaN: every comparison with the deadline would be false
+            raise ValueError("time_limit must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -78,28 +80,23 @@ def _states(w: int, t: int, multisets: bool) -> list[tuple[int, ...]]:
     return [tuple(s) for s in combinations(range(1, t + 1), w)]
 
 
-def _neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
+def _neighbors(states: list[tuple[int, ...]]) -> list[list[int]]:
     """Each state's adjacent states, as ascending index lists.
 
-    A neighbor swaps one element of a sorted state tuple for another task in
-    ``[1, t]``, so it is one of the states that extend the same ``rest`` (the
-    state less that element) by one task. Each ``rest`` is extended once, by
-    inserting every task at its place in the sorted tuple and looking the
-    result up in a state-to-index table; a state's neighbors are the union of
-    its rests' extensions, less the state itself.
+    Two states of one size are adjacent exactly when they share a ``rest``,
+    a sorted tuple less one element: swapping one element keeps the rest of
+    the tuple. So the states are grouped by each of their rests, and a
+    state's neighbors are the union of its rests' groups, less the state
+    itself.
     """
-    index = {state: i for i, state in enumerate(states)}
-    extensions: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    member_of = [[groups.setdefault(state[:i] + state[i + 1 :], []) for i in range(len(state))] for state in states]
+    for me, mine in enumerate(member_of):
+        for group in mine:
+            group.append(me)
     out = []
-    for me, state in enumerate(states):
-        found = set()
-        for i in range(len(state)):
-            rest = state[:i] + state[i + 1 :]
-            if rest not in extensions:
-                gaps = enumerate(zip((0,) + rest, rest + (t,)))
-                grown = (rest[:j] + (new,) + rest[j:] for j, (lo, hi) in gaps for new in range(lo + 1, hi + 1))
-                extensions[rest] = [k for k in map(index.get, grown) if k is not None]
-            found.update(extensions[rest])
+    for me, mine in enumerate(member_of):
+        found = set().union(*mine)
         found.discard(me)
         out.append(sorted(found))
     return out
@@ -148,7 +145,7 @@ def exact_feasible(
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
 
     states = _states(w, t, multisets)
-    neighbors = _neighbors(states, t)
+    neighbors = _neighbors(states)
 
     order = _bfs_order(states, neighbors)
     position = {idx: pos for pos, idx in enumerate(order)}
@@ -256,7 +253,7 @@ def exhaustive_max_switching(
     results = [assignfn(s) for s in states]
     best = 0
     witness: tuple[TaskMultiset, TaskMultiset] | None = None
-    for a_idx, adjacent in enumerate(_neighbors(tuples, t)):
+    for a_idx, adjacent in enumerate(_neighbors(tuples)):
         for b_idx in adjacent:
             if b_idx < a_idx:
                 continue  # each pair once, as (a, b) with a < b
@@ -267,31 +264,22 @@ def exhaustive_max_switching(
     return best, witness
 
 
-def _qualifying_subsets(N: int, min_size: int) -> Iterable[tuple[int, ...]]:
-    for size in range(min_size, N + 1):
-        yield from combinations(range(1, N + 1), size)
-
-
 def verify_disperser(family: DisperserFamily) -> bool:
     """Exhaustively check the covering property over every large-enough subset.
 
     For each ``S`` with ``|S| >= 2**k_param`` the seed-annotated image must
-    cover at least ``(1 - epsilon) * M * D`` cells. Only feasible for small
-    domains; cost grows with ``2**N``.
+    cover at least ``(1 - epsilon) * M * D`` cells. Adding an element to
+    ``S`` never uncovers a cell, so coverage is monotone in ``S`` and the
+    subsets of exactly ``2**k_param`` elements decide it. Only feasible for
+    small domains; cost grows with ``C(N, 2**k_param)``.
     """
-    need = (1.0 - family.epsilon) * family.M * family.D
-    table = family.table
-    D = family.D
-    min_size = 2**family.k_param
-    if min_size > family.N:
+    size = 2**family.k_param
+    if size > family.N:
         return True  # no qualifying subsets: vacuously a disperser
-    for S in _qualifying_subsets(family.N, min_size):
-        cells = 0
-        for d in range(D):
-            cells += len({table[s - 1][d] for s in S})
-        if cells < need:
-            return False
-    return True
+    need = (1.0 - family.epsilon) * family.M * family.D
+    seeds = list(zip(*family.table))  # per seed, every element's bin
+    covered = (sum(len({bins[s] for s in S}) for bins in seeds) for S in combinations(range(family.N), size))
+    return all(cells >= need for cells in covered)
 
 
 def disperser_search(

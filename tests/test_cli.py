@@ -131,6 +131,26 @@ class TestOracle:
         assert rc == 2
         assert "limit" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--w", "3", "--t", "6", "--k", "2", "--multisets"],
+            ["disperser", "--domain", "8", "--seeds", "6", "--bins", "2", "--k-param", "1", "--epsilon", "0.05"],
+        ],
+        ids=["exact", "disperser"],
+    )
+    def test_nan_time_limit_exits_2(self, capsys, argv):
+        # A NaN deadline compares false with every clock reading, so it would never end the search.
+        rc, out, err = run_cli(capsys, "oracle", *argv, "--time-limit", "nan")
+        assert (rc, out, err) == (2, "", "error: time_limit must not be NaN\n")
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_expired_time_limit_ends_the_search_at_its_first_check(self, capsys, limit):
+        rc, out, _ = run_cli(capsys, "oracle", "exact", "--w", "3", "--t", "5", "--k", "2", "--multisets",
+                             "--time-limit", limit)
+        record = json.loads(out.splitlines()[-1])
+        assert rc == 0 and (record["verdict"], record["nodes"]) == ("budget_exhausted", 4096)
+
     def test_audit_sorted(self, capsys):
         rc, out, _ = run_cli(
             capsys, "oracle", "audit", "--alg", "sorted", "--w", "2", "--t", "3"

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from lowchurn.core import (
     random_multiset,
     switching_cost,
 )
+from lowchurn.embed import SparseVector
 
 T6 = 6
 
@@ -82,6 +84,35 @@ class TestMultisetBasics:
             TaskMultiset(((2, 1), (2, 1)), 5)
         with pytest.raises(ValueError):
             TaskMultiset(((2, 0),), 5)
+
+    @pytest.mark.parametrize(
+        "t, entries, message",
+        [
+            (0, (), "task universe size must be >= 1"),
+            (5, ((0, 1),), "task id 0 outside universe [1, 5]"),
+            (5, ((6, 1),), "task id 6 outside universe [1, 5]"),
+            (5, ((2, 1), (2, 1)), "task ids must be strictly increasing"),
+            (5, ((3, 1), (2, 1)), "task ids must be strictly increasing"),
+            (5, ((1, 1), (2, 0)), "multiplicities must be >= 1"),
+        ],
+    )
+    def test_invalid_entries_rejected_by_the_multiset(self, t, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TaskMultiset(entries, t)
+
+    def test_size_is_recorded_by_every_constructor(self):
+        made = [
+            TaskMultiset(((1, 2), (4, 1), (9, 3)), 9),
+            TaskMultiset((), 9),
+            TaskMultiset.from_elements([5, 1, 5, 5, 2], 9),
+            TaskMultiset.parse("1,2,2,5", 9),
+            TaskMultiset.parse("", 9),
+            ms(1, 1, 2, 3, 3, 3).difference(ms(1, 3)),
+            SparseVector.from_values(9, {2: 3, 7: 1}).to_multiset(),
+        ]
+        for T in made:
+            assert "size" in T.__dict__  # recorded while the runs were checked, not summed on first read
+            assert len(T) == T.size == sum(count for _, count in T.entries) == len(T.elements())
 
 
 class TestAdjacency:

@@ -17,7 +17,6 @@ from lowchurn.oracle import (
     SearchBudget,
     _bfs_order,
     _neighbors,
-    _qualifying_subsets,
     _states,
     disperser_search,
     exact_feasible,
@@ -27,8 +26,9 @@ from lowchurn.oracle import (
 )
 
 
-# The reference engine: the list-domain search and neighbor scan that the
-# bitset search and ``_neighbors`` replaced, kept to test them against.
+# The reference engine: the list-domain search, neighbor scan and every-size
+# disperser check that the bitset search, ``_neighbors`` and
+# ``verify_disperser`` replaced, kept to test them against.
 def reference_neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
     """The plain neighbor scan: ``_neighbors`` by sorting every swapped tuple."""
     index = {state: i for i, state in enumerate(states)}
@@ -61,6 +61,16 @@ def reference_bfs_order(states: list[tuple[int, ...]], neighbors: list[list[int]
         queue = sorted(nxt)
     order.extend(i for i in range(len(states)) if not seen[i])
     return order
+
+
+def reference_verify_disperser(family: DisperserFamily) -> bool:
+    """The covering check over every subset of at least ``2**k_param`` elements, one size at a time."""
+    need = (1.0 - family.epsilon) * family.M * family.D
+    for size in range(2**family.k_param, family.N + 1):
+        for S in combinations(range(1, family.N + 1), size):
+            if sum(len({family.table[s - 1][d] for s in S}) for d in range(family.D)) < need:
+                return False
+    return True
 
 
 def reference_exact_feasible(
@@ -206,6 +216,12 @@ class TestExactFeasible:
         with pytest.raises(ValueError, match="^target switching cost must be >= 0$"):
             exact_feasible(3, 5, -1)
 
+    @pytest.mark.parametrize("time_limit", [float("nan"), -float("nan")])
+    def test_nan_time_limit_is_rejected(self, time_limit):
+        # Every comparison with NaN is false, so a NaN deadline would never end a search.
+        with pytest.raises(ValueError, match="^time_limit must not be NaN$"):
+            SearchBudget(time_limit=time_limit)
+
     def test_deep_search_needs_no_recursion(self):
         # 1770 states, one search level each: deeper than the interpreter's
         # recursion limit, inside the CLI's 20 000-state cap.
@@ -302,7 +318,7 @@ class TestAgainstReference:
         if not multisets and t < w:
             return
         states = _states(w, t, multisets)
-        assert _neighbors(states, t) == reference_neighbors(states, t)
+        assert _neighbors(states) == reference_neighbors(states, t)
 
     @settings(max_examples=100, deadline=None)
     @given(w=st.integers(0, 4), t=st.integers(1, 9), multisets=st.booleans())
@@ -312,7 +328,7 @@ class TestAgainstReference:
         if not multisets and t < w:
             return
         states = _states(w, t, multisets)
-        neighbors = _neighbors(states, t)
+        neighbors = _neighbors(states)
         assert _bfs_order(states, neighbors) == reference_bfs_order(states, neighbors)
 
     @settings(max_examples=100, deadline=None)
@@ -376,9 +392,16 @@ class TestDispersers:
         fam = DisperserFamily(4, 2, 2, 1, 0.25, tuple((0, 0) for _ in range(4)))
         assert not verify_disperser(fam)
 
-    def test_qualifying_subset_count(self):
-        # N=4, k_param=1: C(4,2)+C(4,3)+C(4,4) = 11 subsets to check.
-        assert sum(1 for _ in _qualifying_subsets(4, 2)) == 11
+    def test_verdict_matches_every_size_reference(self):
+        # The check over subsets of exactly 2**k_param elements against the one over every larger size too.
+        rng = Random(17)
+        verdicts = []
+        for _ in range(400):
+            N, D, M, k_param = rng.randint(1, 7), rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+            fam = DisperserFamily.random_table(N, D, M, k_param, rng.choice([0.0, 0.25, 0.5]), rng)
+            verdicts.append(verify_disperser(fam))
+            assert verdicts[-1] == reference_verify_disperser(fam), fam
+        assert True in verdicts and False in verdicts
 
     def test_search_finds_tiny_disperser(self):
         fam = disperser_search(4, 2, 2, k_param=1, epsilon=0.25, seed=1)
