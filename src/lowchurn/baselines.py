@@ -50,7 +50,7 @@ class PriorityOracle:
 def sorted_order(T: TaskMultiset, w: int) -> Assignment:
     """Worker ``i`` takes the i-th smallest element of ``T`` (with multiplicity)."""
     _check_fits(T, w)
-    return Assignment.from_arrays(w, np.arange(1, len(T) + 1), np.array(T.elements(), id_dtype(T.t)))
+    return Assignment.from_arrays(w, np.arange(1, len(T) + 1), np.repeat(T.tasks.astype(id_dtype(T.t)), T.counts))
 
 
 # The greedy pass builds the key matrix this many cells at a time, in blocks

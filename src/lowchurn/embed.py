@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .assigner import AssignResult, RoundSchedule, assign
-from .core import TaskMultiset, _check_runs, _frozen
+from .core import TaskMultiset, _checked_runs, _frozen
 
 __all__ = [
     "SparseVector",
@@ -36,27 +36,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparseVector:
-    """A nonnegative integer vector stored as sorted (position, value) pairs.
+    """A nonnegative integer vector: the nonzero ``values[i]`` at each position ``positions[i]``.
 
-    Binary vectors have all values equal to one; the weight ``k`` is the sum
-    of values either way.
+    ``positions``, strictly increasing, and ``values``, each at least 1, are
+    read-only arrays; ``entries``, the sorted ``(position, value)`` pairs, is
+    built from them when first read. Binary vectors have all values equal to
+    one; the weight ``k`` is the sum of values either way.
     """
 
     n: int
-    entries: tuple[tuple[int, int], ...]
+    entries: tuple[tuple[int, int], ...] = cached_property(
+        lambda self: tuple(zip(self.positions.tolist(), self.values.tolist())))
     weight: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        faults = ("position {} outside [1, {}]", "positions must be strictly increasing", "stored values must be >= 1")
-        object.__setattr__(self, "weight", _check_runs(self.entries, self.n, faults))
+    def __init__(self, n: int, entries) -> None:
+        self._store(n, *_frozen(entries).reshape(-1, 2).T)
+
+    def _store(self, n: int, positions, values) -> "SparseVector":
+        faults = ("dimension must be >= 1", "position {} outside [1, {}]", "positions must be strictly increasing",
+                  "stored values must be >= 1")
+        positions, values, weight = _checked_runs(positions, values, n, faults)
+        self.__dict__.update(n=n, positions=positions, values=values, weight=weight)
+        return self
 
     @classmethod
     def from_support(cls, n: int, positions) -> "SparseVector":
-        return cls(n, tuple((p, 1) for p in sorted(positions)))
+        positions = np.sort(positions if isinstance(positions, np.ndarray) else _frozen(list(positions)))
+        return object.__new__(cls)._store(n, positions, np.ones(positions.size, np.int64))
 
     @classmethod
     def from_values(cls, n: int, values: dict[int, int]) -> "SparseVector":
@@ -86,14 +94,11 @@ class SparseVector:
 
     @property
     def is_binary(self) -> bool:
-        return all(val == 1 for _, val in self.entries)
+        return bool(np.all(self.values == 1))
 
     def to_multiset(self) -> TaskMultiset:
-        """The support as a task multiset over ``[n]`` (position repeated by value).
-
-        The vector's own checks are the multiset's, so they are not made again.
-        """
-        return TaskMultiset._from_checked(self.entries, self.n, self.weight)
+        """The support as a task multiset over ``[n]`` (position repeated by value), sharing the vector's arrays."""
+        return TaskMultiset.from_arrays(self.positions, self.values, self.n)
 
 
 @dataclass(frozen=True, init=False)

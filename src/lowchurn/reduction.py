@@ -11,17 +11,15 @@ index.
 ``lift_np`` is the one lift, the lifted set as a sorted id array, and
 ``lift`` is the same set as a frozenset. ``project_np`` is the projection:
 the base task of every id in an array at once. ``lifted_changes`` is the
-difference between two lifted sets, worked out from the multisets' runs
-without lifting either.
+difference between two lifted sets, worked out from the multisets'
+``tasks`` and ``counts`` arrays without lifting either. Nothing here reads a
+multiset's ``entries`` tuple.
 """
 from __future__ import annotations
 
-from itertools import chain
-from typing import Sequence
-
 import numpy as np
 
-from .core import TaskMultiset
+from .core import TaskMultiset, _counts_in
 
 __all__ = ["encode", "decode", "id_dtype", "lift", "lift_np", "lifted_changes", "project_np"]
 
@@ -54,17 +52,12 @@ def lift_np(T: TaskMultiset, w: int) -> np.ndarray:
     ``x - 1`` places after the task's first copy, so every id is its position
     in the array plus a per-task shift.
     """
-    if len(T) > w:  # only then can one multiplicity exceed w
-        for task, count in T.entries:
-            if count > w:
-                raise ValueError(f"multiplicity {count} of task {task} exceeds worker count {w}")
+    if len(T) > w and (over := np.flatnonzero(T.counts > w)).size:  # only then can one multiplicity exceed w
+        raise ValueError(f"multiplicity {T.counts[over[0]]} of task {T.tasks[over[0]]} exceeds worker count {w}")
     dtype = id_dtype(w * T.t)
-    runs = np.fromiter(chain.from_iterable(T.entries), dtype, 2 * len(T.entries))
-    tasks, counts = runs[0::2], runs[1::2]
+    tasks, counts = T.tasks.astype(dtype), T.counts.astype(dtype)
     shifts = (tasks - 1) * w + 1 - (np.cumsum(counts) - counts)
-    ids = np.repeat(shifts, counts.astype(np.intp))
-    ids += np.arange(len(T), dtype=dtype)
-    return ids
+    return np.repeat(shifts, T.counts) + np.arange(len(T), dtype=dtype)
 
 
 def lift(T: TaskMultiset, w: int) -> frozenset[int]:
@@ -77,50 +70,33 @@ def project_np(lifted, w: int) -> np.ndarray:
     return (np.asarray(lifted) - 1) // w + 1
 
 
-def _common_run(a: Sequence, i: int, b: Sequence, j: int) -> int:
-    """The largest ``n`` with ``a[i:i+n] == b[j:j+n]``, found with slice comparisons.
-
-    Steps of 64 find the block holding the first difference, then bisection
-    finds it within the block, so about ``n`` items are compared in all.
-    """
-    lo, limit = 0, min(len(a) - i, len(b) - j)
-    while lo < limit and a[i + lo : i + lo + 64] == b[j + lo : j + lo + 64]:
-        lo += 64
-    lo, hi = min(lo, limit), min(lo + 63, limit)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[i + lo : i + mid] == b[j + lo : j + mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def lifted_changes(a: TaskMultiset, b: TaskMultiset, w: int, limit: int) -> tuple[list[int], list[int]] | None:
     """The lifted ids only ``a`` has and those only ``b`` has, or None past ``limit`` of them.
 
     The two lists are ``lift(a, w) - lift(b, w)`` and ``lift(b, w) - lift(a,
-    w)``, each ascending; only the runs where the entries differ are
-    visited, and nothing is lifted. On walk-1k steps
-    (w=1024) this takes about 42 us, where a set symmetric difference of the
-    two entry tuples took 120-300 us of the ~1 ms step.
+    w)``, each ascending. The runs the two multisets share at either end are
+    cut off with elementwise comparisons; each side's remaining tasks are
+    looked up in the other's, and only the tasks whose counts differ are
+    lifted. On walk steps (w=1024 and 16384, t=4w, 2-core x86-64 VM, numpy
+    2.4.6) this takes 0.95 and 0.38 of the time of the loop over ``entries``
+    that it replaced.
     """
-    ea, eb = a.entries, b.entries
-    gone: list[int] = []
-    new: list[int] = []
-    i = j = 0
-    while True:
-        run = _common_run(ea, i, eb, j)
-        i, j = i + run, j + run
-        if i == len(ea) and j == len(eb):
-            return gone, new
-        # Runs are sorted by task, so the smaller task at the mismatch is the changed one.
-        task = min(ea[i][0] if i < len(ea) else b.t + 1, eb[j][0] if j < len(eb) else b.t + 1)
-        x = ea[i][1] if i < len(ea) and ea[i][0] == task else 0
-        y = eb[j][1] if j < len(eb) and eb[j][0] == task else 0
-        i, j = i + (x > 0), j + (y > 0)
+    ta, ca, tb, cb = a.tasks, a.counts, b.tasks, b.counts
+    m = min(ta.size, tb.size)
+    differ = np.flatnonzero((ta[:m] != tb[:m]) | (ca[:m] != cb[:m]))
+    head = int(differ[0]) if differ.size else m  # runs shared at the front
+    k = m - head
+    differ = np.flatnonzero((ta[ta.size - k:] != tb[tb.size - k:]) | (ca[ca.size - k:] != cb[cb.size - k:]))
+    tail = k - 1 - int(differ[-1]) if differ.size else k  # and at the back
+    ta, ca, tb, cb = (x[head:x.size - tail] for x in (ta, ca, tb, cb))
+    in_b, in_a = _counts_in(tb, cb, ta), _counts_in(ta, ca, tb)
+    changed, added = np.flatnonzero(in_b != ca), np.flatnonzero(in_a == 0)  # a's tasks whose count differs; b's new ones
+    if changed.size + added.size > limit:  # each changes at least one id
+        return None
+    gone, new = [], []
+    for task, x, y in sorted([*zip(ta[changed].tolist(), ca[changed].tolist(), in_b[changed].tolist()),
+                              *zip(tb[added].tolist(), [0] * added.size, cb[added].tolist())]):
         first = (task - 1) * w
         gone.extend(range(first + y + 1, first + x + 1))
         new.extend(range(first + x + 1, first + y + 1))
-        if len(gone) + len(new) > limit:
-            return None
+    return (gone, new) if len(gone) + len(new) <= limit else None
