@@ -31,11 +31,13 @@ Two engines give bit-identical output, the same pairs and the same trace:
 * the array engine (``_run_arrays``) reads the schedule's seed and bin
   count arrays as they are (``RoundSchedule.round_arrays``). It runs the
   rounds in blocks, each sized to about ``_TAIL_HITS`` expected collisions
-  (``_block_size``), in three regimes:
+  and, in the tail, to at most ``k`` rounds (``_block_size``), in three
+  regimes:
 
   - head rounds: above ``_TAIL_N`` workers, a block of one round is one
-    numpy round, a scatter over the bins or, where they are sparse, one
-    sort of the round's keys;
+    numpy round: each side's first position in each bin, scattered over the
+    bins or, where they are sparse, only the workers', read back at the
+    tasks' bins;
   - sorted blocks: above ``_TAIL_N``, a longer block hashes the residual
     under all its rounds in one call and sorts the keys once, and only the
     bins where a worker meets a task are visited, in round order;
@@ -337,8 +339,9 @@ _TAIL_N = 64
 # 65 to 8000 on the machine above: 1.5-4.9 at k = n, 0.8-1.2 at k = 16n,
 # 0.3-1.0 at k = 64n.
 _DENSE_BINS = 8
-# A block of rounds stops at about ``_TAIL_HITS`` expected collisions and
-# at ``_TAIL_BUDGET`` work (see ``_block_size``). Time of a whole ``assign``
+# A block of rounds stops at about ``_TAIL_HITS`` expected collisions, or at
+# n*n in a tail block over n < 4 ids, and at ``_TAIL_BUDGET`` work (see
+# ``_block_size``). Time of a whole ``assign``
 # with 32 over that with 16, the two alternating in one process on the same
 # random multisets of size w with t = 4w, three runs on the machine above:
 # w=64 0.98-0.99, w=256 1.02-1.12, w=1024 1.05-1.06, w=4096 1.00-1.06,
@@ -396,13 +399,15 @@ def _run_arrays(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> Run:
         block = min(rounds - r, _block_size(n, k))
         rows = slice(r, r + block)
         if n <= _TAIL_N:
-            keep = _tail_block(seeds[:, rows, None], wt, ks[rows, None], r, blocks)
+            wt = wt[_tail_block(seeds[:, rows, None], wt, ks[rows, None], r, blocks)]
         elif block > 1:
-            keep = _sort_block(seeds[:, rows, None], wt, ks[rows, None], k, r, blocks)
+            wt = wt[_sort_block(seeds[:, rows, None], wt, ks[rows, None], k, r, blocks)]
         else:
-            keep = _head_round(seeds[:, r, None], wt, k, r, matched)
+            # A dense head round can match half its ids, and a boolean index over such a
+            # mask takes about 4 times as long as its flat indices: 194 against 44 us at n=16384.
+            wt = wt.take(np.flatnonzero(_head_round(seeds[:, r, None], wt, k, r, matched)))
         r += block
-        wt = wt[keep].reshape(2, -1)
+        wt = wt.reshape(2, -1)
     if blocks:
         matched.append(tuple(map(list, zip(*blocks))))
     return matched, wt
@@ -414,12 +419,16 @@ def _block_size(n: int, k: int) -> int:
     A round of k bins has about n*n/k colliding pairs, so a block stops at
     about ``_TAIL_HITS`` expected collisions: rounds that match a lot shrink
     the residual and go in short blocks, rounds that rarely match go in long
-    ones. A block also stays within ``_TAIL_BUDGET``: B * n * n bin
-    comparisons in the all-pairs tail, B * n ids per side in a sorted block.
-    Above ``_TAIL_N`` a block of 1 is a head round.
+    ones. A tail block plans for at most n*n collisions, so it runs at most
+    k rounds: within k rounds of k bins even one worker and one task are
+    expected to meet, and the rounds hashed after the match that empties
+    the residual are wasted. That cap binds only below 4 ids. A block also
+    stays within ``_TAIL_BUDGET``: B * n * n bin comparisons in the
+    all-pairs tail, B * n ids per side in a sorted block. Above ``_TAIL_N``
+    a block of 1 is a head round.
     """
     if n <= _TAIL_N:
-        return max(1, min(_TAIL_BUDGET, _TAIL_HITS * k) // (n * n))
+        return max(1, min(_TAIL_BUDGET, min(_TAIL_HITS, n * n) * k) // (n * n))
     return max(1, min(_TAIL_HITS * k // (n * n), _TAIL_BUDGET // n))
 
 
@@ -461,23 +470,37 @@ def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matc
 
     A bin holding a worker and a task pairs its smallest of each. The rows
     are sorted, so those sit at the bin's first position in each row: a
-    scatter over the k bins finds them, or, in more than ``_DENSE_BINS``
-    bins per id, :func:`_colliding_bins` as a block of one round.
+    scatter of both rows over the k bins finds them. In more than
+    ``_DENSE_BINS`` bins per id, few bins collide, so only the workers'
+    first positions are scattered into one table over the bins. Read back
+    at the tasks' bins, it gives the few tasks that meet a worker, in
+    ascending order; a stable sort by bin then finds each bin's first such
+    task, and the table its worker. Either way the pairs come out in bin
+    order.
     """
     n = wt.shape[1]
-    bins = bins_np(seeds, wt, np.uint64(k))
+    bins = bins_np(seeds, wt, np.uint64(k)).view(np.int64)
+    at = np.arange(n)
     if k <= _DENSE_BINS * n:
         first = np.full((2, k), n)
-        at = np.arange(n)
         np.minimum.at(first[0], bins[0], at)
         np.minimum.at(first[1], bins[1], at)
-        pos_w, pos_t = first[:, np.flatnonzero((first[0] < n) & (first[1] < n))]
+        pos_w, pos_t = first.take(np.flatnonzero((first[0] < n) & (first[1] < n)), axis=1)
     else:
-        _, pos, starts, both = _colliding_bins(bins[:, None], k)
-        pos_w, pos_t = pos[starts[both]], pos[starts[both + 1]]
-    matched.append((wt[0, pos_w], wt[1, pos_t], r))
+        first = np.full(k, n)
+        np.minimum.at(first, bins[0], at)
+        pos_t = np.flatnonzero(first[bins[1]] < n)  # the tasks that share a bin with a worker, ascending
+        hit = bins[1][pos_t]
+        order = np.argsort(hit, kind="stable")
+        hit = hit[order]
+        lead = np.empty(hit.size, dtype=bool)
+        lead[:1] = True
+        np.not_equal(hit[1:], hit[:-1], out=lead[1:])
+        pos_t, pos_w = pos_t[order[lead]], first[hit[lead]]
+    # A row, then its positions: numpy's mixed index ``wt[0, pos]`` takes a path 2-3 times slower.
+    matched.append((wt[0][pos_w], wt[1][pos_t], r))
     keep = np.ones((2, n), dtype=bool)
-    keep[0, pos_w] = keep[1, pos_t] = False
+    keep[0][pos_w] = keep[1][pos_t] = False
     return keep
 
 

