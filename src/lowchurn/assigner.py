@@ -30,17 +30,19 @@ Two engines give bit-identical output, the same pairs and the same trace:
   :func:`seed_sweep` and the explicit variant always do;
 * the array engine (``_run_arrays``) reads the schedule's seed and bin
   count arrays as they are (``RoundSchedule.round_arrays``). It runs the
-  rounds in blocks, each sized to about ``_TAIL_HITS`` expected collisions
-  and, in the tail, to at most ``k`` rounds (``_block_size``), in three
-  regimes:
+  rounds in blocks, each sized to a planned number of expected collisions,
+  ``_SORT_HITS`` above ``_TAIL_N`` and ``_TAIL_HITS`` in the tail, where a
+  block runs at most ``k`` rounds (``_block_size``), in three regimes:
 
   - head rounds: above ``_TAIL_N`` workers, a block of one round is one
     numpy round: each side's first position in each bin, scattered over the
     bins or, where they are sparse, only the workers', read back at the
     tasks' bins;
   - sorted blocks: above ``_TAIL_N``, a longer block hashes the residual
-    under all its rounds in one call and sorts the keys once, and only the
-    bins where a worker meets a task are visited, in round order;
+    under all its rounds in one call, by a scalar division when they share
+    one bin count, and sorts the keys once, as uint32 where they fit; a
+    worker meets a task where two neighbouring keys differ in the side bit
+    alone, and only those bins are visited, in round order;
   - the all-pairs tail: at ``_TAIL_N`` workers or fewer, every worker's bin
     is compared with every task's in each round of the block.
 
@@ -339,15 +341,24 @@ _TAIL_N = 64
 # 65 to 8000 on the machine above: 1.5-4.9 at k = n, 0.8-1.2 at k = 16n,
 # 0.3-1.0 at k = 64n.
 _DENSE_BINS = 8
-# A block of rounds stops at about ``_TAIL_HITS`` expected collisions, or at
-# n*n in a tail block over n < 4 ids, and at ``_TAIL_BUDGET`` work (see
-# ``_block_size``). Time of a whole ``assign``
-# with 32 over that with 16, the two alternating in one process on the same
-# random multisets of size w with t = 4w, three runs on the machine above:
-# w=64 0.98-0.99, w=256 1.02-1.12, w=1024 1.05-1.06, w=4096 1.00-1.06,
-# w=16384 0.98-1.06.
+# A tail block stops at about ``_TAIL_HITS`` expected collisions, or at n*n
+# over n < 4 ids, a sorted block at about ``_SORT_HITS``, and both at
+# ``_TAIL_BUDGET`` work (see ``_block_size``). Time of a whole ``assign``
+# with 32 over that with 16 in both regimes, the two alternating in one
+# process on the same random multisets of size w with t = 4w, three runs on
+# the machine above: w=64 0.98-0.99, w=256 1.02-1.12, w=1024 1.05-1.06,
+# w=4096 1.00-1.06, w=16384 0.98-1.06.
 _TAIL_BUDGET = 1 << 16
 _TAIL_HITS = 16
+# A sorted block's numpy calls cost the same whatever it finds, and its
+# pairing loop costs about 1 us per collision, so it plans for more
+# collisions than a tail block. Time of a whole ``assign`` with _SORT_HITS
+# at 32, 48, 64 and 96 over that at 16, all alternating in one process on
+# the same 10 embed-style inputs (weight w over t = 4w), three runs on the
+# machine above: w=1024 0.95-0.96, 0.94-0.95, 0.94-0.95, 0.95-0.96; w=4096
+# 0.92-0.94, 0.91-0.92, 0.89-0.92, 0.91-0.93; w=16384 0.92-0.94, 0.89-0.90,
+# 0.89-0.90, 0.90-0.92.
+_SORT_HITS = 48
 
 # What an engine returns: the matched pairs as (workers, tasks, rounds) rows,
 # where rounds is one round index or one per pair, and the residual it
@@ -417,22 +428,24 @@ def _block_size(n: int, k: int) -> int:
     """How many rounds of ``k`` bins or fewer to run at once over a residual of ``n``.
 
     A round of k bins has about n*n/k colliding pairs, so a block stops at
-    about ``_TAIL_HITS`` expected collisions: rounds that match a lot shrink
+    a planned number of expected collisions: rounds that match a lot shrink
     the residual and go in short blocks, rounds that rarely match go in long
-    ones. A tail block plans for at most n*n collisions, so it runs at most
-    k rounds: within k rounds of k bins even one worker and one task are
-    expected to meet, and the rounds hashed after the match that empties
-    the residual are wasted. That cap binds only below 4 ids. A block also
-    stays within ``_TAIL_BUDGET``: B * n * n bin comparisons in the
-    all-pairs tail, B * n ids per side in a sorted block. Above ``_TAIL_N``
-    a block of 1 is a head round.
+    ones. A tail block plans for ``_TAIL_HITS``, but for at most n*n
+    collisions, so it runs at most k rounds: within k rounds of k bins even
+    one worker and one task are expected to meet, and the rounds hashed
+    after the match that empties the residual are wasted. That cap binds
+    only below 4 ids. A sorted block plans for ``_SORT_HITS``, more than a
+    tail block, since its fixed numpy cost is larger than its cost per
+    collision. A block also stays within ``_TAIL_BUDGET``: B * n * n bin
+    comparisons in the all-pairs tail, B * n ids per side in a sorted block.
+    Above ``_TAIL_N`` a block of 1 is a head round.
     """
     if n <= _TAIL_N:
         return max(1, min(_TAIL_BUDGET, min(_TAIL_HITS, n * n) * k) // (n * n))
-    return max(1, min(_TAIL_HITS * k // (n * n), _TAIL_BUDGET // n))
+    return max(1, min(_SORT_HITS * k // (n * n), _TAIL_BUDGET // n))
 
 
-def _colliding_bins(bins: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _colliding_bins(bins: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort a block's bins and find the bins where a worker meets a task.
 
     ``bins`` has shape ``(2, B, n)``: each residual position's bin, all below
@@ -441,28 +454,29 @@ def _colliding_bins(bins: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, n
     position p, with ``s`` the bit length of ``n - 1``, lists each (round,
     bin, side) group's positions in ascending order, so in id order, with
     the groups in round order. The keys stay below ``4*B*k*n``, which
-    ``RoundSchedule.round_arrays`` bounds.
+    ``RoundSchedule.round_arrays`` bounds, and are uint32 wherever they fit
+    in one: the sort and every pass then move half the bytes. A bin's
+    workers come directly before its tasks, so a worker meets a task
+    exactly where two neighbouring keys' groups differ in the side bit alone.
 
-    Returns each group's ``(h*k + bin)*2 + side``, the sorted positions, the
-    index of each group's first key there, and the groups ``i`` that are a
-    bin's workers followed by that bin's tasks in group ``i + 1``.
+    Returns the block round ``h`` of each bin where a worker meets a task,
+    the sorted positions, and, one column per such bin, the index there of
+    its first worker, its first task and the end of its tasks.
     """
     _, B, n = bins.shape
-    shift = np.uint64((n - 1).bit_length())
-    keys = bins + np.arange(0, B * k, k, dtype=np.uint64)[:, None]
-    keys <<= shift + np.uint64(1)
-    keys[1] |= np.uint64(1) << shift
-    keys |= np.arange(n, dtype=np.uint64)
+    shift = (n - 1).bit_length()
+    dtype = np.uint32 if (2 * B * k) << shift <= 1 << 32 else np.uint64
+    keys = bins.astype(dtype)
+    keys += np.arange(0, B * k, k, dtype=dtype)[:, None]
+    keys <<= dtype(shift + 1)
+    keys[1] |= dtype(1 << shift)
+    keys |= np.arange(n, dtype=dtype)
     keys = keys.ravel()
     keys.sort()
-    groups, pos = keys >> shift, keys & ((np.uint64(1) << shift) - np.uint64(1))
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(groups[1:], groups[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    groups = groups[starts]
-    both = np.flatnonzero(groups[1:] - groups[:-1] == (groups[1:] & np.uint64(1)))
-    return groups, pos, starts, both
+    groups, one = keys >> dtype(shift), dtype(1)
+    meet = groups[np.flatnonzero((groups[1:] ^ groups[:-1]) == one) + 1]  # the task groups that follow their workers
+    runs = np.searchsorted(groups, [meet - one, meet, meet + one])
+    return (meet >> one) // dtype(k), keys & dtype((1 << shift) - 1), runs
 
 
 def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matches) -> np.ndarray:
@@ -510,21 +524,24 @@ def _sort_block(
     """Run the block of rounds from ``start`` over a residual above ``_TAIL_N``; returns the mask of ids left unmatched.
 
     ``k`` is the block's first and largest bin count. The residual is
-    hashed under every round of the block at once, and one sort
-    (:func:`_colliding_bins`) lists the bins holding a worker and a task.
-    They are visited in round order: each pairs its smallest live worker
-    with its smallest live task, and the pair is appended to ``pairs`` with
-    its round. A member matched earlier in the block is skipped, and the
-    next member of its bin takes its place.
+    hashed under every round of the block at once, by numpy's scalar
+    division when the block has one bin count (``ks`` never rises, so its
+    first and last entries tell), and one sort (:func:`_colliding_bins`)
+    lists the bins holding a worker and a task. They are visited in round
+    order: each pairs its smallest live worker with its smallest live task,
+    and the pair is appended to ``pairs`` with its round. A member matched
+    earlier in the block is skipped, and the next member of its bin takes
+    its place.
     """
-    groups, pos, starts, both = _colliding_bins(bins_np(seeds, wt[:, None, :], ks), k)
-    rounds = ((groups[both] >> np.uint64(1)) // np.uint64(k) + np.uint64(start)).tolist()
-    runs = np.append(starts, pos.size)[both + np.arange(3)[:, None]]  # a bin's workers, then its tasks
+    bins = bins_np(seeds, wt[:, None, :], np.uint64(k) if ks[-1, 0] == k else ks)
+    rounds, pos, runs = _colliding_bins(bins, k)
     firsts = pos[runs[:2]].tolist()  # each bin's smallest worker and task
     used_w: set[int] = set()
     used_t: set[int] = set()
-    found = []
-    for r, a, b, c, x, y in zip(rounds, *runs.tolist(), *firsts):
+    at_w: list[int] = []
+    at_t: list[int] = []
+    rs: list[int] = []
+    for h, a, b, c, x, y in zip(rounds.tolist(), *runs.tolist(), *firsts):
         if x in used_w:
             x = next((p for p in pos[a + 1 : b].tolist() if p not in used_w), None)
         if y in used_t:
@@ -532,12 +549,13 @@ def _sort_block(
         if x is not None and y is not None:
             used_w.add(x)
             used_t.add(y)
-            found.append((x, y, r))
+            at_w.append(x)
+            at_t.append(y)
+            rs.append(start + h)
+    # Rows first, as in _head_round: the mixed ``keep[0, at_w]`` and ``wt[0, at_w]`` are 2-6 times slower.
     keep = np.ones(wt.shape, dtype=bool)
-    if found:
-        at_w, at_t, rs = map(list, zip(*found))
-        keep[0, at_w] = keep[1, at_t] = False
-        pairs.extend(zip(wt[0, at_w].tolist(), wt[1, at_t].tolist(), rs))
+    keep[0][at_w] = keep[1][at_t] = False
+    pairs.extend(zip(wt[0][at_w].tolist(), wt[1][at_t].tolist(), rs))
     return keep
 
 

@@ -245,23 +245,30 @@ def exhaustive_max_switching(
 ) -> tuple[int, tuple[TaskMultiset, TaskMultiset] | None]:
     """Exact maximum switching cost of ``assignfn`` over every adjacent state pair.
 
-    Returns the maximum and a witness pair, or ``(0, None)`` when the
-    instance has no adjacent pairs at all (e.g. ``t == 1``).
+    Returns the maximum and a witness pair, the first pair ``(a, b)``, ``a <
+    b`` in state order, to reach it; or ``(0, None)`` when the instance has
+    no adjacent pairs at all (e.g. ``t == 1``). Every result becomes one row
+    of a task matrix, with 0 for an unassigned worker (tasks are in ``[1,
+    t]``), so a pair's cost, :func:`switching_cost` with its rule that a
+    worker assigned in only one of the two differs, is the count of columns
+    where its rows differ, taken for all pairs at once.
     """
     tuples = _states(w, t, multisets)
     states = [TaskMultiset.from_elements(s, t) for s in tuples]
     results = [assignfn(s) for s in states]
-    best = 0
-    witness: tuple[TaskMultiset, TaskMultiset] | None = None
-    for a_idx, adjacent in enumerate(_neighbors(tuples)):
-        for b_idx in adjacent:
-            if b_idx < a_idx:
-                continue  # each pair once, as (a, b) with a < b
-            cost = switching_cost(results[a_idx], results[b_idx])
-            if cost > best or witness is None:
-                best = cost
-                witness = (states[a_idx], states[b_idx])
-    return best, witness
+    pairs = [(a, b) for a, adjacent in enumerate(_neighbors(tuples)) for b in adjacent if a < b]
+    if not pairs:
+        return 0, None
+    universe = results[0].w
+    if any(r.w != universe for r in results):
+        raise ValueError("assignments over different worker universes")
+    tasks = np.zeros((len(results), universe), dtype=np.int64)
+    for row, r in zip(tasks, results):
+        row[r.workers - 1] = r.tasks
+    a, b = np.array(pairs).T
+    costs = np.count_nonzero(tasks[a] != tasks[b], axis=1)
+    i = int(costs.argmax())
+    return int(costs[i]), (states[a[i]], states[b[i]])
 
 
 def verify_disperser(family: DisperserFamily) -> bool:

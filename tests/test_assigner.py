@@ -34,7 +34,7 @@ from lowchurn.core import (
     random_multiset,
     switching_cost,
 )
-from lowchurn.hashing import GOLDEN, MASK64, bins_np, derive
+from lowchurn.hashing import GOLDEN, MASK64, MUL1, MUL2, bins_np, derive
 from lowchurn.reduction import decode, lift
 
 
@@ -189,6 +189,14 @@ def scalar_block(seeds, ks, wt, start):
     return want, live
 
 
+def unmix64(z):
+    """The ``x`` with ``mix64(x) == z``: each step of the finalizer undone, last first."""
+    for shift, mul in ((31, MUL2), (27, MUL1)):
+        z ^= (z >> shift) ^ (z >> 2 * shift)
+        z = z * pow(mul, -1, 1 << 64) & MASK64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
 def reference_run(schedule, workers, tasks):
     """The plain reference: the stage loop on sets, then rank-order completion, with no arrays.
 
@@ -287,6 +295,48 @@ class TestArrayEngine:
         assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
 
     @pytest.mark.parametrize(
+        ("k", "B"),
+        [
+            # The guard's extremes with one bin count for the whole block: the hash
+            # divides by a scalar and the keys are uint64.
+            (bins_for_round(2**31 - 1, 1), None),
+            # The keys' top is (2*B*k) << 7 over 65 ids: 2**32 here, so they are uint32
+            # up to the last; one bin more and they no longer fit.
+            (2**20, 16),
+            (2**20 + 1, 16),
+        ],
+    )
+    def test_sort_block_with_one_bin_count(self, k, B):
+        # The last round puts the largest worker and task, the last positions, in the
+        # last bin, k - 1, so the block's largest key sits in the largest (round, bin,
+        # side) group a block can have. That round's worker seed is the inverse of
+        # mix64 at k - 1, and each forced pair shares a bin by its task seed.
+        n = assigner._TAIL_N + 1
+        if B is None:
+            B = assigner._block_size(n, k)
+            assert B > 1000
+        rng = Random(k)
+        ids = rng.sample(range(2**62, 2**63), 2 * n)
+        wt = np.array([sorted(ids[:n]), sorted(ids[n:])], np.uint64)
+        seeds = [[rng.getrandbits(64) for _ in range(B)] for _ in range(2)]
+        x, y = wt[0, -1].item(), wt[1, -1].item()
+        forced = {B - 1: (x, y)}
+        for h in rng.sample(range(B - 1), min(40, B - 1)):
+            forced[h] = rng.choice(wt[0, :-1].tolist()), rng.choice(wt[1, :-1].tolist())
+        seeds[0][B - 1] = unmix64(k - 1) ^ ((x * GOLDEN) & MASK64)
+        assert _bin_of(seeds[0][B - 1], x, k) == k - 1
+        for h, (p, q) in forced.items():
+            seeds[1][h] = seeds[0][h] ^ ((p * GOLDEN) & MASK64) ^ ((q * GOLDEN) & MASK64)
+        ks = np.full(B, k, np.uint64)
+        start = 3000
+        pairs = []
+        keep = assigner._sort_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], k, start, pairs)
+        want, live = scalar_block(seeds, ks, wt, start)
+        assert sorted(pairs) == sorted(want)
+        assert (x, y, start + B - 1) in pairs
+        assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
+
+    @pytest.mark.parametrize(
         ("n", "k", "B", "forced"),
         [
             # The longest blocks _block_size gives, at the largest bin count
@@ -330,8 +380,9 @@ class TestArrayEngine:
 
     def test_block_size(self):
         # A tail block runs at most k rounds: within k rounds of k bins even one worker and
-        # one task are expected to meet. Past 3 ids that cap never binds, so from 4 ids on,
-        # above the tail too, the size is the rule as it was before the cap.
+        # one task are expected to meet. Past 3 ids that cap never binds, so from 4 ids on
+        # the size is the rule as it was before the cap. Above the tail a sorted block
+        # plans for _SORT_HITS expected collisions instead of _TAIL_HITS.
         grid_k = [1, 2, 3, 5, 16, 59, 931, 3724, 14895, bins_for_round(2**31 - 1, 1)]
         for n in range(1, 3 * assigner._TAIL_N):
             for k in grid_k:
@@ -343,7 +394,7 @@ class TestArrayEngine:
                 elif n <= assigner._TAIL_N:
                     assert B == max(1, min(assigner._TAIL_BUDGET, assigner._TAIL_HITS * k) // (n * n)), (n, k)
                 else:
-                    assert B == max(1, min(assigner._TAIL_HITS * k // (n * n), assigner._TAIL_BUDGET // n)), (n, k)
+                    assert B == max(1, min(assigner._SORT_HITS * k // (n * n), assigner._TAIL_BUDGET // n)), (n, k)
 
     @pytest.mark.parametrize(
         ("n", "case"),

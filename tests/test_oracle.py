@@ -5,12 +5,12 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lowchurn.assigner import DisperserFamily, build_schedule, assign, single_bin_family
 from lowchurn.baselines import sorted_order
-from lowchurn.core import TaskMultiset, switching_cost
+from lowchurn.core import Assignment, TaskMultiset, switching_cost
 from lowchurn.oracle import (
     FeasibilityResult,
     RamseyWitness,
@@ -26,9 +26,10 @@ from lowchurn.oracle import (
 )
 
 
-# The reference engine: the list-domain search, neighbor scan and every-size
-# disperser check that the bitset search, ``_neighbors`` and
-# ``verify_disperser`` replaced, kept to test them against.
+# The reference engine: the list-domain search, neighbor scan, every-size
+# disperser check and pair-by-pair audit that the bitset search,
+# ``_neighbors``, ``verify_disperser`` and the task-matrix audit replaced,
+# kept to test them against.
 def reference_neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
     """The plain neighbor scan: ``_neighbors`` by sorting every swapped tuple."""
     index = {state: i for i, state in enumerate(states)}
@@ -71,6 +72,22 @@ def reference_verify_disperser(family: DisperserFamily) -> bool:
             if sum(len({family.table[s - 1][d] for s in S}) for d in range(family.D)) < need:
                 return False
     return True
+
+
+def reference_max_switching(assignfn, w: int, t: int, multisets: bool):
+    """``exhaustive_max_switching`` as a loop over the adjacent pairs, one ``switching_cost`` each."""
+    tuples = _states(w, t, multisets)
+    states = [TaskMultiset.from_elements(s, t) for s in tuples]
+    results = [assignfn(s) for s in states]
+    best, witness = 0, None
+    for a, adjacent in enumerate(_neighbors(tuples)):
+        for b in adjacent:
+            if b < a:
+                continue  # each pair once, as (a, b) with a < b
+            cost = switching_cost(results[a], results[b])
+            if cost > best or witness is None:
+                best, witness = cost, (states[a], states[b])
+    return best, witness
 
 
 def reference_exact_feasible(
@@ -379,6 +396,37 @@ class TestExhaustiveMaxSwitching:
         )
         worst, _ = exhaustive_max_switching(lambda T: sorted_order(T, 2), 2, 3)
         assert worst >= optimum
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.integers(1, 3),
+        t=st.integers(1, 6),
+        multisets=st.booleans(),
+        spare=st.integers(0, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_the_pair_loop(self, w, t, multisets, spare, rng):
+        # Each state gets workers drawn from 1..w + spare, so not always 1..size,
+        # and tasks drawn from [1, t]; a state's result is drawn once and kept.
+        assume(multisets or t >= w)
+        drawn = {}
+
+        def assignfn(T):
+            if T not in drawn:
+                workers = sorted(rng.sample(range(1, w + spare + 1), len(T)))
+                drawn[T] = Assignment(w + spare, [(x, rng.randint(1, t)) for x in workers])
+            return drawn[T]
+
+        assert exhaustive_max_switching(assignfn, w, t, multisets=multisets) == reference_max_switching(
+            assignfn, w, t, multisets
+        )
+
+    def test_results_over_different_universes_are_refused(self):
+        def assignfn(T):
+            return Assignment(len(T) + T.tasks[0].item(), [(x, 1) for x in range(1, len(T) + 1)])
+
+        with pytest.raises(ValueError, match="different worker universes"):
+            exhaustive_max_switching(assignfn, 2, 3)
 
 
 class TestDispersers:

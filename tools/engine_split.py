@@ -9,8 +9,9 @@ rounds and residual are checked against ``_run_arrays``' own, so the copy
 cannot drift from the engine unnoticed.
 
 For each w, one JSON line gives each regime's calls, rounds, ids x rounds
-hashed (workers plus tasks, times the rounds each call hashes them under)
-and ms, per ``assign`` call: the mean over the inputs, each input's time
+hashed (workers plus tasks, times the rounds each call hashes them under),
+pairs matched and ms, per ``assign`` call, so ms over pairs is a regime's
+cost per matched pair: the mean over the inputs, each input's time
 the least over its repeats. Usage:
 
     PYTHONPATH=src python tools/engine_split.py [--quick] [--seed N]
@@ -32,16 +33,16 @@ from lowchurn.embed import SparseVector
 
 WORKERS = (64, 1024, 16384)
 REGIMES = ("head", "sorted", "tail")
-FIELDS = ("calls", "rounds", "ids_x_rounds", "ms")
+FIELDS = ("calls", "rounds", "ids_x_rounds", "pairs", "ms")
 
 
 def split_run(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> tuple[assigner.Run, dict]:
-    """``_run_arrays(arrays, wt)`` and, per regime, its calls, rounds, ids x rounds hashed and seconds."""
+    """``_run_arrays(arrays, wt)`` and, per regime, its calls, rounds, ids x rounds hashed, pairs matched and seconds."""
     seeds, ks = arrays
     rounds = len(ks)
     matched: assigner.Matches = []
     blocks: list[tuple[int, int, int]] = []
-    split = {regime: [0, 0, 0, 0.0] for regime in REGIMES}
+    split = {regime: [0, 0, 0, 0, 0.0] for regime in REGIMES}
     r = 0
     while r < rounds and wt.shape[1]:
         n, k = wt.shape[1], int(ks[r])
@@ -56,7 +57,7 @@ def split_run(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> tuple[as
             regime, wt = "head", wt.take(np.flatnonzero(assigner._head_round(seeds[:, r, None], wt, k, r, matched)))
         wt = wt.reshape(2, -1)
         elapsed = perf_counter() - start
-        for i, value in enumerate((1, block, 2 * n * block, elapsed)):
+        for i, value in enumerate((1, block, 2 * n * block, n - wt.shape[1], elapsed)):
             split[regime][i] += value
         r += block
     if blocks:
@@ -86,14 +87,15 @@ def measure(w: int, inputs: int, repeats: int, seed: int) -> dict:
             run, split = split_run(arrays, wt)
             if not same_run(run, want, wt[0]):
                 raise AssertionError(f"the split's run differs from _run_arrays at w={w}")
-            if best is None or sum(s[3] for s in split.values()) < sum(s[3] for s in best.values()):
+            if best is None or sum(s[-1] for s in split.values()) < sum(s[-1] for s in best.values()):
                 best = split
         for regime in REGIMES:
             totals[regime] += best[regime]
     row: dict = {"w": w, "t": t, "inputs": inputs, "repeats": repeats}
     for regime in REGIMES:
-        calls, rounds, hashed, seconds = totals[regime] / inputs
-        row[regime] = {"calls": calls, "rounds": rounds, "ids_x_rounds": hashed, "ms": round(seconds * 1e3, 3)}
+        calls, rounds, hashed, pairs, seconds = totals[regime] / inputs
+        row[regime] = {"calls": calls, "rounds": rounds, "ids_x_rounds": hashed, "pairs": pairs,
+                       "ms": round(seconds * 1e3, 3)}
     row["engine_ms"] = round(sum(row[regime]["ms"] for regime in REGIMES), 3)
     return row
 
