@@ -13,8 +13,9 @@ from random import Random
 from lowchurn import (
     SearchBudget,
     WorkerTaskInput,
-    assign_explicit_set,
+    assign_set,
     disperser_search,
+    explicit_schedule,
     seed_sweep,
     single_bin_family,
     verify_disperser,
@@ -37,12 +38,13 @@ print(f"  minimum matches in any single sweep: {worst} (guarantee: >= M/4 = {fam
 
 print("\n== full explicit assignment for w=8 over [8] ==")
 families = (family, single_bin_family(8, 4, k_param=1), single_bin_family(8, 4, k_param=0))
+schedule = explicit_schedule(families, reps=8, w=8, t=1)
 rng = Random(9)
 fallbacks = 0
 for trial in range(200):
     size = rng.randint(0, 8)
     W = rng.sample(range(1, 9), size)
     T = rng.sample(range(1, 9), size)
-    res = assign_explicit_set(families, reps=8, workers=W, tasks=T, w=8)
+    res = assign_set(schedule, W, T)
     fallbacks += res.fallback_pairs
 print(f"  200 random inputs assigned, total fallback pairs: {fallbacks}")

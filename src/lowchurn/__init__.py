@@ -9,8 +9,9 @@ CLI and the README use; everything else is reached through its module.
 from .assigner import (
     AssignSession,
     assign,
-    assign_explicit_set,
+    assign_set,
     build_schedule,
+    explicit_schedule,
     seed_sweep,
     single_bin_family,
 )
@@ -42,12 +43,13 @@ __all__ = [
     "WorkerTaskInput",
     "adjacent_step",
     "assign",
-    "assign_explicit_set",
+    "assign_set",
     "build_schedule",
     "disperser_search",
     "distortion_audit",
     "embed",
     "exact_feasible",
+    "explicit_schedule",
     "exhaustive_max_switching",
     "hamming",
     "random_multiset",

@@ -18,9 +18,10 @@ schedule.
 
 The explicit variant replaces seeded hash functions with a per-level family
 of verified strong dispersers, sweeping each family's seeds in order instead
-of drawing fresh randomness. The repetition count per level is a caller
-parameter; the per-sweep progress guarantee is what makes a finite count
-sufficient.
+of drawing fresh randomness. :func:`explicit_schedule` lays those sweeps out
+as another :class:`RoundSchedule`, so every entry point runs both
+constructions. The repetition count per level is a caller parameter; the
+per-sweep progress guarantee is what makes a finite count sufficient.
 
 Two engines give bit-identical output, the same pairs and the same trace:
 
@@ -47,8 +48,8 @@ Two engines give bit-identical output, the same pairs and the same trace:
     is compared with every task's in each round of the block.
 
 The trace of a run is each worker's match round, -1 for the fallback.
-Wrapped by ``_run_scalar`` in the array engine's form, both engines take
-and return arrays: the residual goes in as one ``(2, n)`` array, sorted
+Wrapped by ``_run`` in the array engine's form, both engines take and
+return arrays: the residual goes in as one ``(2, n)`` array, sorted
 workers over sorted tasks, and comes back as the matched pairs with their
 rounds plus the residual left at the end. ``_pack`` scatters those and the
 rank-order fallback, which is that residual's rows side by side, into one
@@ -56,8 +57,7 @@ task and one round per worker. ``assign`` stays in numpy from input to
 result: the lift (``reduction.lift_np``), the engine, the scatter and the
 projection to base tasks (``reduction.project_np``). The result keeps those
 arrays, and its tuples are built only when read. ``assign_set`` is the same
-path wrapped for plain id sets, and ``assign_explicit`` the same path on the
-explicit variant's stages.
+path wrapped for plain id sets.
 
 ``assign`` and ``assign_set`` run the array engine whenever
 ``round_arrays`` exists (rounds from :func:`build_schedule`, ``n < 2**63``
@@ -69,8 +69,8 @@ differ in a few ids (``reduction.lifted_changes``). Its docstring is the
 contract; :class:`_Cache` holds the cell layout and :class:`_Replay` the
 events that carry one run to the next.
 
-Schedules and families are immutable; ``assign``, ``assign_set``, and
-``assign_explicit`` are pure, so evaluating many inputs in parallel is safe.
+Schedules and families are immutable; ``assign`` and ``assign_set`` are
+pure, so evaluating many inputs in parallel is safe.
 A session is a cache with one owner: it is not for concurrent use.
 """
 from __future__ import annotations
@@ -99,8 +99,7 @@ __all__ = [
     "build_schedule",
     "assign_set",
     "assign",
-    "assign_explicit",
-    "assign_explicit_set",
+    "explicit_schedule",
     "seed_sweep",
     "single_bin_family",
     "trivial_families",
@@ -198,13 +197,16 @@ class SeededRounds(Sequence[Round]):
 class RoundSchedule:
     """The full grid of hashing rounds for one assignment function.
 
-    A schedule is a deterministic function of ``(w, t, c, master_seed)``; the
-    stage at ``(i, j)`` derives its hash seed from those coordinates, so
-    rebuilding with equal inputs reproduces every bin placement. A built
-    schedule's ``rounds`` is a :class:`SeededRounds`: the seed and bin-count
-    arrays are the schedule, and :class:`Round` objects are derived from them
-    only when asked for. Any other sequence of rounds, callable stages
-    included, is taken as given and runs on the scalar engine.
+    A built schedule (:func:`build_schedule`) is a deterministic function of
+    ``(w, t, c, master_seed)``; the stage at ``(i, j)`` derives its hash seed
+    from those coordinates, so rebuilding with equal inputs reproduces every
+    bin placement. Its ``rounds`` is a :class:`SeededRounds`: the seed and
+    bin-count arrays are the schedule, and :class:`Round` objects are derived
+    from them only when asked for. An explicit schedule
+    (:func:`explicit_schedule`) is a function of its families, with ``c`` its
+    sweeps per level and ``master_seed`` 0. Its rounds, like any other
+    sequence of rounds, callable stages included, are taken as given and run
+    on the scalar engine.
     """
 
     w: int
@@ -240,11 +242,6 @@ class RoundSchedule:
         if not isinstance(rounds, SeededRounds) or self.n >= 1 << 63 or self.w >= 1 << 31:
             return None
         return rounds.seeds, rounds.ks
-
-    @cached_property
-    def stages(self) -> tuple[BinHash, ...]:
-        """Every round's hash in order, the stages the scalar loop runs; built once per schedule."""
-        return tuple(r.hash for r in self.rounds)
 
 
 def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSchedule:
@@ -372,21 +369,19 @@ def _rows(workers: Iterable[int], tasks: Iterable[int], dtype: type) -> np.ndarr
     return np.array([sorted(workers), sorted(tasks)], dtype).reshape(2, -1)
 
 
-def _run_scalar(stages: Sequence[BinHash], wt: np.ndarray) -> Run:
-    """The scalar loop over the residual ``wt``, in the array engine's form."""
+def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
+    """Run ``schedule`` over the residual ``wt`` on the engine the module docstring picks.
+
+    The scalar loop's pairs come back in the array engine's form.
+    """
+    arrays = schedule.round_arrays
+    if arrays is not None:
+        return _run_arrays(arrays, wt)
     W, T = set(wt[0].tolist()), set(wt[1].tolist())
-    per_round = _run_stages(stages, W, T)
+    per_round = _run_stages([r.hash for r in schedule.rounds], W, T)
     rows = [(x, y, r) for r in compress(count(), per_round) for x, y in per_round[r]]
     ws, ts, rs = np.array(rows, wt.dtype).reshape(-1, 3).T
     return [(ws, ts, rs)], _rows(W, T, wt.dtype)
-
-
-def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
-    """Run ``schedule`` over the residual ``wt`` on the engine the module docstring picks."""
-    arrays = schedule.round_arrays
-    if arrays is None:
-        return _run_scalar(schedule.stages, wt)
-    return _run_arrays(arrays, wt)
 
 
 def _run_arrays(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> Run:
@@ -635,7 +630,7 @@ def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[
     return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, False)
 
 
-def _check_sets(workers: Iterable[int], tasks: Iterable[int], w: int, n: float) -> tuple[set[int], set[int]]:
+def _check_sets(workers: Iterable[int], tasks: Iterable[int], w: int, n: int) -> tuple[set[int], set[int]]:
     """The worker and task sets, once they are checked to be of one size, in ``[1, w]`` and ``[1, n]``."""
     W, T = set(workers), set(tasks)
     if len(W) != len(T):
@@ -1065,7 +1060,12 @@ def single_bin_family(N: int, D: int, k_param: int = 0, epsilon: float = 0.25) -
 
 
 def trivial_families(w: int, N: int, D: int = 4) -> tuple[DisperserFamily, ...]:
-    """A full single-bin ladder covering levels ``k = ceil(log2 w)-1 .. 0``."""
+    """A full single-bin ladder covering levels ``k = ceil(log2 w)-1 .. 0``.
+
+    Each of its rounds pairs the smallest worker left with the smallest task
+    left, as the rank-order fallback does, so its :func:`explicit_schedule`
+    gives exactly ``baselines.sorted_order``'s assignment, hence its churn.
+    """
     levels = max(1, (w - 1).bit_length())
     return tuple(single_bin_family(N, D, k_param=levels - i) for i in range(1, levels + 1))
 
@@ -1080,48 +1080,27 @@ def seed_sweep(
     return frozenset().union(*per_stage), WorkerTaskInput(workers, tasks), per_stage
 
 
-def _explicit_stages(families: Sequence[DisperserFamily], reps: int, w: int, needed: int) -> list[BinHash]:
-    """The explicit variant's stages, once the families are checked for ``w`` workers and ids to ``needed``.
+def explicit_schedule(families: Sequence[DisperserFamily], reps: int, w: int, t: int) -> RoundSchedule:
+    """The explicit variant's schedule for ``w`` workers over ``t`` task kinds.
 
-    ``families[i-1]`` drives level ``i`` and must be declared for min-entropy
-    parameter ``ceil(log2 w) - i``; each level runs ``reps`` seed sweeps.
+    ``families[i-1]`` drives level ``i``: it must be declared for min-entropy
+    parameter ``ceil(log2 w) - i`` and cover the universe, ``N >= w*t``, so
+    the schedule takes every input of its universe or is refused here. Level
+    ``i`` sweeps its family's seeds ``reps`` times; round ``(i, j)`` is seed
+    ``j``'s stage over the family's ``M`` bins. The schedule runs on the
+    scalar loop through :func:`assign`, :func:`assign_set` and all that calls
+    them. Over :func:`trivial_families` it gives exactly
+    ``baselines.sorted_order``'s assignment, hence its churn.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    if w < 1 or t < 1 or reps < 1:
+        raise ValueError("w, t, reps must all be >= 1")
     levels = max(1, (w - 1).bit_length())  # ceil(log2 w), at least one level
     if len(families) != levels:
         raise ValueError(f"need {levels} families for w={w}, got {len(families)}")
     for i, family in enumerate(families, start=1):
         if family.k_param != levels - i:
             raise ValueError(f"family declares k_param={family.k_param}, level requires {levels - i}")
-        if family.N < needed:
-            raise ValueError(f"family domain N={family.N} smaller than needed {needed}")
-    return [stage for family in families for stage in [family.stage(j) for j in range(1, family.D + 1)] * reps]
-
-
-def assign_explicit_set(
-    families: Sequence[DisperserFamily],
-    reps: int,
-    workers: Sequence[int],
-    tasks: Sequence[int],
-    w: int,
-) -> AssignResult:
-    """Explicit-variant assignment of a worker set to an equal-size task set.
-
-    Falls back like the randomized variant if anything remains.
-    """
-    W, T = _check_sets(workers, tasks, w, float("inf"))  # the families' domain bounds the tasks
-    needed = max(W | T, default=1)
-    stages = _explicit_stages(families, reps, w, needed)
-    wt = _rows(W, T, id_dtype(needed))
-    return _result(w, wt, _run_scalar(stages, wt), len(stages), False)
-
-
-def assign_explicit(
-    families: Sequence[DisperserFamily], reps: int, T: TaskMultiset, w: int
-) -> AssignResult:
-    """Explicit-variant assignment of workers ``1..|T|`` to a task multiset, lifted like :func:`assign`."""
-    _check_fits(T, w)
-    wt = _lifted_rows(T, w)
-    stages = _explicit_stages(families, reps, w, int(wt[1, -1]) if len(T) else 1)
-    return _result(w, wt, _run_scalar(stages, wt), len(stages), True)
+        if family.N < w * t:
+            raise ValueError(f"family domain N={family.N} smaller than the universe w*t={w * t}")
+    sweeps = ([Round(i, j, f.M, f.stage(j)) for j in range(1, f.D + 1)] * reps for i, f in enumerate(families, 1))
+    return RoundSchedule(w, t, reps, 0, tuple(chain.from_iterable(sweeps)))

@@ -315,9 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--w", type=int, required=True)
     p_exact.add_argument("--t", type=int, required=True)
     p_exact.add_argument("--k", type=int, required=True)
-    group = p_exact.add_mutually_exclusive_group()
-    group.add_argument("--sets-only", action="store_true", dest="sets_only", default=True)
-    group.add_argument("--multisets", action="store_true", dest="multisets", default=False)
+    p_exact.add_argument("--multisets", action="store_true", default=False)
     p_exact.add_argument("--node-limit", type=int, default=50_000_000)
     p_exact.add_argument("--time-limit", type=float, default=None)
     p_exact.set_defaults(func=cmd_oracle_exact)

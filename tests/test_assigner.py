@@ -11,20 +11,21 @@ from hypothesis import strategies as st
 
 from lowchurn import assigner, harness
 from lowchurn.assigner import (
+    AssignSession,
     DisperserFamily,
     RoundSchedule,
     Round,
     assign,
-    assign_explicit,
-    assign_explicit_set,
     assign_set,
     bins_for_round,
     build_schedule,
+    explicit_schedule,
     outer_round_count,
     seed_sweep,
     single_bin_family,
     trivial_families,
 )
+from lowchurn.baselines import sorted_order
 from lowchurn.binhash import BinHash, _bin_of, is_matching
 from lowchurn.core import (
     Assignment,
@@ -34,6 +35,7 @@ from lowchurn.core import (
     random_multiset,
     switching_cost,
 )
+from lowchurn.embed import SparseVector, embed_with_result
 from lowchurn.hashing import GOLDEN, MASK64, MUL1, MUL2, bins_np, derive
 from lowchurn.reduction import decode, lift
 
@@ -334,6 +336,24 @@ class TestArrayEngine:
         want, live = scalar_block(seeds, ks, wt, start)
         assert sorted(pairs) == sorted(want)
         assert (x, y, start + B - 1) in pairs
+        assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sort_block_with_two_bin_counts(self, seed):
+        # Three rounds of 97 bins, then three of 89, on random seeds: no pair is
+        # forced, so a block hashed under its first bin count alone finds other pairs.
+        rng = Random(seed)
+        n = rng.randint(assigner._TAIL_N + 1, 3 * assigner._TAIL_N)
+        ids = rng.sample(range(1, 2**40), 2 * n)
+        wt = np.array([sorted(ids[:n]), sorted(ids[n:])], np.uint64)
+        seeds = [[rng.getrandbits(64) for _ in range(6)] for _ in range(2)]
+        ks = np.array([97] * 3 + [89] * 3, np.uint64)
+        start = 40
+        pairs = []
+        keep = assigner._sort_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], 97, start, pairs)
+        want, live = scalar_block(seeds, ks, wt, start)
+        assert sorted(pairs) == sorted(want)
+        assert {r - start for *_, r in pairs} >= {3, 4, 5}  # the 89-bin rounds matched too
         assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
 
     @pytest.mark.parametrize(
@@ -721,17 +741,18 @@ class TestExplicitVariant:
         # explicit pipeline must empty every input without fallback.
         families = trivial_families(4, N=8, D=4)
         assert [f.k_param for f in families] == [1, 0]
+        schedule = explicit_schedule(families, reps=4, w=4, t=2)
         for j in range(0, 5):
             for W in combinations(range(1, 5), j):
                 for T in combinations(range(1, 9), j):
-                    res = assign_explicit_set(families, reps=4, workers=W, tasks=T, w=4)
+                    res = assign_set(schedule, W, T)
                     assert res.fallback_pairs == 0
                     assert {w for w, _ in res.assignment.pairs} == set(W)
                     assert {t for _, t in res.assignment.pairs} == set(T)
 
     def test_multiset_entry_point(self):
         families = trivial_families(3, N=24, D=3)
-        res = assign_explicit(families, reps=6, T=ms(5, 5, 7), w=3)
+        res = assign(explicit_schedule(families, reps=6, w=3, t=8), ms(5, 5, 7))
         assert res.assignment.realizes(ms(5, 5, 7))
         assert res.fallback_pairs == 0
 
@@ -749,7 +770,7 @@ class TestExplicitVariant:
             j = rng.randint(0, w)
             W = rng.sample(range(1, w + 1), j)
             T = rng.sample(range(1, 9), j)
-            res = assign_explicit_set(families, reps=12, workers=W, tasks=T, w=w)
+            res = assign_set(explicit_schedule(families, reps=12, w=w, t=1), W, T)
             assert is_matching(res.assignment.pairs)
             assert {x for x, _ in res.assignment.pairs} == set(W)
             assert res.fallback_pairs == 0
@@ -757,20 +778,35 @@ class TestExplicitVariant:
     def test_family_validation(self):
         families = trivial_families(4, N=8)
         with pytest.raises(ValueError):
-            assign_explicit_set(families[:1], reps=2, workers=[1], tasks=[1], w=4)
+            explicit_schedule(families[:1], reps=2, w=4, t=2)
         with pytest.raises(ValueError):
-            assign_explicit_set(families, reps=0, workers=[1], tasks=[1], w=4)
+            explicit_schedule(families, reps=0, w=4, t=2)
         with pytest.raises(ValueError):
-            assign_explicit_set(families, reps=2, workers=[1], tasks=[9], w=4)  # N too small
+            explicit_schedule(families, reps=2, w=4, t=3)  # N too small for the universe
+        for w, t in ((0, 2), (4, 0)):
+            with pytest.raises(ValueError):
+                explicit_schedule(families, reps=2, w=w, t=t)
+        with pytest.raises(ValueError):
+            assign_set(explicit_schedule(families, reps=2, w=4, t=2), [1], [9])  # outside [1, w*t]
         wrong_k = (single_bin_family(8, 2, k_param=3), single_bin_family(8, 2, k_param=0))
         with pytest.raises(ValueError):
-            assign_explicit_set(wrong_k, reps=2, workers=[1], tasks=[1], w=4)
+            explicit_schedule(wrong_k, reps=2, w=4, t=2)
+
+    def test_schedule_layout(self):
+        # Each family's D stages, repeated reps times, level after level.
+        families = (DisperserFamily.random_table(12, 3, 2, 1, 0.25, Random(1)), single_bin_family(12, 2))
+        schedule = explicit_schedule(families, reps=2, w=4, t=3)
+        assert (schedule.w, schedule.t, schedule.c, schedule.master_seed) == (4, 3, 2, 0)
+        assert [(r.i, r.j, r.k) for r in schedule.rounds] == [
+            (1, 1, 2), (1, 2, 2), (1, 3, 2), (1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 1, 1), (2, 2, 1), (2, 1, 1), (2, 2, 1)
+        ]
+        assert schedule.round_arrays is None  # table rounds run on the scalar loop
 
     @settings(max_examples=150, deadline=None)
     @given(w=st.integers(1, 9), reps=st.integers(1, 2), data=st.data())
     def test_multiset_entry_point_matches_set_route(self, w, reps, data):
-        # assign_explicit against the route it replaced: assign_explicit_set
-        # on the set lift, then each pair's task decoded to its base task.
+        # assign against the set route: assign_set on the set lift, then each
+        # pair's task decoded to its base task.
         t = data.draw(st.integers(1, 6), label="t")
         T = TaskMultiset.from_elements(data.draw(st.lists(st.integers(1, t), max_size=w), label="T"), t)
         rng = Random(data.draw(st.integers(0, 2**32), label="table seed"))
@@ -779,9 +815,10 @@ class TestExplicitVariant:
             DisperserFamily.random_table(w * t, rng.randint(1, 4), rng.randint(1, 4), levels - i, 0.25, rng)
             for i in range(1, levels + 1)
         ]
-        old = assign_explicit_set(families, reps, range(1, len(T) + 1), lift(T, w), w)
+        schedule = explicit_schedule(families, reps, w, t)
+        old = assign_set(schedule, range(1, len(T) + 1), lift(T, w))
         projected = Assignment(w, tuple((x, decode(y, w)[0]) for x, y in old.assignment.pairs))
-        got = assign_explicit(families, reps, T, w)
+        got = assign(schedule, T)
         assert (got.assignment, got.fallback_pairs, got.per_round_pairs) == (
             projected,
             old.fallback_pairs,
@@ -792,6 +829,43 @@ class TestExplicitVariant:
             old.match_rounds,
             old.rounds_executed,
         )
+
+    def test_single_bin_ladder_is_sorted_order(self):
+        # Each single-bin round pairs the smallest worker left with the smallest
+        # task left, as the rank-order fallback does, so the ladder's assignment
+        # is sorted order's, whether the rounds or the fallback finish the input.
+        rng = Random(2026)
+        short = 0
+        for _ in range(400):
+            w, t = rng.randint(1, 40), rng.randint(1, 12)
+            D, reps = rng.randint(1, 4), rng.randint(1, 3)
+            T = random_multiset(rng.randint(0, w), t, rng)
+            schedule = explicit_schedule(trivial_families(w, w * t, D), reps, w, t)
+            short += schedule.total_rounds < len(T)
+            assert assign(schedule, T).assignment == sorted_order(T, w), (w, t, D, reps, T)
+        assert short > 50  # many draws end in the fallback
+
+    def test_every_entry_point_runs_an_explicit_schedule(self):
+        # A session keeps no cache for table rounds, so each call is a plain
+        # assign; an embedding is assign on the vector's support.
+        rng = Random(5)
+        w, t = 12, 5
+        families = [DisperserFamily.random_table(w * t, rng.randint(1, 4), 2**k, k, 0.25, rng) for k in range(3, -1, -1)]
+        schedule = explicit_schedule(families, 2, w, t)
+        session = AssignSession(schedule)
+        T = random_multiset(w, t, rng)
+        for step in range(30):
+            want = assign(schedule, T)
+            got = session(T)
+            assert (got.assignment, got.lifted_tasks, got.match_rounds, got.fallback_pairs, got.rounds_executed) == (
+                want.assignment, want.lifted_tasks, want.match_rounds, want.fallback_pairs, want.rounds_executed)
+            x = SparseVector.from_values(t, dict(zip(T.tasks.tolist(), T.counts.tolist())))
+            code, res = embed_with_result(schedule, x)
+            assert code.coords == tuple(want.assignment.tasks.tolist())
+            assert (res.assignment, res.match_rounds, res.fallback_pairs) == (
+                want.assignment, want.match_rounds, want.fallback_pairs)
+            T = adjacent_step(T, rng, w=w, size_varying=False)
+        assert session.calls == 30 and session.replays == 0
 
     def test_seed_sweep_matches_stage_composition(self):
         fam = single_bin_family(16, D=3, k_param=0)

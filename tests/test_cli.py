@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowchurn
-from lowchurn.cli import main
-from lowchurn.assigner import AssignSession, assign, assign_explicit, build_schedule, trivial_families
+from lowchurn.cli import build_parser, main
+from lowchurn.assigner import AssignSession, assign, build_schedule, explicit_schedule, trivial_families
 from lowchurn.baselines import PriorityOracle, random_permutation_assign, sorted_order
 from lowchurn.core import Assignment, TaskMultiset, adjacent_step
 from lowchurn.embed import SparseVector, hamming
@@ -399,7 +400,7 @@ _SUBCOMMANDS = {
     "embed": {"--k": _ints(-1, 3, huge=True), "--n": _ints(-1, 8, huge=True), "--c": _ints(-1, 3, huge=True),
               "--seed": _ints(-9, 9, huge=True), "--pairs": _ints(-1, 4, huge=True)},
 }
-_FLAGS = {"assign": ["--explain"], "oracle exact": ["--multisets", "--sets-only"], "oracle audit": ["--multisets"], "walk": ["--size-varying"],
+_FLAGS = {"assign": ["--explain"], "oracle exact": ["--multisets"], "oracle audit": ["--multisets"], "walk": ["--size-varying"],
           "embed": ["--all-pairs"]}
 _VECTOR_FILES = ["8 2 1,2\n8 2 2,3\n8 2 1,5\n", "8 2 1,2\n", "garbage\n", "8 3 1,2,3\n", "9 2 1,2\n8 2 1,2\n", ""]
 
@@ -528,14 +529,14 @@ _TOO_MANY = TaskMultiset.parse("1,2,3,4", 9)  # four tasks for three workers
     [
         lambda: assign(build_schedule(3, 9), _TOO_MANY),
         lambda: AssignSession(build_schedule(3, 9))(_TOO_MANY),
-        lambda: assign_explicit(trivial_families(3, 27), 1, _TOO_MANY, 3),
+        lambda: assign(explicit_schedule(trivial_families(3, 27), 1, 3, 9), _TOO_MANY),
         lambda: sorted_order(_TOO_MANY, 3),
         lambda: random_permutation_assign(PriorityOracle(0), _TOO_MANY, 3),
         lambda: adjacent_step(_TOO_MANY, Random(0), w=3),
         *(lambda alg=alg: main(["assign", "--w", "3", "--t", "9", "--alg", alg, "--multiset", "1,2,3,4"])
           for alg in ALGORITHMS),
     ],
-    ids=["assign", "session", "assign_explicit", "sorted_order", "random_permutation_assign", "adjacent_step",
+    ids=["assign", "session", "explicit_schedule", "sorted_order", "random_permutation_assign", "adjacent_step",
          *(f"cli-{alg}" for alg in ALGORITHMS)],
 )
 def test_every_entry_point_rejects_more_tasks_than_workers(capsys, call):
@@ -564,3 +565,20 @@ def test_inputs_past_a_check_exit_2_with_its_message(capsys, tmp_path, argv, lin
         argv = [*argv, "--input", str(path)]
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_readme_cli_examples_parse():
+    # Every ``lowchurn`` line of the README's CLI block, its comment and any
+    # output redirection cut off, is accepted by the parser as it stands.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("lowchurn ")]
+    assert len(lines) == 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        argv = argv[: next((i for i, arg in enumerate(argv) if arg.startswith(">")), len(argv))]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

@@ -10,7 +10,14 @@ from random import Random
 
 import pytest
 
-from lowchurn.assigner import AssignSession, assign, assign_set, build_schedule
+from lowchurn.assigner import (
+    AssignSession,
+    DisperserFamily,
+    assign,
+    assign_set,
+    build_schedule,
+    explicit_schedule,
+)
 from lowchurn.core import adjacent_step, random_multiset
 from lowchurn.embed import SparseVector, embed_with_result
 
@@ -62,6 +69,29 @@ def session_case():
     return digest(*out)
 
 
+def explicit_families(w, t, rng, D=None):
+    """One random-table family per level over N = w*t, declared for the level's min-entropy."""
+    levels = max(1, (w - 1).bit_length())
+    return [DisperserFamily.random_table(w * t, D or rng.randint(1, 4), 2**k, k, 0.25, rng)
+            for k in range(levels - 1, -1, -1)]
+
+
+def explicit_case():
+    # The explicit variant on the scalar loop: multisets at a few sizes, then set inputs, the
+    # last on one seed per level so that it ends in the fallback. Pinned when the explicit
+    # variant had entry points of its own.
+    rng, out = Random(21), []
+    for w, t in ((1, 3), (4, 3), (9, 4), (32, 6)):
+        families = explicit_families(w, t, rng)
+        for size, reps in ((0, 2), (w // 2, 2), (w, 1)):
+            out.append(fields(assign(explicit_schedule(families, reps, w, t), random_multiset(size, t, rng))))
+    for D, reps, size in ((None, 3, 10), (1, 1, 16)):
+        families = explicit_families(16, 20, rng, D)
+        workers, tasks = rng.sample(range(1, 17), size), rng.sample(range(1, 16 * 20 + 1), size)
+        out.append(fields(assign_set(explicit_schedule(families, reps, 16, 20), workers, tasks)))
+    return digest(*out)
+
+
 ASSIGN_PINS = {
     (64, 256, 0): "23657bbee16a24367d8e5cac38b407b32d965a65d40ab53e7d9bb0c84ceaff39",
     (64, 256, 32): "f0d4a18076cc745bace0fa207102a8c52affe274456deacca9af5805c2783452",
@@ -89,6 +119,7 @@ OTHER_PINS = {
     "assign_set": "c0b6a5357be11519b8546044b50a37b73f5f787c9204b91f5dfa4cc7b99b880d",
     "object-dtype": "6e0916a5ab8d2c9b8c57808e908f65ad01be31022194fbaad066d671496fba7c",
     "session": "a5320f049181c216c105bc4e1ac461363c8b5d70560f582896166e0037dfb68e",
+    "explicit": "00e95782c439ac98ac689be5552980069f012a687a7e3813b3e0600b17dc03ae",
 }
 
 
@@ -100,5 +131,6 @@ def test_assign_matches_its_pin(w, t, size):
 @pytest.mark.parametrize("name", sorted(OTHER_PINS))
 def test_other_paths_match_their_pins(name):
     case = {"embed-64": lambda: embed_case(64, 256), "embed-1024": lambda: embed_case(1024, 4096),
-            "assign_set": assign_set_case, "object-dtype": object_dtype_case, "session": session_case}[name]
+            "assign_set": assign_set_case, "object-dtype": object_dtype_case, "session": session_case,
+            "explicit": explicit_case}[name]
     assert case() == OTHER_PINS[name]
