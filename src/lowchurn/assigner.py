@@ -19,33 +19,42 @@ schedule.
 The explicit variant replaces seeded hash functions with a per-level family
 of verified strong dispersers, sweeping each family's seeds in order instead
 of drawing fresh randomness. :func:`explicit_schedule` lays those sweeps out
-as another :class:`RoundSchedule`, so every entry point runs both
-constructions. The repetition count per level is a caller parameter; the
-per-sweep progress guarantee is what makes a finite count sufficient.
+as another :class:`RoundSchedule`, whose rounds are a :class:`TableRounds`
+reading each seed's column of its family's table, so every entry point runs
+both constructions, on the array engine. The repetition count per level is
+a caller parameter; the per-sweep progress guarantee is what makes a finite
+count sufficient.
 
-Two engines give bit-identical output, the same pairs and the same trace:
+A schedule's rounds are the one place that turns ids into bins: each kind
+of rounds has a ``bins(rows, wt)`` method that gives the bins of both sides
+of a residual in a block of rounds, ``SeededRounds`` by hashing
+(``hashing.bins_np``) and ``TableRounds`` by reading tables. Two engines
+give bit-identical output, the same pairs and the same trace:
 
 * the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
-  round on Python sets. It is the reference and the package's only scalar
-  stage loop: stages built from callables run only on it, so
-  :func:`seed_sweep` and the explicit variant always do;
-* the array engine (``_run_arrays``) reads the schedule's seed and bin
-  count arrays as they are (``RoundSchedule.round_arrays``). It runs the
-  rounds in blocks, each sized to a planned number of expected collisions,
-  ``_SORT_HITS`` above ``_TAIL_N`` and ``_TAIL_HITS`` in the tail, where a
-  block runs at most ``k`` rounds (``_block_size``), in three regimes:
+  round on Python sets. It is the reference, and it runs the seeded
+  schedules past the array engine's limits (``_on_arrays``);
+* the array engine (``_run_arrays``) asks the rounds for each block's bins
+  once. It runs the rounds in blocks, each sized to a planned number of
+  expected collisions, ``_SORT_HITS`` above ``_TAIL_N`` and ``_TAIL_HITS``
+  in the tail, where a block runs at most ``k`` rounds (``_block_size``),
+  in three regimes:
 
-  - head rounds: above ``_TAIL_N`` workers, a block of one round is one
+  - head rounds: a block of one round above ``_TAIL_N``, or a round
+    expected to hold more than ``_TAIL_HITS`` collisions at any size, is one
     numpy round: each side's first position in each bin, scattered over the
     bins or, where they are sparse, only the workers', read back at the
     tasks' bins;
-  - sorted blocks: above ``_TAIL_N``, a longer block hashes the residual
-    under all its rounds in one call, by a scalar division when they share
-    one bin count, and sorts the keys once, as uint32 where they fit; a
+  - sorted blocks: above ``_TAIL_N``, a longer block keys the residual's
+    bins under all its rounds and sorts the keys once, as uint32 where they
+    fit; a
     worker meets a task where two neighbouring keys differ in the side bit
     alone, and only those bins are visited, in round order;
-  - the all-pairs tail: at ``_TAIL_N`` workers or fewer, every worker's bin
-    is compared with every task's in each round of the block.
+  - the all-pairs tail: at ``_TAIL_N`` workers or fewer, any other block
+    compares every worker's bin with every task's in each of its rounds.
+
+  A run of single-bin rounds takes no bins: it pairs the residual's
+  smallest ids, one pair per round, as the scalar loop does.
 
 The trace of a run is each worker's match round, -1 for the fallback.
 Wrapped by ``_run`` in the array engine's form, both engines take and
@@ -59,9 +68,9 @@ projection to base tasks (``reduction.project_np``). The result keeps those
 arrays, and its tuples are built only when read. ``assign_set`` is the same
 path wrapped for plain id sets.
 
-``assign`` and ``assign_set`` run the array engine whenever
-``round_arrays`` exists (rounds from :func:`build_schedule`, ``n < 2**63``
-and ``w < 2**31``), and the scalar loop otherwise.
+``assign`` and ``assign_set`` run the array engine on every explicit
+schedule and on every seeded one with ``n < 2**63`` and ``w < 2**31``, and
+the scalar loop on the seeded rest.
 
 :class:`AssignSession` answers a sequence of multisets with the results
 ``assign`` gives, working each one out from the last when their lifted sets
@@ -141,56 +150,111 @@ class Round:
     hash: BinHash
 
 
-class SeededRounds(Sequence[Round]):
+class _Rounds:
+    """What a schedule's two kinds of rounds share: a length, and equality, hashing and a repr by ``_key``."""
+
+    kind = ""
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} {self.kind} rounds>"
+
+
+class SeededRounds(_Rounds, Sequence[Round]):
     """The rounds of a built schedule, held as arrays; :class:`Round` objects come from them.
 
     ``seeds[0]`` and ``seeds[1]`` hold each round's worker and task seeds
     (:attr:`BinHash.seeds`), ``ks`` its bin count and ``ij`` its grid
-    coordinates ``(i, j)``, one column per round; all are read-only. The
-    first iteration or integer index builds every :class:`Round`, its
-    ``(i, j)`` and bin count with a :meth:`BinHash.from_seeds` stage, and
-    keeps them, so each is built once. A slice is a view of the same arrays.
-    Equality and hashing compare the arrays.
+    coordinates ``(i, j)``, one column per round; all are read-only.
+    :meth:`bins` hashes ids under a block of rounds for the array engine, and
+    ``kmax[r]``, the most bins of any round from ``r`` on, is ``ks[r]``:
+    ``ks`` never rises. The first iteration or integer index builds every
+    :class:`Round`, its ``(i, j)`` and bin count with a :class:`BinHash`
+    stage, for the scalar loop, and keeps them, so each is built once. A
+    slice is a view of the same arrays. Equality and hashing compare the
+    arrays.
     """
 
-    def __init__(self, seeds: np.ndarray, ks: np.ndarray, ij: np.ndarray) -> None:
-        for a in (seeds, ks, ij):
-            a.flags.writeable = False
-        self.seeds, self.ks, self.ij = seeds, ks, ij
+    kind = "seeded"
 
-    def __len__(self) -> int:
-        return len(self.ks)
+    def __init__(self, seeds: np.ndarray, ks: np.ndarray, ij: np.ndarray) -> None:
+        self.seeds, self.ij = _frozen(seeds), _frozen(ij)
+        self.ks = self.kmax = _frozen(ks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return SeededRounds(self.seeds[:, index], self.ks[index], self.ij[:, index])
         return self._rounds[index]
 
-    def __iter__(self):
-        return iter(self._rounds)
-
     @cached_property
     def _rounds(self) -> tuple[Round, ...]:
         (i, j), (seed_w, seed_t) = self.ij.tolist(), self.seeds.tolist()
         return tuple(
-            Round(i, j, k, BinHash.from_seeds(k, sw, st))
+            Round(i, j, k, BinHash(k, sw, st))
             for i, j, k, sw, st in zip(i, j, self.ks.tolist(), seed_w, seed_t)
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SeededRounds):
-            return NotImplemented
-        return (
-            np.array_equal(self.seeds, other.seeds)
-            and np.array_equal(self.ks, other.ks)
-            and np.array_equal(self.ij, other.ij)
-        )
+    def bins(self, rows: slice, wt: np.ndarray) -> np.ndarray:
+        """The bin of each id of ``wt`` (workers over tasks, uint64) in each round of ``rows``, as ``(2, B, n)`` uint64.
 
-    def __hash__(self) -> int:
-        return hash((self.seeds.tobytes(), self.ij.tobytes()))
+        Above ``_TAIL_N`` ids, a block with one bin count, its first and last
+        (``ks`` never rises), is hashed by numpy's scalar division, the faster
+        over many ids; a tail's few ids take one remainder by the bin counts,
+        the fewer numpy calls.
+        """
+        ks = self.ks[rows, None]
+        k = ks.item(0) if wt.shape[1] > _TAIL_N and ks.item(0) == ks.item(-1) else ks
+        return bins_np(self.seeds[:, rows, None], wt[:, None, :], k)
 
-    def __repr__(self) -> str:
-        return f"<{len(self)} seeded rounds>"
+    def _key(self) -> tuple:
+        return self.seeds.tobytes(), self.ks.tobytes(), self.ij.tobytes()
+
+
+class TableRounds(_Rounds):
+    """The rounds of an explicit schedule: seed columns of disperser tables.
+
+    ``ij`` holds each round's level ``i`` and seed ``j``, both 1-based, one
+    column per round. Round ``(i, j)`` puts each id ``x``, worker or task, in
+    bin ``families[i-1].array[x-1, j-1]`` of its family's ``M``, which
+    ``ks`` holds; ``kmax[r]`` is the most bins of any round from ``r`` on, as
+    bin counts may rise. :meth:`bins` reads a block of rounds' columns for
+    the array engine, with no copy of the tables and no stage object. A slice
+    is a view of the same arrays. Equality and hashing compare the families
+    and ``ij``.
+    """
+
+    kind = "table"
+
+    def __init__(self, families: tuple[DisperserFamily, ...], ij: np.ndarray) -> None:
+        self.families, self.ij, self._at = families, _frozen(ij), ij - 1  # _at: each round's level and column, 0-based
+        self.ks = _frozen(np.array([f.M for f in families], np.uint64)[ij[0] - 1])
+        self.kmax = np.maximum.accumulate(self.ks[::-1])[::-1]
+
+    def __getitem__(self, index: slice) -> TableRounds:
+        return TableRounds(self.families, self.ij[:, index])
+
+    def bins(self, rows: slice, wt: np.ndarray) -> np.ndarray:
+        """The bin of each id of ``wt`` (workers over tasks) in each round of ``rows``, as ``(2, B, n)``.
+
+        Each level's rounds are one gather from its table, in the table's
+        dtype; the levels run in order.
+        """
+        i, j = self._at[:, rows]
+        ids = wt[:, None, :] - 1
+        if i[0] == i[-1]:
+            return self.families[i[0]].array[ids, j[:, None]]
+        return np.concatenate([self.families[f].array[ids, j[i == f, None]] for f in range(i[0], i[-1] + 1)], axis=1)
+
+    def _key(self) -> tuple:
+        return self.families, self.ij.tobytes()
 
 
 @dataclass(frozen=True)
@@ -204,16 +268,16 @@ class RoundSchedule:
     bin-count arrays are the schedule, and :class:`Round` objects are derived
     from them only when asked for. An explicit schedule
     (:func:`explicit_schedule`) is a function of its families, with ``c`` its
-    sweeps per level and ``master_seed`` 0. Its rounds, like any other
-    sequence of rounds, callable stages included, are taken as given and run
-    on the scalar engine.
+    sweeps per level and ``master_seed`` 0; its ``rounds`` is a
+    :class:`TableRounds`. Either kind gives the array engine each block's
+    bins (``rounds.bins``).
     """
 
     w: int
     t: int
     c: int
     master_seed: int
-    rounds: Sequence[Round] = field(repr=False)
+    rounds: SeededRounds | TableRounds = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -222,26 +286,6 @@ class RoundSchedule:
     @property
     def total_rounds(self) -> int:
         return len(self.rounds)
-
-    @property
-    def round_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Every round's seeds and bin count as uint64 arrays, for the array engine.
-
-        ``seeds[0]`` holds the worker seeds and ``seeds[1]`` the task seeds of
-        the rounds' :meth:`BinHash.from_seed` hashes; ``ks`` holds their ``k``.
-        These are the arrays of a built schedule's :class:`SeededRounds`,
-        read as they are. None when ``rounds`` is any other sequence, or when
-        ``n >= 2**63`` or ``w >= 2**31``: past those, ids or the engine's sort
-        keys no longer fit in a uint64. A block of B rounds of at most
-        ``k <= w`` bins over a residual of n keys each id below ``4 * B * k * n``
-        (:func:`_colliding_bins`); B is 1 with ``n <= w``, or else
-        ``B * n <= _TAIL_BUDGET`` (:func:`_block_size`), so every key is below
-        ``4 * w * max(w, _TAIL_BUDGET)``, which is below 2**64.
-        """
-        rounds = self.rounds
-        if not isinstance(rounds, SeededRounds) or self.n >= 1 << 63 or self.w >= 1 << 31:
-            return None
-        return rounds.seeds, rounds.ks
 
 
 def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSchedule:
@@ -331,6 +375,13 @@ def _run_stages(stages: Sequence[BinHash], workers: set[int], tasks: set[int]) -
 # sorted block over that of the tail block on the same residual of 8 to 64
 # and rounds, on the machine below: 1.3-3.5 at w=64, t=256 (59 bins), where
 # walk-64-mix runs; 1.3-2.0 at w=1024; 0.8-1.5 at w=16384, below 1 at n >= 32.
+# A tail round expected to hold more collisions than a tail block plans for,
+# ``_TAIL_HITS``, runs as a head round instead: each collision is a step of
+# the tail's Python loop, and at n=64 in 32 bins a head round took 12 us
+# against 38 for the tail. With that rule, time of ``assign`` at w=64,
+# t=256 over that of the all-pairs tail for every round at or below
+# ``_TAIL_N``, in one process on the same random multisets: 0.96 at sizes
+# 49 to 64, 1.01 below.
 _TAIL_N = 64
 # A head round over a residual of n in k <= _DENSE_BINS * n bins finds each
 # bin's first worker and task with a scatter over k slots; sparser rounds
@@ -369,14 +420,22 @@ def _rows(workers: Iterable[int], tasks: Iterable[int], dtype: type) -> np.ndarr
     return np.array([sorted(workers), sorted(tasks)], dtype).reshape(2, -1)
 
 
+def _on_arrays(schedule: RoundSchedule) -> bool:
+    """Whether the array engine runs ``schedule``: table rounds always, seeded ones below ``n = 2**63`` and ``w = 2**31``.
+
+    Past those, ids or a seeded block's sort keys would no longer fit in a
+    uint64 (see :func:`_colliding_bins`).
+    """
+    return isinstance(schedule.rounds, TableRounds) or (schedule.n < 1 << 63 and schedule.w < 1 << 31)
+
+
 def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
-    """Run ``schedule`` over the residual ``wt`` on the engine the module docstring picks.
+    """Run ``schedule`` over the residual ``wt`` on the engine :func:`_on_arrays` picks.
 
     The scalar loop's pairs come back in the array engine's form.
     """
-    arrays = schedule.round_arrays
-    if arrays is not None:
-        return _run_arrays(arrays, wt)
+    if _on_arrays(schedule):
+        return _run_arrays(schedule.rounds, wt)
     W, T = set(wt[0].tolist()), set(wt[1].tolist())
     per_round = _run_stages([r.hash for r in schedule.rounds], W, T)
     rows = [(x, y, r) for r in compress(count(), per_round) for x, y in per_round[r]]
@@ -384,34 +443,44 @@ def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
     return [(ws, ts, rs)], _rows(W, T, wt.dtype)
 
 
-def _run_arrays(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> Run:
-    """Array engine over a seeded schedule, bit-identical to :func:`_run_stages`.
+def _run_arrays(rounds: SeededRounds | TableRounds, wt: np.ndarray) -> Run:
+    """Array engine over a schedule's rounds, bit-identical to :func:`_run_stages`.
 
     ``wt`` is the residual as one uint64 array, sorted workers in row 0 and
-    sorted tasks in row 1, so each hash call covers both sides. The next
-    :func:`_block_size` rounds run as one block, in the regime the module
-    docstring gives for the residual's size. Each head round's matches stay
-    the arrays it found them in, with the round's index; the blocks' few
-    matches are gathered into one set of lists. The residual left over stays
-    sorted.
+    sorted tasks in row 1. The next :func:`_block_size` rounds run as one
+    block: one ``rounds.bins`` call gives the block's bins for both sides,
+    and the block runs in the regime the module docstring gives for the
+    residual's size. A run of single-bin rounds needs no bins: each of its
+    rounds pairs the smallest worker left with the smallest task left, so
+    the run pairs the residual's first columns, one pair per round. Each head
+    round's matches stay the arrays it found them in, with the round's index;
+    the blocks' few matches are gathered into one set of lists. The residual
+    left over stays sorted.
     """
-    seeds, ks = arrays
-    rounds = len(ks)
+    ks = rounds.ks
+    total = len(ks)
     matched: Matches = []
     blocks: list[tuple[int, int, int]] = []
     r = 0
-    while r < rounds and wt.shape[1]:
-        n, k = wt.shape[1], int(ks[r])
-        block = min(rounds - r, _block_size(n, k))
+    while r < total and wt.shape[1]:
+        n, k = wt.shape[1], ks.item(r)
+        if k == 1:
+            ones = ks[r : r + n] == 1
+            m = ones.size if ones.all() else int(ones.argmin())
+            matched.append((wt[0][:m], wt[1][:m], np.arange(r, r + m)))
+            wt, r = wt[:, m:], r + m
+            continue
+        block = min(total - r, _block_size(n, k))
         rows = slice(r, r + block)
-        if n <= _TAIL_N:
-            wt = wt[_tail_block(seeds[:, rows, None], wt, ks[rows, None], r, blocks)]
-        elif block > 1:
-            wt = wt[_sort_block(seeds[:, rows, None], wt, ks[rows, None], k, r, blocks)]
-        else:
+        bins = rounds.bins(rows, wt)
+        if block == 1 and (n > _TAIL_N or n * n > _TAIL_HITS * k):
             # A dense head round can match half its ids, and a boolean index over such a
             # mask takes about 4 times as long as its flat indices: 194 against 44 us at n=16384.
-            wt = wt.take(np.flatnonzero(_head_round(seeds[:, r, None], wt, k, r, matched)))
+            wt = wt.take(np.flatnonzero(_head_round(bins[:, 0], wt, k, r, matched)))
+        elif n <= _TAIL_N:
+            wt = wt[_tail_block(bins, wt, r, blocks)]
+        else:
+            wt = wt[_sort_block(bins, wt, rounds.kmax.item(r), r, blocks)]
         r += block
         wt = wt.reshape(2, -1)
     if blocks:
@@ -433,7 +502,8 @@ def _block_size(n: int, k: int) -> int:
     tail block, since its fixed numpy cost is larger than its cost per
     collision. A block also stays within ``_TAIL_BUDGET``: B * n * n bin
     comparisons in the all-pairs tail, B * n ids per side in a sorted block.
-    Above ``_TAIL_N`` a block of 1 is a head round.
+    Above ``_TAIL_N`` a block of 1 is a head round; at or below it, so is
+    a round expected to hold more than ``_TAIL_HITS`` collisions.
     """
     if n <= _TAIL_N:
         return max(1, min(_TAIL_BUDGET, min(_TAIL_HITS, n * n) * k) // (n * n))
@@ -443,16 +513,20 @@ def _block_size(n: int, k: int) -> int:
 def _colliding_bins(bins: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort a block's bins and find the bins where a worker meets a task.
 
-    ``bins`` has shape ``(2, B, n)``: each residual position's bin, all below
-    ``k``, in each of B rounds, workers in row 0 and tasks in row 1. Sorting
+    ``bins`` has shape ``(2, B, n)``: each residual position's bin in each of
+    B rounds, workers in row 0 and tasks in row 1, all below ``k``. Sorting
     the keys ``((h*k + bin)*2 + side) << s | p`` of block round h and
     position p, with ``s`` the bit length of ``n - 1``, lists each (round,
     bin, side) group's positions in ascending order, so in id order, with
-    the groups in round order. The keys stay below ``4*B*k*n``, which
-    ``RoundSchedule.round_arrays`` bounds, and are uint32 wherever they fit
-    in one: the sort and every pass then move half the bytes. A bin's
-    workers come directly before its tasks, so a worker meets a task
-    exactly where two neighbouring keys' groups differ in the side bit alone.
+    the groups in round order. The keys stay below ``4*B*k*n``: a sorted
+    block has ``B*n <= _TAIL_BUDGET`` (:func:`_block_size`), and k, the most
+    bins of any round from the block's first on, is below 2**31: at most
+    ``w`` for seeded rounds (:func:`_on_arrays`) and a family's ``M`` for
+    table rounds (:func:`explicit_schedule`). So every key is below 2**49.
+    They are uint32 wherever they fit in one: the sort and every pass then
+    move half the bytes. A bin's workers come directly before its tasks, so
+    a worker meets a task exactly where two neighbouring keys' groups differ
+    in the side bit alone.
 
     Returns the block round ``h`` of each bin where a worker meets a task,
     the sorted positions, and, one column per such bin, the index there of
@@ -474,8 +548,8 @@ def _colliding_bins(bins: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, n
     return (meet >> one) // dtype(k), keys & dtype((1 << shift) - 1), runs
 
 
-def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matches) -> np.ndarray:
-    """Run round ``r`` over a large residual; returns the mask of ids left unmatched.
+def _head_round(bins: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matches) -> np.ndarray:
+    """Run round ``r``, of ``k`` bins, over the residual with its ``(2, n)`` ``bins``; returns the mask of ids left unmatched.
 
     A bin holding a worker and a task pairs its smallest of each. The rows
     are sorted, so those sit at the bin's first position in each row: a
@@ -488,7 +562,8 @@ def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matc
     order.
     """
     n = wt.shape[1]
-    bins = bins_np(seeds, wt, np.uint64(k)).view(np.int64)
+    if bins.dtype == np.uint64:
+        bins = bins.view(np.int64)  # numpy scatters by signed indices without a cast: 62 against 77 us at n=16384
     at = np.arange(n)
     if k <= _DENSE_BINS * n:
         first = np.full((2, k), n)
@@ -513,22 +588,18 @@ def _head_round(seeds: np.ndarray, wt: np.ndarray, k: int, r: int, matched: Matc
     return keep
 
 
-def _sort_block(
-    seeds: np.ndarray, wt: np.ndarray, ks: np.ndarray, k: int, start: int, pairs: list[tuple[int, int, int]]
-) -> np.ndarray:
+def _sort_block(bins: np.ndarray, wt: np.ndarray, k: int, start: int, pairs: list[tuple[int, int, int]]) -> np.ndarray:
     """Run the block of rounds from ``start`` over a residual above ``_TAIL_N``; returns the mask of ids left unmatched.
 
-    ``k`` is the block's first and largest bin count. The residual is
-    hashed under every round of the block at once, by numpy's scalar
-    division when the block has one bin count (``ks`` never rises, so its
-    first and last entries tell), and one sort (:func:`_colliding_bins`)
+    ``bins`` holds the residual's bins in every round of the block, all
+    below ``k``: ``rounds.kmax`` at its first round, the block's largest bin
+    count for seeded rounds. One sort (:func:`_colliding_bins`)
     lists the bins holding a worker and a task. They are visited in round
     order: each pairs its smallest live worker with its smallest live task,
     and the pair is appended to ``pairs`` with its round. A member matched
     earlier in the block is skipped, and the next member of its bin takes
     its place.
     """
-    bins = bins_np(seeds, wt[:, None, :], np.uint64(k) if ks[-1, 0] == k else ks)
     rounds, pos, runs = _colliding_bins(bins, k)
     firsts = pos[runs[:2]].tolist()  # each bin's smallest worker and task
     used_w: set[int] = set()
@@ -554,12 +625,10 @@ def _sort_block(
     return keep
 
 
-def _tail_block(
-    seeds: np.ndarray, wt: np.ndarray, ks: np.ndarray, start: int, pairs: list[tuple[int, int, int]]
-) -> np.ndarray:
+def _tail_block(bins: np.ndarray, wt: np.ndarray, start: int, pairs: list[tuple[int, int, int]]) -> np.ndarray:
     """Run the block of rounds from ``start`` over a small residual; returns the mask of ids left unmatched.
 
-    The residual is hashed under every round of the block at once, and only
+    ``bins`` holds the residual's bins in every round of the block. Only
     colliding (worker, task) index pairs, those sharing a bin, are visited.
     In each round the first live collision of a bin, in index order, pairs
     its smallest live worker with its smallest live task, and the pair is
@@ -567,15 +636,14 @@ def _tail_block(
     match nothing, like the scalar loop's rounds after the residual empties.
     """
     n = wt.shape[1]
-    b = bins_np(seeds, wt[:, None, :], ks)
     # Each collision as one flat index (h*n + i)*n + j: ascending is round, worker, task order.
-    flat = np.flatnonzero(b[0][:, :, None] == b[1][:, None, :])
-    bins = b[0].ravel()[flat // n]
+    flat = np.flatnonzero(bins[0][:, :, None] == bins[1][:, None, :])
+    hit = bins[0].ravel()[flat // n]
     ws, ts = wt.tolist()
     keep = [[True] * n, [True] * n]
     alive_w, alive_t = keep
     seen: set[tuple[int, int]] = set()  # the (round, bin) of each pair made
-    for f, bin_ in zip(flat.tolist(), bins.tolist()):
+    for f, bin_ in zip(flat.tolist(), hit.tolist()):
         h, i, j = f // n // n, f // n % n, f % n
         if alive_w[i] and alive_t[j] and (h, bin_) not in seen:
             seen.add((h, bin_))
@@ -711,10 +779,11 @@ class AssignSession:
     larger difference, and an empty input before or after. A full run keeps
     only its input and its result; the first call that replays builds the
     cache's tables from them, so one-shot and unrelated inputs never pay for
-    them. The tables are linear in the input, whatever ``w``. Schedules the
-    array engine does not run, with fewer than ``SESSION_MIN_W`` workers (a
-    measured crossover), or whose cells would not fit in an int64 keep no
-    cache: each call is a plain ``assign``.
+    them. The tables are linear in the input, whatever ``w``. Explicit
+    schedules, seeded ones the array engine does not run, those with fewer
+    than ``SESSION_MIN_W`` workers (a measured crossover), and those whose
+    cells would not fit in an int64 keep no cache: each call is a plain
+    ``assign``.
 
     A call that raises drops the cache, so the next call is a full run. One
     session is not for concurrent use; :func:`assign` still is.
@@ -731,11 +800,10 @@ class AssignSession:
 
     @cached_property
     def _grid(self) -> _Grid | None:
-        schedule = self.schedule
-        arrays = schedule.round_arrays if schedule.w >= SESSION_MIN_W else None
-        if arrays is None or not len(arrays[1]):
+        schedule, rounds = self.schedule, self.schedule.rounds
+        if schedule.w < SESSION_MIN_W or not isinstance(rounds, SeededRounds) or not len(rounds) or not _on_arrays(schedule):
             return None
-        grid = _Grid(schedule.w, *arrays)
+        grid = _Grid(schedule.w, rounds.seeds, rounds.ks)
         # Cells pack ``round * K + bin`` above a slot into one int64.
         return grid if (grid.total * grid.K) << grid.shift < 1 << 63 else None
 
@@ -1008,13 +1076,17 @@ class _Replay:
                 self._kill(s, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DisperserFamily:
-    """A seeded bin-placement family ``eval: [N] x [D] -> [M]``.
+    """A seeded bin-placement family ``[N] x [D] -> [M]``, held as its table.
 
-    The family qualifies as a ``(k_param, epsilon)`` strong disperser when for
-    every subset ``S`` of the domain with ``|S| >= 2**k_param`` the
-    seed-annotated image ``{(eval(s, d), d)}`` covers at least
+    ``array[x-1, d-1]``, in ``[0, M)``, is the bin of element ``x`` under seed
+    ``d``: an ``N x D`` read-only array of the smallest unsigned dtype that
+    holds ``M - 1``, not copied when given as one. ``table`` is the same
+    table as nested tuples, built when read; ``==`` and ``hash`` go through
+    it. The family qualifies as a ``(k_param, epsilon)`` strong disperser when
+    for every subset ``S`` of the domain with ``|S| >= 2**k_param`` the
+    seed-annotated image ``{(array[s-1, d-1], d)}`` covers at least
     ``(1 - epsilon) * M * D`` of the ``M * D`` cells. ``oracle.verify_disperser``
     checks that exhaustively for small ``N``; nothing here assumes it.
     """
@@ -1024,39 +1096,33 @@ class DisperserFamily:
     M: int
     k_param: int
     epsilon: float
-    table: tuple[tuple[int, ...], ...]  # table[element-1][seed-1] in [0, M)
+    table: tuple[tuple[int, ...], ...] = cached_property(lambda self: tuple(map(tuple, self.array.tolist())))
 
-    def __post_init__(self) -> None:
-        if self.N < 1 or self.D < 1 or self.M < 1:
+    def __init__(self, N: int, D: int, M: int, k_param: int, epsilon: float, table) -> None:
+        if N < 1 or D < 1 or M < 1:
             raise ValueError("N, D, M must be >= 1")
-        if self.k_param < 0 or not 0 <= self.epsilon < 1:
+        if k_param < 0 or not 0 <= epsilon < 1:
             raise ValueError("need k_param >= 0 and 0 <= epsilon < 1")
-        if len(self.table) != self.N or any(len(row) != self.D for row in self.table):
+        array = np.asarray(table)
+        if array.shape != (N, D):
             raise ValueError("table must be N rows of D seeds")
-        if any(not 0 <= v < self.M for row in self.table for v in row):
+        if array.min() < 0 or array.max() >= M:
             raise ValueError("table values must lie in [0, M)")
-
-    def eval(self, element: int, seed: int) -> int:
-        """Bin of ``element`` under seed ``seed``; all three are 1-based."""
-        return self.table[element - 1][seed - 1] + 1
+        array = _frozen(array.astype(np.min_scalar_type(M - 1), copy=False).view())
+        self.__dict__.update(N=N, D=D, M=M, k_param=k_param, epsilon=epsilon, array=array)
 
     @classmethod
     def random_table(
         cls, N: int, D: int, M: int, k_param: int, epsilon: float, rng: Random
     ) -> "DisperserFamily":
-        """A uniformly random function table (not necessarily a verified disperser)."""
-        table = tuple(tuple(rng.randrange(M) for _ in range(D)) for _ in range(N))
-        return cls(N, D, M, k_param, epsilon, table)
-
-    def stage(self, seed: int) -> BinHash:
-        """The partial-assignment stage using ``eval(., seed)`` for workers and tasks."""
-        h = lambda x: self.eval(x, seed)  # noqa: E731
-        return BinHash(self.M, h, h)
+        """A uniformly random function table (not necessarily a verified disperser), drawn row by row."""
+        table = np.array([rng.randrange(M) for _ in range(N * D)], np.min_scalar_type(M - 1))
+        return cls(N, D, M, k_param, epsilon, table.reshape(N, D))
 
 
 def single_bin_family(N: int, D: int, k_param: int = 0, epsilon: float = 0.25) -> DisperserFamily:
-    """The one-bin family; every function with M=1 is a verified disperser."""
-    return DisperserFamily(N, D, 1, k_param, epsilon, tuple((0,) * D for _ in range(N)))
+    """The one-bin family; every function with M=1 is a verified disperser. Its table is one zero, broadcast."""
+    return DisperserFamily(N, D, 1, k_param, epsilon, np.broadcast_to(np.uint8(0), (N, D)))
 
 
 def trivial_families(w: int, N: int, D: int = 4) -> tuple[DisperserFamily, ...]:
@@ -1073,22 +1139,31 @@ def trivial_families(w: int, N: int, D: int = 4) -> tuple[DisperserFamily, ...]:
 def seed_sweep(
     family: DisperserFamily, wt: WorkerTaskInput
 ) -> tuple[frozenset[tuple[int, int]], WorkerTaskInput, list[frozenset[tuple[int, int]]]]:
-    """One pass over the family's seeds on the scalar loop: the pairs, the residual, each run stage's pairs."""
-    stages = [family.stage(j) for j in range(1, family.D + 1)]
-    workers, tasks = set(wt.workers), set(wt.tasks)
-    per_stage = _run_stages(stages, workers, tasks)
-    return frozenset().union(*per_stage), WorkerTaskInput(workers, tasks), per_stage
+    """One pass over the family's seeds on the array engine: the pairs, the residual, each run stage's pairs.
+
+    The input is a worker set and a task set of one size in ``[1, N]``,
+    refused otherwise as :func:`assign_set` refuses it. The family's D seeds
+    run as table rounds, and the stages listed end with the one that matches
+    the last pair, as the scalar loop stops once the sets are empty.
+    """
+    rows = _rows(*_check_sets(wt.workers, wt.tasks, family.N, family.N), np.uint64)
+    rounds = TableRounds((family,), np.array([np.ones(family.D, np.int64), np.arange(1, family.D + 1)]))
+    run = _run_arrays(rounds, rows)
+    per_stage = list(_result(family.N, rows, run, family.D, False).per_round_pairs)
+    return frozenset().union(*per_stage), WorkerTaskInput(*run[1].tolist()), per_stage
 
 
 def explicit_schedule(families: Sequence[DisperserFamily], reps: int, w: int, t: int) -> RoundSchedule:
     """The explicit variant's schedule for ``w`` workers over ``t`` task kinds.
 
     ``families[i-1]`` drives level ``i``: it must be declared for min-entropy
-    parameter ``ceil(log2 w) - i`` and cover the universe, ``N >= w*t``, so
-    the schedule takes every input of its universe or is refused here. Level
-    ``i`` sweeps its family's seeds ``reps`` times; round ``(i, j)`` is seed
-    ``j``'s stage over the family's ``M`` bins. The schedule runs on the
-    scalar loop through :func:`assign`, :func:`assign_set` and all that calls
+    parameter ``ceil(log2 w) - i``, cover the universe, ``N >= w*t``, and
+    have fewer than 2**31 bins, the array engine's bound on a block's bin
+    count (:func:`_colliding_bins`), so the schedule takes every input of its
+    universe or is refused here. Level ``i`` sweeps its family's seeds
+    ``reps`` times; round ``(i, j)`` reads seed ``j``'s column of the
+    family's table (:class:`TableRounds`). The schedule runs on the array
+    engine through :func:`assign`, :func:`assign_set` and all that calls
     them. Over :func:`trivial_families` it gives exactly
     ``baselines.sorted_order``'s assignment, hence its churn.
     """
@@ -1102,5 +1177,8 @@ def explicit_schedule(families: Sequence[DisperserFamily], reps: int, w: int, t:
             raise ValueError(f"family declares k_param={family.k_param}, level requires {levels - i}")
         if family.N < w * t:
             raise ValueError(f"family domain N={family.N} smaller than the universe w*t={w * t}")
-    sweeps = ([Round(i, j, f.M, f.stage(j)) for j in range(1, f.D + 1)] * reps for i, f in enumerate(families, 1))
-    return RoundSchedule(w, t, reps, 0, tuple(chain.from_iterable(sweeps)))
+        if family.M >= 1 << 31:
+            raise ValueError(f"family has M={family.M} bins, past the array engine's 2**31 - 1")
+    i = np.repeat(np.arange(1, levels + 1), [f.D * reps for f in families])
+    j = np.concatenate([np.tile(np.arange(1, f.D + 1), reps) for f in families])
+    return RoundSchedule(w, t, reps, 0, TableRounds(tuple(families), np.array([i, j])))

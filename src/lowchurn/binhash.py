@@ -1,15 +1,18 @@
-"""The k-bin hash partial-assignment stage.
+"""The seeded k-bin hash partial-assignment stage.
 
 A stage hashes the unmatched workers and unmatched tasks into ``k`` bins with
-two fixed functions and, in every bin holding at least one of each, matches
+two seeded functions and, in every bin holding at least one of each, matches
 the smallest worker to the smallest task. The stage is deterministic given
-its hash functions, tolerates ``|W| != |T|``, and two structural facts about
+its seeds, tolerates ``|W| != |T|``, and two structural facts about
 it carry the whole pipeline: outputs never drift further apart than inputs
 (measured by :func:`difference_score`), and a single-element input change
 perturbs the matching by at most two pairs.
 
 Stages are composed by threading each one's residual into the next; the
-package's one loop that does so is ``assigner._run_stages``.
+package's one loop that does so is ``assigner._run_stages``. The array
+engine builds no stage: it asks a schedule's rounds for their bins.
+``SeededRounds.bins`` hashes as this stage does, and an explicit schedule's
+``TableRounds`` read disperser tables, with no stage at all.
 
 ``BinHash.match`` runs the stage; ``BinHash.apply`` is the same stage on one
 :class:`WorkerTaskInput`, with the residual its pairs leave. ``BinHash``
@@ -19,7 +22,7 @@ stages can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -42,46 +45,30 @@ class StageOutcome:
 
 
 class BinHash:
-    """One k-bin hash stage.
+    """One seeded k-bin hash stage.
 
-    ``h1`` maps worker ids and ``h2`` maps task ids into ``[1, k]``; both must
-    be total and stable for the lifetime of the object. :meth:`from_seed`
-    builds the standard pair from a 64-bit seed; explicit callables are
-    accepted so tests and disperser-backed stages can inject their own tables.
+    Worker ``x`` lands in bin ``_bin_of(seed_w, x, k)`` and task ``y`` in
+    ``_bin_of(seed_t, y, k)``, both in ``[0, k)``. :meth:`from_seed` derives
+    the two seeds from one 64-bit stage seed; :func:`seeds_np` derives them
+    for a whole schedule at once.
     """
 
-    __slots__ = ("k", "h1", "h2", "_seed_w", "_seed_t")
+    __slots__ = ("k", "seeds")
 
-    def __init__(self, k: int, h1: Callable[[int], int], h2: Callable[[int], int]) -> None:
+    def __init__(self, k: int, seed_w: int, seed_t: int) -> None:
         if k < 1:
             raise ValueError("bin count must be >= 1")
         self.k = k
-        self.h1 = h1
-        self.h2 = h2
-        self._seed_w: int | None = None
-        self._seed_t: int | None = None
+        self.seeds = (seed_w, seed_t)
 
     @classmethod
     def from_seed(cls, k: int, seed: int) -> "BinHash":
-        return cls.from_seeds(k, mix64(seed ^ _TAG_WORKER), mix64(seed ^ _TAG_TASK))
-
-    @classmethod
-    def from_seeds(cls, k: int, seed_w: int, seed_t: int) -> "BinHash":
-        """The seeded stage with the worker and task seeds already derived (see :func:`seeds_np`)."""
-        obj = cls(k, lambda x: _bin_of(seed_w, x, k), lambda x: _bin_of(seed_t, x, k))
-        obj._seed_w = seed_w
-        obj._seed_t = seed_t
-        return obj
-
-    @property
-    def seeds(self) -> tuple[int, int] | None:
-        """``(worker seed, task seed)`` of a :meth:`from_seed` stage; None for callable stages."""
-        return None if self._seed_w is None else (self._seed_w, self._seed_t)
+        return cls(k, mix64(seed ^ _TAG_WORKER), mix64(seed ^ _TAG_TASK))
 
     def match(self, workers: Iterable[int], tasks: Iterable[int]) -> list[tuple[int, int]]:
         """Matched (worker, task) pairs for this stage, unordered."""
-        best_w = _smallest_per_bin(workers, self.k, self._seed_w, self.h1)
-        best_t = _smallest_per_bin(tasks, self.k, self._seed_t, self.h2, best_w)
+        best_w = _smallest_per_bin(workers, self.k, self.seeds[0])
+        best_t = _smallest_per_bin(tasks, self.k, self.seeds[1], best_w)
         return [(best_w[b], task) for b, task in best_t.items()]
 
     def apply(self, wt: WorkerTaskInput) -> StageOutcome:
@@ -106,10 +93,10 @@ def _bin_of(seed: int, x: int, k: int) -> int:
 
 
 def _smallest_per_bin(
-    xs: Iterable[int], k: int, seed: int | None, h: Callable[[int], int], wanted: dict | None = None,
+    xs: Iterable[int], k: int, seed: int, wanted: dict | None = None,
     gold: int = GOLDEN, mask: int = MASK64, mul1: int = MUL1, mul2: int = MUL2,
 ) -> dict[int, int]:
-    """The smallest of ``xs`` in each bin: bins are ``_bin_of(seed, x, k)``, or ``h(x)`` when ``seed`` is None.
+    """The smallest of ``xs`` in each of the bins ``_bin_of(seed, x, k)``.
 
     Only bins in ``wanted`` are kept when it is given: a stage needs a task's
     bin only if some worker landed there. ``xs`` is scanned in increasing
@@ -123,13 +110,10 @@ def _smallest_per_bin(
     if not need:
         return best
     for x in sorted(xs):
-        if seed is None:
-            b = h(x)
-        else:
-            v = (x * gold) & mask ^ seed
-            v = ((v ^ (v >> 30)) * mul1) & mask
-            v = ((v ^ (v >> 27)) * mul2) & mask
-            b = (v ^ (v >> 31)) % k
+        v = (x * gold) & mask ^ seed
+        v = ((v ^ (v >> 30)) * mul1) & mask
+        v = ((v ^ (v >> 27)) * mul2) & mask
+        b = (v ^ (v >> 31)) % k
         if b not in best and (wanted is None or b in wanted):
             best[b] = x
             if len(best) == need:

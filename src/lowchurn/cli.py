@@ -43,8 +43,9 @@ _MAX_RAMSEY_SUBSETS = 1_000_000
 # largest scale tests and benchmarks run. A schedule has c * ceil(log2 wt) *
 # ceil(log_1.1 w) rounds of 40 bytes: 14 MB at the caps, 100+ GiB at c = 10**9.
 # walk prints each step as it is measured and randperm builds its keys a block
-# of rows at a time, so neither needs a cap of its own. oracle disperser builds
-# an N x D table of Python ints on every restart; the library bounds N by 32.
+# of rows at a time, so neither needs a cap of its own. oracle disperser draws
+# an N x D table, one Python int at a time, into a numpy array on every
+# restart; the library bounds N by 32.
 _CAPS = {
     "--w": 1 << 14, "--t": 1 << 40, "--c": 64, "--steps": 1 << 20, "--k": 1 << 14, "--n": 1 << 40, "--pairs": 1 << 20,
     "--seeds": 4096,

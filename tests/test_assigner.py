@@ -15,6 +15,8 @@ from lowchurn.assigner import (
     DisperserFamily,
     RoundSchedule,
     Round,
+    SeededRounds,
+    TableRounds,
     assign,
     assign_set,
     bins_for_round,
@@ -139,13 +141,12 @@ class TestAssignSet:
     def test_per_round_pairs_match_compose_trace(self):
         # Two routes to the same pipeline: the engine and stages composed by
         # hand from BinHash.apply, on a schedule for each engine of assign_set.
-        # As a plain tuple, the same rounds have no seed arrays, so the scalar
-        # loop runs them.
+        # In a universe past 2**63 ids, the same rounds run on the scalar loop.
         rng = Random(4)
         for w, t in ((6, 3), (40, 5)):
             seeded = build_schedule(w, t, c=2, master_seed=9)
-            unseeded = RoundSchedule(w, t, 2, 9, tuple(seeded.rounds))
-            assert seeded.round_arrays is not None and unseeded.round_arrays is None
+            huge = RoundSchedule(w, 2**62, 2, 9, seeded.rounds)
+            assert assigner._on_arrays(seeded) and not assigner._on_arrays(huge)
             for _ in range(30):
                 j = rng.randint(0, w)
                 W = rng.sample(range(1, w + 1), j)
@@ -157,7 +158,7 @@ class TestAssignSet:
                     out = stage.apply(residual)
                     trace.append(out.matched)
                     residual = out.residual
-                for s in (seeded, unseeded):
+                for s in (seeded, huge):
                     res = assign_set(s, W, T)
                     assert res.per_round_pairs == tuple(trace)
                     assert res.fallback_pairs == len(residual.workers)
@@ -166,8 +167,15 @@ class TestAssignSet:
 def run_arrays(schedule, workers, tasks):
     """``assign_set``'s result from the array engine, whatever the schedule's size."""
     wt = assigner._rows(workers, tasks, np.uint64)
-    run = assigner._run_arrays(schedule.round_arrays, wt)
+    run = assigner._run_arrays(schedule.rounds, wt)
     return assigner._result(schedule.w, wt, run, schedule.total_rounds, False)
+
+
+def block_bins(seeds, ks, wt):
+    """``wt``'s bins in each round of a block, as the engine asks seeded rounds for them."""
+    ks = np.asarray(ks, np.uint64)
+    rounds = SeededRounds(np.array(seeds, np.uint64), ks, np.zeros((2, ks.size), np.int64))
+    return rounds.bins(slice(None), wt)
 
 
 def scalar_block(seeds, ks, wt, start):
@@ -207,6 +215,32 @@ def reference_run(schedule, workers, tasks):
     """
     W, T = set(workers), set(tasks)
     per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
+    rows = [(x, y, r) for r, matched in enumerate(per_round) for x, y in matched]
+    rows += [(x, y, -1) for x, y in zip(sorted(W), sorted(T))]
+    return tuple(per_round), sorted(rows)
+
+
+def table_reference_run(schedule, workers, tasks):
+    """:func:`reference_run` for an explicit schedule, with no arrays and no engine code.
+
+    Round ``(i, j)`` reads each id's bin from level ``i``'s ``table`` at seed
+    ``j``, one id at a time, and pairs each bin's smallest worker with its
+    smallest task, until the sets empty.
+    """
+    W, T = set(workers), set(tasks)
+    per_round = []
+    families = schedule.rounds.families
+    for i, j in zip(*schedule.rounds.ij.tolist()):
+        if not W and not T:
+            break
+        table, best = families[i - 1].table, [{}, {}]
+        for side, ids in enumerate((W, T)):
+            for x in sorted(ids):
+                best[side].setdefault(table[x - 1][j - 1], x)
+        pairs = frozenset((x, best[1][b]) for b, x in best[0].items() if b in best[1])
+        per_round.append(pairs)
+        W.difference_update(x for x, _ in pairs)
+        T.difference_update(y for _, y in pairs)
     rows = [(x, y, r) for r, matched in enumerate(per_round) for x, y in matched]
     rows += [(x, y, -1) for x, y in zip(sorted(W), sorted(T))]
     return tuple(per_round), sorted(rows)
@@ -267,7 +301,7 @@ class TestArrayEngine:
 
     def test_block_keys_fit_at_the_guard(self):
         # A sorted block packs its round, bin, side and position into one
-        # uint64 key. Run one at the extremes round_arrays allows: ids past
+        # uint64 key. Run one at the extremes the array engine allows: ids past
         # 2**32, the bin counts of the largest w below 2**31 and the longest
         # block _block_size gives, with rounds from two outer rounds. Each
         # listed round forces one chosen worker and task into a shared bin
@@ -289,7 +323,7 @@ class TestArrayEngine:
             seeds[1][h] = seeds[0][h] ^ ((x * GOLDEN) & MASK64) ^ ((y * GOLDEN) & MASK64)
         start = 5000
         pairs = []
-        keep = assigner._sort_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], k, start, pairs)
+        keep = assigner._sort_block(block_bins(seeds, ks, wt), wt, k, start, pairs)
         want, live = scalar_block(seeds, ks, wt, start)
         assert sorted(pairs) == sorted(want)
         assert {(x, y) for x, y, r in pairs if r - start in forced} <= set(forced.values())
@@ -332,7 +366,7 @@ class TestArrayEngine:
         ks = np.full(B, k, np.uint64)
         start = 3000
         pairs = []
-        keep = assigner._sort_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], k, start, pairs)
+        keep = assigner._sort_block(block_bins(seeds, ks, wt), wt, k, start, pairs)
         want, live = scalar_block(seeds, ks, wt, start)
         assert sorted(pairs) == sorted(want)
         assert (x, y, start + B - 1) in pairs
@@ -350,7 +384,7 @@ class TestArrayEngine:
         ks = np.array([97] * 3 + [89] * 3, np.uint64)
         start = 40
         pairs = []
-        keep = assigner._sort_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], 97, start, pairs)
+        keep = assigner._sort_block(block_bins(seeds, ks, wt), wt, 97, start, pairs)
         want, live = scalar_block(seeds, ks, wt, start)
         assert sorted(pairs) == sorted(want)
         assert {r - start for *_, r in pairs} >= {3, 4, 5}  # the 89-bin rounds matched too
@@ -360,7 +394,7 @@ class TestArrayEngine:
         ("n", "k", "B", "forced"),
         [
             # The longest blocks _block_size gives, at the largest bin count
-            # round_arrays allows: one pair forced into the block's last round,
+            # the array engine allows: one pair forced into the block's last round,
             # or two pairs, one each into its first and last rounds.
             (1, bins_for_round(2**31 - 1, 1), None, "last"),
             (2, bins_for_round(2**31 - 1, 1), None, "first and last"),
@@ -389,7 +423,7 @@ class TestArrayEngine:
         ks = np.full(B, k, np.uint64)
         start = 777
         pairs = []
-        keep = assigner._tail_block(np.array(seeds, np.uint64)[:, :, None], wt, ks[:, None], start, pairs)
+        keep = assigner._tail_block(block_bins(seeds, ks, wt), wt, start, pairs)
         want, live = scalar_block(seeds, ks, wt, start)
         assert pairs == want
         assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
@@ -436,7 +470,7 @@ class TestArrayEngine:
         ids = rng.sample(range(2**62, 2**63), 2 * n)
         seeds = [rng.getrandbits(64), rng.getrandbits(64)]
         if case == "no collision":
-            while BinHash.from_seeds(k, *seeds).match(ids[:n], ids[n:]):
+            while BinHash(k, *seeds).match(ids[:n], ids[n:]):
                 seeds[1] = rng.getrandbits(64)
         else:
             x, y = ids[0], ids[n]
@@ -448,10 +482,10 @@ class TestArrayEngine:
                 ids[side * n + 1 : side * n + 3] = [z for z in found if z not in ids][:2]
         wt = np.array([sorted(ids[:n]), sorted(ids[n:])], np.uint64)
         matched = []
-        keep = assigner._head_round(np.array(seeds, np.uint64)[:, None], wt, k, 41, matched)
+        keep = assigner._head_round(block_bins([[seeds[0]], [seeds[1]]], [k], wt)[:, 0], wt, k, 41, matched)
         [(ws, ts, r)] = matched
         pairs = list(zip(ws.tolist(), ts.tolist()))
-        want = BinHash.from_seeds(k, *seeds).match(wt[0].tolist(), wt[1].tolist())
+        want = BinHash(k, *seeds).match(wt[0].tolist(), wt[1].tolist())
         assert r == 41 and sorted(pairs) == sorted(want)
         bins = [_bin_of(seeds[0], x, k) for x, _ in pairs]
         assert bins == sorted(set(bins))
@@ -471,24 +505,23 @@ class TestArrayEngine:
         for w in (1, 2, 15):
             assign(build_schedule(w, 3), random_multiset(w, 3, Random(w)))
         assert len(runs) == 3
-        # Callable-backed stages have no seeds, so only the scalar loop runs them.
-        stage = BinHash(2, lambda _w: 1, lambda _t: 2)
-        unseeded = RoundSchedule(20, 4, 1, 0, (Round(1, 1, 2, stage),))
-        assert unseeded.round_arrays is None
-        assert assign_set(unseeded, [3, 1], [10, 4]).fallback_pairs == 2
+        # Table rounds run on it too: here workers and tasks land in disjoint bins.
+        schedule = explicit_schedule(disjoint_bin_families(20, 4), 1, 20, 4)
+        assert assigner._on_arrays(schedule)
+        assert assign_set(schedule, [3, 1], [30, 24]).fallback_pairs == 2
+        assert len(runs) == 4 and runs[-1][0] is schedule.rounds
         # Past n = 2**63 or w = 2**31, ids or sort keys would not fit a uint64.
         seeded = build_schedule(20, 2, c=1).rounds
-        assert RoundSchedule(20, 2**58, 1, 0, seeded).round_arrays is not None
-        assert RoundSchedule(20, 2**62, 1, 0, seeded).round_arrays is None
-        assert RoundSchedule(2**31, 1, 1, 0, seeded).round_arrays is None
+        assert assigner._on_arrays(RoundSchedule(20, 2**58, 1, 0, seeded))
+        assert not assigner._on_arrays(RoundSchedule(20, 2**62, 1, 0, seeded))
+        assert not assigner._on_arrays(RoundSchedule(2**31, 1, 1, 0, seeded))
 
-    def test_round_arrays_stay_out_of_equality_and_repr(self):
+    def test_seed_arrays_stay_out_of_repr(self):
         a = build_schedule(20, 3, master_seed=5)
         b = RoundSchedule(a.w, a.t, a.c, a.master_seed, a.rounds)
-        assert a.round_arrays is not None  # cached on a only
         assert a == b and hash(a) == hash(b)
-        assert "round_arrays" not in repr(a)
-        seeds, ks = a.round_arrays
+        assert "seeds" not in repr(a)
+        seeds, ks = a.rounds.seeds, a.rounds.ks
         assert seeds.dtype == ks.dtype == np.uint64
         assert [int(k) for k in ks] == [r.k for r in a.rounds]
         assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [r.hash.seeds for r in a.rounds]
@@ -516,7 +549,7 @@ class TestSeedArraySchedule:
     def test_matches_per_round_construction(self, w, t, c, master_seed):
         schedule = build_schedule(w, t, c, master_seed)
         want = per_round_schedule(w, t, c, master_seed)
-        seeds, ks = schedule.round_arrays
+        seeds, ks = schedule.rounds.seeds, schedule.rounds.ks
         assert ks.tolist() == [r.k for r in want]
         assert list(zip(*seeds.tolist())) == [r.hash.seeds for r in want]
         got = list(schedule.rounds)
@@ -557,8 +590,8 @@ class TestSeedArraySchedule:
         cut = a.rounds[5:17]
         assert len(cut) == 12 and cut == b.rounds[5:17] and cut != a.rounds[5:18]
         assert [r.hash.seeds for r in cut] == [r.hash.seeds for r in list(a.rounds)[5:17]]
-        assert RoundSchedule(40, 9, 2, -7, cut).round_arrays is not None
-        seeds, ks = a.round_arrays
+        assert isinstance(cut, SeededRounds) and assigner._on_arrays(RoundSchedule(40, 9, 2, -7, cut))
+        seeds, ks = a.rounds.seeds, a.rounds.ks
         with pytest.raises(ValueError):
             seeds[0, 0] = 1  # the arrays are the schedule, so they are read-only
 
@@ -618,10 +651,10 @@ class TestArrayNativeAssign:
         blocks = []
         sort_block = assigner._sort_block
 
-        def spy(seeds, wt, ks, k, start, pairs):
+        def spy(bins, wt, k, start, pairs):
             before = len(pairs)
-            keep = sort_block(seeds, wt, ks, k, start, pairs)
-            blocks.append((seeds, wt.tolist(), ks, start, pairs[before:]))
+            keep = sort_block(bins, wt, k, start, pairs)
+            blocks.append((bins, wt.tolist(), start, pairs[before:]))
             return keep
 
         monkeypatch.setattr(assigner, "_sort_block", spy)
@@ -632,12 +665,12 @@ class TestArrayNativeAssign:
             assert_matches_scalar_assign(assign(s, T), s, T)
         assert blocks and all(len(wt[0]) > assigner._TAIL_N for _, wt, *_ in blocks)
         skipped = [0, 0]
-        for seeds, wt, ks, start, pairs in blocks:
+        for bins, wt, start, pairs in blocks:
             for pair in pairs:
                 h = pair[2] - start
                 for side in (0, 1):
-                    bin_of = lambda x: _bin_of(int(seeds[side, h, 0]), x, int(ks[h, 0]))  # noqa: E731
-                    smallest = min(x for x in wt[side] if bin_of(x) == bin_of(pair[side]))
+                    bin_of = dict(zip(wt[side], bins[side, h].tolist()))
+                    smallest = min(x for x in wt[side] if bin_of[x] == bin_of[pair[side]])
                     skipped[side] += smallest != pair[side]
         assert all(skipped)
 
@@ -722,17 +755,23 @@ class TestAssignMultiset:
             prev = cur
 
 
+def disjoint_bin_families(w, t):
+    """One family per level over ``[w*t]``, of one seed and two bins: bin 0 holds ``1..w``, bin 1 the rest."""
+    table = [[0]] * w + [[1]] * (w * t - w)
+    levels = max(1, (w - 1).bit_length())
+    return [DisperserFamily(w * t, 1, 2, levels - i, 0.25, table) for i in range(1, levels + 1)]
+
+
 class TestFallbackPolicy:
     def test_rank_order_completion(self):
-        # Adversarial stage: workers and tasks land in disjoint bins, so the
+        # Adversarial tables: workers and tasks land in disjoint bins, so the
         # schedule matches nothing and the fallback must do all the work.
-        stage = BinHash(2, lambda _w: 1, lambda _t: 2)
-        schedule = RoundSchedule(3, 4, 1, 0, (Round(1, 1, 2, stage),))
+        schedule = explicit_schedule(disjoint_bin_families(3, 4), 1, 3, 4)
         res = assign_set(schedule, [3, 1], [10, 4])
         assert res.fallback_pairs == 2
         assert res.used_fallback
         assert res.assignment.mapping == {1: 4, 3: 10}
-        assert res.per_round_matches == (0,)
+        assert res.per_round_matches == (0, 0)  # one seed on each of two levels
 
 
 class TestExplicitVariant:
@@ -791,16 +830,21 @@ class TestExplicitVariant:
         wrong_k = (single_bin_family(8, 2, k_param=3), single_bin_family(8, 2, k_param=0))
         with pytest.raises(ValueError):
             explicit_schedule(wrong_k, reps=2, w=4, t=2)
+        # Past 2**31 - 1 bins, a block's sort keys are no longer bounded: refused, not run.
+        wide = DisperserFamily(8, 1, 2**31, 0, 0.25, [[2**31 - 1]] * 8)
+        assert explicit_schedule((families[0], DisperserFamily(8, 1, 2**31 - 1, 0, 0.25, [[0]] * 8)), 1, 4, 2)
+        with pytest.raises(ValueError, match="past the array engine"):
+            explicit_schedule((families[0], wide), reps=1, w=4, t=2)
 
     def test_schedule_layout(self):
         # Each family's D stages, repeated reps times, level after level.
         families = (DisperserFamily.random_table(12, 3, 2, 1, 0.25, Random(1)), single_bin_family(12, 2))
         schedule = explicit_schedule(families, reps=2, w=4, t=3)
         assert (schedule.w, schedule.t, schedule.c, schedule.master_seed) == (4, 3, 2, 0)
-        assert [(r.i, r.j, r.k) for r in schedule.rounds] == [
+        assert list(zip(*schedule.rounds.ij.tolist(), schedule.rounds.ks.tolist())) == [
             (1, 1, 2), (1, 2, 2), (1, 3, 2), (1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 1, 1), (2, 2, 1), (2, 1, 1), (2, 2, 1)
         ]
-        assert schedule.round_arrays is None  # table rounds run on the scalar loop
+        assert isinstance(schedule.rounds, TableRounds) and assigner._on_arrays(schedule)  # table rounds run on arrays
 
     @settings(max_examples=150, deadline=None)
     @given(w=st.integers(1, 9), reps=st.integers(1, 2), data=st.data())
@@ -880,7 +924,96 @@ class TestExplicitVariant:
         with pytest.raises(ValueError):
             DisperserFamily(2, 1, 2, 0, 0.25, ((2,), (0,)))  # value out of range
         with pytest.raises(ValueError):
+            DisperserFamily(2, 1, 2, 0, 0.25, ((-1,), (0,)))  # value out of range
+        with pytest.raises(ValueError):
             DisperserFamily(2, 1, 2, 0, 1.5, ((0,), (1,)))  # epsilon out of range
+
+    def test_tables_are_compact_read_only_arrays(self):
+        # Each table is held in the smallest unsigned dtype that holds M - 1, read-only;
+        # ``table`` is the same table as tuples, built when read.
+        for M, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (2**16 + 1, np.uint32)):
+            family = DisperserFamily(3, 2, M, 0, 0.25, [[0, M - 1], [M // 2, 0], [1 % M, M - 1]])
+            assert family.array.dtype == dtype and not family.array.flags.writeable
+            assert family.table == ((0, M - 1), (M // 2, 0), (1 % M, M - 1))
+        # A single-bin table is one zero, broadcast: the w=256 ladder over 2**18 ids holds no table.
+        for family in trivial_families(256, 2**18):
+            assert family.array.shape == (2**18, 4) and family.array.strides == (0, 0)
+        # random_table draws row by row, as it did when its table was built as tuples.
+        rng, again = Random(8), Random(8)
+        family = DisperserFamily.random_table(50, 3, 7, 1, 0.25, rng)
+        assert family.table == tuple(tuple(again.randrange(7) for _ in range(3)) for _ in range(50))
+        assert family.array.dtype == np.uint8
+
+    def test_equal_families_give_equal_schedules(self):
+        # Families compare, and hash, by their tables, and so do the schedules built from them.
+        a = explicit_schedule([DisperserFamily.random_table(12, 2, 3, k, 0.25, Random(k)) for k in (1, 0)], 2, 4, 3)
+        b = explicit_schedule([DisperserFamily.random_table(12, 2, 3, k, 0.25, Random(k)) for k in (1, 0)], 2, 4, 3)
+        assert a == b and hash(a) == hash(b) and a.rounds[:5] == b.rounds[:5]
+        c = explicit_schedule([DisperserFamily.random_table(12, 2, 3, k, 0.25, Random(k + 5)) for k in (1, 0)], 2, 4, 3)
+        assert a != c and a.rounds[:5] != a.rounds[:6]
+        assert explicit_schedule(trivial_families(4, 8), 2, 4, 2) == explicit_schedule(trivial_families(4, 8), 2, 4, 2)
+        assert explicit_schedule(trivial_families(4, 8), 2, 4, 2) != explicit_schedule(trivial_families(4, 8), 3, 4, 2)
+        assert repr(a) == "RoundSchedule(w=4, t=3, c=2, master_seed=0)" and repr(a.rounds) == "<8 table rounds>"
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.integers(1, 3), reps=st.integers(1, 2), data=st.data())
+    def test_bit_identical_to_table_reference(self, t, reps, data):
+        # Explicit schedules on the array engine against the plain table reference.
+        # Bin counts are drawn per level from single bins to more than w, so levels
+        # rise and fall, single-bin runs sit between other levels, and residuals
+        # above 64 run head rounds and sorted blocks across levels. Half the draws
+        # run full workforces of 65 to 130 through levels that rise by 1000 bins a
+        # level from 1000, so that sorted blocks span levels whose bin count rises.
+        rising = data.draw(st.booleans(), label="rising")
+        w = data.draw(st.sampled_from([65, 100, 130] if rising else [1, 2, 3, 8, 40, 64, 65, 100, 130, 300]), label="w")
+        levels = max(1, (w - 1).bit_length())
+        if rising:
+            Ms = list(range(1000, 1000 * (levels + 1), 1000))
+        else:
+            Ms = data.draw(st.lists(st.sampled_from([1, 2, 17, 1000, 5000]), min_size=levels, max_size=levels),
+                           label="bins per level")
+        Ds = data.draw(st.lists(st.integers(1, 4), min_size=levels, max_size=levels), label="seeds per level")
+        rng = data.draw(st.randoms(use_true_random=False))
+        families = [DisperserFamily.random_table(w * t, D, M, levels - i, 0.25, rng)
+                    for i, (M, D) in enumerate(zip(Ms, Ds), start=1)]
+        schedule = explicit_schedule(families, reps, w, t)
+        # A truncated schedule often ends with a residual left, so the fallback is compared too.
+        keep = None if rising else data.draw(st.none() | st.integers(1, schedule.total_rounds), label="rounds kept")
+        if keep is not None:
+            schedule = RoundSchedule(w, t, reps, 0, schedule.rounds[:keep])
+        size = w if rising else data.draw(st.just(w) | st.integers(0, w), label="size")
+        workers = rng.sample(range(1, w + 1), size)
+        tasks = rng.sample(range(1, schedule.n + 1), size)
+        reference = table_reference_run(schedule, workers, tasks)
+        assert_matches_reference(run_arrays(schedule, workers, tasks), *reference)
+        assert_matches_reference(assign_set(schedule, workers, tasks), *reference)
+
+    def test_bin_counts_that_rise_between_levels(self):
+        # One round per level, each with more bins than the last: a residual of 128
+        # runs sorted blocks across levels, keyed by their largest bin count.
+        w, rng = 128, Random(3)
+        families = [DisperserFamily.random_table(w, 1, M, 7 - i, 0.25, rng)
+                    for i, M in enumerate((1000, 5000, 6000, 7000, 8000, 9000, 10000), start=1)]
+        schedule = explicit_schedule(families, 1, w, 1)
+        T = TaskMultiset.from_elements([1] * w, 1)
+        reference = table_reference_run(schedule, range(1, w + 1), range(1, w + 1))
+        assert_matches_reference(assign(schedule, T), *reference, project=lambda task: decode(task, w)[0])
+        assert sum(map(len, reference[0])) > 0
+
+    def test_single_bin_runs_read_no_table(self, monkeypatch):
+        # A run of single-bin rounds pairs the residual's smallest ids, one pair per
+        # round, with no bins asked for: the ladder gives sorted order in one step.
+        calls = []
+        bins = TableRounds.bins
+        monkeypatch.setattr(TableRounds, "bins", lambda self, rows, wt: calls.append(rows) or bins(self, rows, wt))
+        rng = Random(12)
+        for w, t in ((64, 256), (256, 1024)):
+            schedule = explicit_schedule(trivial_families(w, w * t), 2, w, t)
+            T = random_multiset(w, t, rng)
+            res = assign(schedule, T)
+            assert res.assignment == sorted_order(T, w)
+            assert res.match_rounds == tuple(r if r < schedule.total_rounds else -1 for r in range(w))
+        assert calls == []
 
 
 def test_lifted_round_pairs_stay_in_lifted_space():
@@ -1042,7 +1175,7 @@ class TestAssignSession:
         # runs, so resolving it could change nothing (see _Replay), but it
         # costs a _resolve call; size-varying steps add and remove workers.
         schedule = build_schedule(1024, 65536, 4, 5)
-        seeds, ks = (a.tolist() for a in schedule.round_arrays)
+        seeds, ks = schedule.rounds.seeds.tolist(), schedule.rounds.ks.tolist()
         total = schedule.total_rounds
         resolved = []
         resolve = assigner._Replay._resolve
@@ -1111,7 +1244,7 @@ class TestAssignSession:
         schedule = build_schedule(w, t, 1, w)
         if cut:  # most inputs leave a residual, so fallback elements end at the schedule's length
             schedule = RoundSchedule(w, t, 1, w, schedule.rounds[: schedule.total_rounds // 10])
-        grid = assigner._Grid(w, *schedule.round_arrays)
+        grid = assigner._Grid(w, schedule.rounds.seeds, schedule.rounds.ks)
         rng = Random(w + cut)
         fallbacks = 0
         for size in (1, 2, w // 3, w):
@@ -1166,7 +1299,7 @@ class TestAssignSession:
         # so the session keeps no grid.
         assert assigner.AssignSession(build_schedule(2**25, 2, 1, 0))._grid is not None
         schedule = build_schedule(w, 2, 1, 0)
-        grid = assigner._Grid(schedule.w, *schedule.round_arrays)
+        grid = assigner._Grid(schedule.w, schedule.rounds.seeds, schedule.rounds.ks)
         assert (grid.total * grid.K) << grid.shift >= 1 << 63
         session = assigner.AssignSession(schedule)
         assert session._grid is None

@@ -11,8 +11,9 @@ def wt(workers, tasks):
     return WorkerTaskInput(frozenset(workers), frozenset(tasks))
 
 
-def table_hash(k, worker_bins, task_bins):
-    return BinHash(k, worker_bins.__getitem__, task_bins.__getitem__)
+def table_family(M, bins):
+    """A one-seed family of ``M`` bins over ``[1, max(bins)]``, with ``bins[x]`` the bin of id ``x``."""
+    return DisperserFamily(max(bins), 1, M, 0, 0.25, [[bins[x]] for x in range(1, max(bins) + 1)])
 
 
 def random_input(rng, w_max=16, n_max=64):
@@ -44,17 +45,17 @@ class TestApply:
         assert out.active_bins == 1
 
     def test_hand_trace_two_bins(self):
-        # bin 1 holds workers {1,2} and tasks {7,9}; bin 2 holds worker 3 and task 4.
-        b = table_hash(2, {1: 1, 2: 1, 3: 2}, {4: 2, 7: 1, 9: 1})
-        out = b.apply(wt({1, 2, 3}, {4, 7, 9}))
-        assert out.matched == {(1, 7), (3, 4)}
-        assert out.residual == wt({2}, {9})
+        # bin 0 holds workers {1,2} and tasks {7,9}; bin 1 holds worker 3 and task 4.
+        family = table_family(2, {1: 0, 2: 0, 3: 1, 4: 1, 5: 0, 6: 0, 7: 0, 8: 0, 9: 0})
+        matched, residual, _ = seed_sweep(family, wt({1, 2, 3}, {4, 7, 9}))
+        assert matched == {(1, 7), (3, 4)}
+        assert residual == wt({2}, {9})
 
     def test_no_active_bin(self):
-        b = table_hash(2, {1: 1, 2: 1}, {3: 2, 4: 2})
-        out = b.apply(wt({1, 2}, {3, 4}))
-        assert out.matched == frozenset()
-        assert out.residual == wt({1, 2}, {3, 4})
+        family = table_family(2, {1: 0, 2: 0, 3: 1, 4: 1})
+        matched, residual, _ = seed_sweep(family, wt({1, 2}, {3, 4}))
+        assert matched == frozenset()
+        assert residual == wt({1, 2}, {3, 4})
 
     def test_deterministic(self):
         b = BinHash.from_seed(7, seed=99)
@@ -64,13 +65,6 @@ class TestApply:
     def test_unbalanced_inputs_allowed(self):
         out = BinHash.from_seed(3, seed=1).apply(wt({1, 2, 3}, {5}))
         assert len(out.matched) <= 1
-
-    def test_seeded_matches_callable_path(self):
-        # The inlined fast path must agree with calling h1/h2 one by one.
-        b = BinHash.from_seed(5, seed=42)
-        generic = BinHash(5, b.h1, b.h2)
-        inp = wt(set(range(1, 12)), set(range(3, 17)))
-        assert b.apply(inp) == generic.apply(inp)
 
     def test_matched_is_always_a_matching(self):
         rng = Random(0)
@@ -150,17 +144,26 @@ class TestCompose:
         assert trace == [{(2, 7)}]
 
     def test_accounting_identity(self):
+        # A sweep takes a worker set and a task set of one size, as assign_set does.
         rng = Random(41)
+        refused = 0
         for _ in range(100):
             inp, w, n = random_input(rng)
             D, M = rng.randint(1, 6), rng.randint(1, 6)
             family = DisperserFamily.random_table(max(w, n), D, M, 0, 0.25, rng)
+            if len(inp.workers) != len(inp.tasks):
+                with pytest.raises(ValueError, match=r"^\|workers\| != \|tasks\|"):
+                    seed_sweep(family, inp)
+                refused += 1
+                size = min(len(inp.workers), len(inp.tasks))
+                inp = wt(sorted(inp.workers)[:size], sorted(inp.tasks)[:size])
             matched, residual, trace = seed_sweep(family, inp)
             assert sum(len(pairs) for pairs in trace) == len(matched)
             assert len(matched) == len(inp.workers) - len(residual.workers)
             assert len(matched) == len(inp.tasks) - len(residual.tasks)
             assert residual.workers == inp.workers - {w for w, _ in matched}
             assert is_matching(matched)
+        assert refused > 50
 
 
 class TestActiveBinsStatistics:

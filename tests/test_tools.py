@@ -85,5 +85,6 @@ def test_engine_split_quick_prints_every_regime(capsys):
             assert row[regime].keys() == {"calls", "rounds", "ids_x_rounds", "pairs", "ms"}
         # Seed 0's inputs leave no residual for the fallback: the regimes match all w pairs.
         assert sum(row[regime]["pairs"] for regime in ("head", "sorted", "tail")) == row["w"]
-        # Every run ends in the tail, and past 64 workers starts in head rounds.
-        assert row["tail"]["calls"] > 0 and (row["head"]["calls"] > 0) == (row["w"] > 64)
+        # Every run ends in the tail, and starts in head rounds: a full workforce's first
+        # round of at most w bins expects more collisions than a block of two may plan.
+        assert row["tail"]["calls"] > 0 and row["head"]["calls"] > 0

@@ -3,10 +3,13 @@
 Each input is a random binary vector of weight w over t = 4w positions,
 assigned as ``embed`` assigns it: its support is lifted to workers ``1..w``
 over sorted ids. The loop here is a copy of ``assigner._run_arrays`` with a
-timer around each call of ``_head_round``, ``_sort_block`` and
-``_tail_block``; nothing in the package is patched. Every input's pairs,
-rounds and residual are checked against ``_run_arrays``' own, so the copy
-cannot drift from the engine unnoticed.
+timer around each block: the ``schedule.rounds.bins`` call that gives the
+block's bins and the call of ``_head_round``, ``_sort_block`` or
+``_tail_block`` that runs it, so each regime's ms include its hashing, as
+they did when the regimes hashed for themselves. A run of single-bin
+rounds, which takes no bins, counts as tail. Nothing in the package is
+patched. Every input's pairs, rounds and residual are checked against
+``_run_arrays``' own, so the copy cannot drift from the engine unnoticed.
 
 For each w, one JSON line gives each regime's calls, rounds, ids x rounds
 hashed (workers plus tasks, times the rounds each call hashes them under),
@@ -36,28 +39,35 @@ REGIMES = ("head", "sorted", "tail")
 FIELDS = ("calls", "rounds", "ids_x_rounds", "pairs", "ms")
 
 
-def split_run(arrays: tuple[np.ndarray, np.ndarray], wt: np.ndarray) -> tuple[assigner.Run, dict]:
-    """``_run_arrays(arrays, wt)`` and, per regime, its calls, rounds, ids x rounds hashed, pairs matched and seconds."""
-    seeds, ks = arrays
-    rounds = len(ks)
+def split_run(rounds: assigner.SeededRounds, wt: np.ndarray) -> tuple[assigner.Run, dict]:
+    """``_run_arrays(rounds, wt)`` and, per regime, its calls, rounds, ids x rounds hashed, pairs matched and seconds."""
+    ks = rounds.ks
+    total = len(ks)
     matched: assigner.Matches = []
     blocks: list[tuple[int, int, int]] = []
     split = {regime: [0, 0, 0, 0, 0.0] for regime in REGIMES}
     r = 0
-    while r < rounds and wt.shape[1]:
+    while r < total and wt.shape[1]:
         n, k = wt.shape[1], int(ks[r])
-        block = min(rounds - r, assigner._block_size(n, k))
-        rows = slice(r, r + block)
         start = perf_counter()
-        if n <= assigner._TAIL_N:
-            regime, wt = "tail", wt[assigner._tail_block(seeds[:, rows, None], wt, ks[rows, None], r, blocks)]
-        elif block > 1:
-            regime, wt = "sorted", wt[assigner._sort_block(seeds[:, rows, None], wt, ks[rows, None], k, r, blocks)]
+        if k == 1:
+            ones = ks[r : r + n] == 1
+            block = ones.size if ones.all() else int(ones.argmin())
+            matched.append((wt[0][:block], wt[1][:block], np.arange(r, r + block)))
+            regime, wt, hashed = "tail", wt[:, block:], 0
         else:
-            regime, wt = "head", wt.take(np.flatnonzero(assigner._head_round(seeds[:, r, None], wt, k, r, matched)))
+            block = min(total - r, assigner._block_size(n, k))
+            rows = slice(r, r + block)
+            bins, hashed = rounds.bins(rows, wt), 2 * n * block
+            if block == 1 and (n > assigner._TAIL_N or n * n > assigner._TAIL_HITS * k):
+                regime, wt = "head", wt.take(np.flatnonzero(assigner._head_round(bins[:, 0], wt, k, r, matched)))
+            elif n <= assigner._TAIL_N:
+                regime, wt = "tail", wt[assigner._tail_block(bins, wt, r, blocks)]
+            else:
+                regime, wt = "sorted", wt[assigner._sort_block(bins, wt, rounds.kmax.item(r), r, blocks)]
         wt = wt.reshape(2, -1)
         elapsed = perf_counter() - start
-        for i, value in enumerate((1, block, 2 * n * block, n - wt.shape[1], elapsed)):
+        for i, value in enumerate((1, block, hashed, n - wt.shape[1], elapsed)):
             split[regime][i] += value
         r += block
     if blocks:
@@ -75,16 +85,15 @@ def measure(w: int, inputs: int, repeats: int, seed: int) -> dict:
     """Each regime's mean per ``assign`` call over ``inputs`` embed-style vectors of weight ``w``."""
     t = 4 * w
     schedule = assigner.build_schedule(w, t, 4, seed)
-    arrays = schedule.round_arrays
     rng = Random(f"engine_split/{w}/{seed}")
     totals = {regime: np.zeros(len(FIELDS)) for regime in REGIMES}
     for _ in range(inputs):
         x = SparseVector.from_support(t, rng.sample(range(1, t + 1), w))
         wt = assigner._lifted_rows(x.to_multiset(), w)
-        want = assigner._run_arrays(arrays, wt)
+        want = assigner._run_arrays(schedule.rounds, wt)
         best = None
         for _ in range(repeats):
-            run, split = split_run(arrays, wt)
+            run, split = split_run(schedule.rounds, wt)
             if not same_run(run, want, wt[0]):
                 raise AssertionError(f"the split's run differs from _run_arrays at w={w}")
             if best is None or sum(s[-1] for s in split.values()) < sum(s[-1] for s in best.values()):
