@@ -12,9 +12,9 @@ pairs it contributed.
 A built schedule is its seed arrays. :func:`build_schedule` derives every
 round's worker seed, task seed and bin count in one numpy pass over the
 grid, and ``RoundSchedule.rounds`` is a :class:`SeededRounds` view of those
-arrays: the :class:`Round` and :class:`BinHash` objects the scalar loop
-needs are derived from them the first time they are asked for, once per
-schedule.
+arrays: the :class:`BinHash` stages the scalar loop needs
+(``SeededRounds.stages``) are derived from them the first time they are
+read, once per schedule.
 
 The explicit variant replaces seeded hash functions with a per-level family
 of verified strong dispersers, sweeping each family's seeds in order instead
@@ -34,11 +34,11 @@ give bit-identical output, the same pairs and the same trace:
 * the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
   round on Python sets. It is the reference, and it runs the seeded
   schedules past the array engine's limits (``_on_arrays``);
-* the array engine (``_run_arrays``) asks the rounds for each block's bins
-  once. It runs the rounds in blocks, each sized to a planned number of
-  expected collisions, ``_SORT_HITS`` above ``_TAIL_N`` and ``_TAIL_HITS``
-  in the tail, where a block runs at most ``k`` rounds (``_block_size``),
-  in three regimes:
+* the array engine (``_run_arrays``) runs one block of rounds at a time
+  (``_run_block``), asking the rounds for each block's bins once. Each
+  block is sized to a planned number of expected collisions, ``_SORT_HITS``
+  above ``_TAIL_N`` and ``_TAIL_HITS`` in the tail, where a block runs at
+  most ``k`` rounds (``_block_size``), in three regimes:
 
   - head rounds: a block of one round above ``_TAIL_N``, or a round
     expected to hold more than ``_TAIL_HITS`` collisions at any size, is one
@@ -47,9 +47,8 @@ give bit-identical output, the same pairs and the same trace:
     tasks' bins;
   - sorted blocks: above ``_TAIL_N``, a longer block keys the residual's
     bins under all its rounds and sorts the keys once, as uint32 where they
-    fit; a
-    worker meets a task where two neighbouring keys differ in the side bit
-    alone, and only those bins are visited, in round order;
+    fit; a worker meets a task where two neighbouring keys differ in the
+    side bit alone, and only those bins are visited, in round order;
   - the all-pairs tail: at ``_TAIL_N`` workers or fewer, any other block
     compares every worker's bin with every task's in each of its rounds.
 
@@ -100,7 +99,6 @@ from .reduction import id_dtype, lift_np, lifted_changes, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
 
 __all__ = [
-    "Round",
     "RoundSchedule",
     "AssignResult",
     "AssignSession",
@@ -140,23 +138,24 @@ def bins_for_round(w: int, i: int) -> int:
     return max(1, -((-w * p10) // p11))
 
 
-@dataclass(frozen=True)
-class Round:
-    """One repetition of the k-bin hash inside the schedule."""
-
-    i: int
-    j: int
-    k: int
-    hash: BinHash
-
-
 class _Rounds:
-    """What a schedule's two kinds of rounds share: a length, and equality, hashing and a repr by ``_key``."""
+    """What a schedule's two kinds of rounds share: a length, slicing, and equality, hashing and a repr by ``_key``.
+
+    An index must be a slice, which gives a view of the same arrays
+    (``_slice``). There is no round object to index or iterate: an integer
+    index raises ``TypeError``, and so does iteration, which asks for
+    index 0.
+    """
 
     kind = ""
 
     def __len__(self) -> int:
         return len(self.ks)
+
+    def __getitem__(self, index: slice) -> _Rounds:
+        if not isinstance(index, slice):
+            raise TypeError(f"{self.kind} rounds take a slice, not {type(index).__name__}")
+        return self._slice(index)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._key() == other._key()
@@ -168,17 +167,16 @@ class _Rounds:
         return f"<{len(self)} {self.kind} rounds>"
 
 
-class SeededRounds(_Rounds, Sequence[Round]):
-    """The rounds of a built schedule, held as arrays; :class:`Round` objects come from them.
+class SeededRounds(_Rounds):
+    """The rounds of a built schedule, held as arrays.
 
     ``seeds[0]`` and ``seeds[1]`` hold each round's worker and task seeds
     (:attr:`BinHash.seeds`), ``ks`` its bin count and ``ij`` its grid
     coordinates ``(i, j)``, one column per round; all are read-only.
     :meth:`bins` hashes ids under a block of rounds for the array engine, and
     ``kmax[r]``, the most bins of any round from ``r`` on, is ``ks[r]``:
-    ``ks`` never rises. The first iteration or integer index builds every
-    :class:`Round`, its ``(i, j)`` and bin count with a :class:`BinHash`
-    stage, for the scalar loop, and keeps them, so each is built once. A
+    ``ks`` never rises. ``stages`` is each round's :class:`BinHash`, for the
+    scalar loop, built on first read and kept, so each is built once. A
     slice is a view of the same arrays. Equality and hashing compare the
     arrays.
     """
@@ -189,18 +187,12 @@ class SeededRounds(_Rounds, Sequence[Round]):
         self.seeds, self.ij = _frozen(seeds), _frozen(ij)
         self.ks = self.kmax = _frozen(ks)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SeededRounds(self.seeds[:, index], self.ks[index], self.ij[:, index])
-        return self._rounds[index]
+    def _slice(self, index: slice) -> SeededRounds:
+        return SeededRounds(self.seeds[:, index], self.ks[index], self.ij[:, index])
 
     @cached_property
-    def _rounds(self) -> tuple[Round, ...]:
-        (i, j), (seed_w, seed_t) = self.ij.tolist(), self.seeds.tolist()
-        return tuple(
-            Round(i, j, k, BinHash(k, sw, st))
-            for i, j, k, sw, st in zip(i, j, self.ks.tolist(), seed_w, seed_t)
-        )
+    def stages(self) -> tuple[BinHash, ...]:
+        return tuple(map(BinHash, self.ks.tolist(), *self.seeds.tolist()))
 
     def bins(self, rows: slice, wt: np.ndarray) -> np.ndarray:
         """The bin of each id of ``wt`` (workers over tasks, uint64) in each round of ``rows``, as ``(2, B, n)`` uint64.
@@ -238,7 +230,7 @@ class TableRounds(_Rounds):
         self.ks = _frozen(np.array([f.M for f in families], np.uint64)[ij[0] - 1])
         self.kmax = np.maximum.accumulate(self.ks[::-1])[::-1]
 
-    def __getitem__(self, index: slice) -> TableRounds:
+    def _slice(self, index: slice) -> TableRounds:
         return TableRounds(self.families, self.ij[:, index])
 
     def bins(self, rows: slice, wt: np.ndarray) -> np.ndarray:
@@ -265,8 +257,8 @@ class RoundSchedule:
     ``(w, t, c, master_seed)``; the stage at ``(i, j)`` derives its hash seed
     from those coordinates, so rebuilding with equal inputs reproduces every
     bin placement. Its ``rounds`` is a :class:`SeededRounds`: the seed and
-    bin-count arrays are the schedule, and :class:`Round` objects are derived
-    from them only when asked for. An explicit schedule
+    bin-count arrays are the schedule, and :class:`BinHash` stages are
+    derived from them only when read. An explicit schedule
     (:func:`explicit_schedule`) is a function of its families, with ``c`` its
     sweeps per level and ``master_seed`` 0; its ``rounds`` is a
     :class:`TableRounds`. Either kind gives the array engine each block's
@@ -437,7 +429,7 @@ def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
     if _on_arrays(schedule):
         return _run_arrays(schedule.rounds, wt)
     W, T = set(wt[0].tolist()), set(wt[1].tolist())
-    per_round = _run_stages([r.hash for r in schedule.rounds], W, T)
+    per_round = _run_stages(schedule.rounds.stages, W, T)
     rows = [(x, y, r) for r in compress(count(), per_round) for x, y in per_round[r]]
     ws, ts, rs = np.array(rows, wt.dtype).reshape(-1, 3).T
     return [(ws, ts, rs)], _rows(W, T, wt.dtype)
@@ -447,45 +439,53 @@ def _run_arrays(rounds: SeededRounds | TableRounds, wt: np.ndarray) -> Run:
     """Array engine over a schedule's rounds, bit-identical to :func:`_run_stages`.
 
     ``wt`` is the residual as one uint64 array, sorted workers in row 0 and
-    sorted tasks in row 1. The next :func:`_block_size` rounds run as one
-    block: one ``rounds.bins`` call gives the block's bins for both sides,
-    and the block runs in the regime the module docstring gives for the
-    residual's size. A run of single-bin rounds needs no bins: each of its
-    rounds pairs the smallest worker left with the smallest task left, so
-    the run pairs the residual's first columns, one pair per round. Each head
-    round's matches stay the arrays it found them in, with the round's index;
-    the blocks' few matches are gathered into one set of lists. The residual
-    left over stays sorted.
+    sorted tasks in row 1. :func:`_run_block` runs the next block of rounds
+    until the rounds end or the residual empties. Each head round's matches
+    stay the arrays it found them in, with the round's index; the blocks'
+    few matches are gathered into one set of lists. The residual left over
+    stays sorted.
     """
-    ks = rounds.ks
-    total = len(ks)
     matched: Matches = []
     blocks: list[tuple[int, int, int]] = []
     r = 0
-    while r < total and wt.shape[1]:
-        n, k = wt.shape[1], ks.item(r)
-        if k == 1:
-            ones = ks[r : r + n] == 1
-            m = ones.size if ones.all() else int(ones.argmin())
-            matched.append((wt[0][:m], wt[1][:m], np.arange(r, r + m)))
-            wt, r = wt[:, m:], r + m
-            continue
-        block = min(total - r, _block_size(n, k))
-        rows = slice(r, r + block)
-        bins = rounds.bins(rows, wt)
-        if block == 1 and (n > _TAIL_N or n * n > _TAIL_HITS * k):
-            # A dense head round can match half its ids, and a boolean index over such a
-            # mask takes about 4 times as long as its flat indices: 194 against 44 us at n=16384.
-            wt = wt.take(np.flatnonzero(_head_round(bins[:, 0], wt, k, r, matched)))
-        elif n <= _TAIL_N:
-            wt = wt[_tail_block(bins, wt, r, blocks)]
-        else:
-            wt = wt[_sort_block(bins, wt, rounds.kmax.item(r), r, blocks)]
-        r += block
-        wt = wt.reshape(2, -1)
+    while r < len(rounds) and wt.shape[1]:
+        wt, r, _ = _run_block(rounds, wt, r, matched, blocks)
     if blocks:
         matched.append(tuple(map(list, zip(*blocks))))
     return matched, wt
+
+
+def _run_block(rounds: SeededRounds | TableRounds, wt: np.ndarray, r: int, matched: Matches,
+               blocks: list[tuple[int, int, int]]) -> tuple[np.ndarray, int, str]:
+    """Run the block of rounds from ``r`` over the residual ``wt``; returns the residual left, the next round and the regime.
+
+    A run of single-bin rounds needs no bins: each of its rounds pairs the
+    smallest worker left with the smallest task left, so the run pairs the
+    residual's first columns, one pair per round (regime ``"single"``).
+    Otherwise the next :func:`_block_size` rounds run as one block: one
+    ``rounds.bins`` call gives the block's bins for both sides, and the
+    block runs in the regime the module docstring gives for the residual's
+    size, ``"head"``, ``"sorted"`` or ``"tail"``. A head round appends its
+    matches to ``matched``, a block its pairs to ``blocks``.
+    """
+    ks = rounds.ks
+    n, k = wt.shape[1], ks.item(r)
+    if k == 1:
+        ones = ks[r : r + n] == 1
+        m = ones.size if ones.all() else int(ones.argmin())
+        matched.append((wt[0][:m], wt[1][:m], np.arange(r, r + m)))
+        return wt[:, m:], r + m, "single"
+    block = min(len(ks) - r, _block_size(n, k))
+    bins = rounds.bins(slice(r, r + block), wt)
+    if block == 1 and (n > _TAIL_N or n * n > _TAIL_HITS * k):
+        # A dense head round can match half its ids, and a boolean index over such a
+        # mask takes about 4 times as long as its flat indices: 194 against 44 us at n=16384.
+        regime, wt = "head", wt.take(np.flatnonzero(_head_round(bins[:, 0], wt, k, r, matched)))
+    elif n <= _TAIL_N:
+        regime, wt = "tail", wt[_tail_block(bins, wt, r, blocks)]
+    else:
+        regime, wt = "sorted", wt[_sort_block(bins, wt, rounds.kmax.item(r), r, blocks)]
+    return wt.reshape(2, -1), r + block, regime
 
 
 def _block_size(n: int, k: int) -> int:
@@ -1116,6 +1116,8 @@ class DisperserFamily:
         cls, N: int, D: int, M: int, k_param: int, epsilon: float, rng: Random
     ) -> "DisperserFamily":
         """A uniformly random function table (not necessarily a verified disperser), drawn row by row."""
+        if N < 1 or D < 1 or M < 1:  # before the draw, which has no bins to draw from at M < 1
+            raise ValueError("N, D, M must be >= 1")
         table = np.array([rng.randrange(M) for _ in range(N * D)], np.min_scalar_type(M - 1))
         return cls(N, D, M, k_param, epsilon, table.reshape(N, D))
 

@@ -121,8 +121,13 @@ def cmd_walk(args: argparse.Namespace) -> int:
     return 0
 
 
+def _comb(n: int, k: int) -> int:
+    """``comb(n, k)``, or 0 for a negative size, which the oracle then refuses naming its argument."""
+    return comb(n, k) if n >= 0 and k >= 0 else 0
+
+
 def _oracle_state_count(w: int, t: int, multisets: bool) -> int:
-    return comb(t + w - 1, w) if multisets else comb(t, w)
+    return _comb(t + w - 1, w) if multisets else _comb(t, w)
 
 
 def cmd_oracle_exact(args: argparse.Namespace) -> int:
@@ -182,7 +187,7 @@ def cmd_oracle_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_ramsey(args: argparse.Namespace) -> int:
-    if comb(args.t, args.w + 1) > _MAX_RAMSEY_SUBSETS:
+    if _comb(args.t, args.w + 1) > _MAX_RAMSEY_SUBSETS:
         raise ValueError("instance over documented limit for ramsey search")
     assigner = make_assigner(args.alg, args.w, args.t, args.c, args.seed)
     witness = ramsey_witness(lambda T: assigner(T).assignment, args.w, args.t)

@@ -71,6 +71,8 @@ class FeasibilityResult:
 
 
 def _states(w: int, t: int, multisets: bool) -> list[tuple[int, ...]]:
+    if w < 0:
+        raise ValueError("w must be >= 0")
     if multisets:
         if t < 1 <= w:
             raise ValueError(f"no size-{w} task multisets exist over [{t}]")
@@ -346,6 +348,8 @@ def ramsey_witness(assignfn: AssignFn, w: int, t: int) -> RamseyWitness | None:
     task up" between the two extreme subsets, which is verified before
     returning.
     """
+    if w < 0:
+        raise ValueError("w must be >= 0")
     if t < w + 1:
         return None
     for vertices in combinations(range(1, t + 1), w + 1):

@@ -14,7 +14,6 @@ from lowchurn.assigner import (
     AssignSession,
     DisperserFamily,
     RoundSchedule,
-    Round,
     SeededRounds,
     TableRounds,
     assign,
@@ -61,8 +60,8 @@ def oracle_bins(w, i):
 class TestScheduleArithmetic:
     def test_degenerate_single_worker(self):
         s = build_schedule(1, 5, c=4, master_seed=0)
-        assert {r.i for r in s.rounds} == {1}
-        assert all(r.k == 1 for r in s.rounds)
+        assert set(s.rounds.ij[0].tolist()) == {1}
+        assert all(k == 1 for k in s.rounds.ks.tolist())
 
     def test_spec_scale_point(self):
         # w=16, t=4, c=4: 30 outer rounds x 24 repetitions.
@@ -82,7 +81,7 @@ class TestScheduleArithmetic:
     def test_bins_non_increasing_and_reach_one(self):
         for w in (1, 2, 7, 16, 64):
             s = build_schedule(w, 3, c=2, master_seed=1)
-            ks = [r.k for r in s.rounds]
+            ks = s.rounds.ks.tolist()
             assert all(a >= b for a, b in zip(ks, ks[1:]))
             assert ks[-1] == 1
 
@@ -90,9 +89,9 @@ class TestScheduleArithmetic:
         a = build_schedule(6, 5, c=3, master_seed=42)
         b = build_schedule(6, 5, c=3, master_seed=42)
         inp = WorkerTaskInput(frozenset({1, 3, 5}), frozenset({2, 8, 13}))
-        for ra, rb in zip(a.rounds, b.rounds):
-            assert (ra.i, ra.j, ra.k) == (rb.i, rb.j, rb.k)
-            assert ra.hash.apply(inp) == rb.hash.apply(inp)
+        assert np.array_equal(a.rounds.ij, b.rounds.ij) and np.array_equal(a.rounds.ks, b.rounds.ks)
+        for sa, sb in zip(a.rounds.stages, b.rounds.stages):
+            assert sa.apply(inp) == sb.apply(inp)
 
     def test_bad_params_rejected(self):
         for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
@@ -152,7 +151,7 @@ class TestAssignSet:
                 W = rng.sample(range(1, w + 1), j)
                 T = rng.sample(range(1, seeded.n + 1), j)
                 trace, residual = [], WorkerTaskInput(frozenset(W), frozenset(T))
-                for stage in (r.hash for r in seeded.rounds):
+                for stage in seeded.rounds.stages:
                     if not residual.workers and not residual.tasks:
                         break
                     out = stage.apply(residual)
@@ -214,7 +213,7 @@ def reference_run(schedule, workers, tasks):
     sorted by worker, with round -1 for the fallback's pairs.
     """
     W, T = set(workers), set(tasks)
-    per_round = assigner._run_stages([r.hash for r in schedule.rounds], W, T)
+    per_round = assigner._run_stages(schedule.rounds.stages, W, T)
     rows = [(x, y, r) for r, matched in enumerate(per_round) for x, y in matched]
     rows += [(x, y, -1) for x, y in zip(sorted(W), sorted(T))]
     return tuple(per_round), sorted(rows)
@@ -523,15 +522,15 @@ class TestArrayEngine:
         assert "seeds" not in repr(a)
         seeds, ks = a.rounds.seeds, a.rounds.ks
         assert seeds.dtype == ks.dtype == np.uint64
-        assert [int(k) for k in ks] == [r.k for r in a.rounds]
-        assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [r.hash.seeds for r in a.rounds]
+        assert [int(k) for k in ks] == [stage.k for stage in a.rounds.stages]
+        assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [stage.seeds for stage in a.rounds.stages]
 
 
 def per_round_schedule(w, t, c, master_seed):
-    """The rounds as built one by one: ``derive(master_seed, i, j)``, then ``BinHash.from_seed``."""
+    """The rounds as built one by one: each ``(i, j, k)`` and its stage, ``BinHash.from_seed(k, derive(master_seed, i, j))``."""
     reps = c * max(1, (w * t - 1).bit_length())
     return [
-        Round(i, j, k, BinHash.from_seed(k, derive(master_seed, i, j)))
+        (i, j, k, BinHash.from_seed(k, derive(master_seed, i, j)))
         for i in range(1, outer_round_count(w) + 1)
         for k in [bins_for_round(w, i)]
         for j in range(1, reps + 1)
@@ -549,14 +548,14 @@ class TestSeedArraySchedule:
     def test_matches_per_round_construction(self, w, t, c, master_seed):
         schedule = build_schedule(w, t, c, master_seed)
         want = per_round_schedule(w, t, c, master_seed)
-        seeds, ks = schedule.rounds.seeds, schedule.rounds.ks
-        assert ks.tolist() == [r.k for r in want]
-        assert list(zip(*seeds.tolist())) == [r.hash.seeds for r in want]
-        got = list(schedule.rounds)
+        seeds, ks, ij = schedule.rounds.seeds, schedule.rounds.ks, schedule.rounds.ij
+        assert ks.tolist() == [k for _, _, k, _ in want]
+        assert list(zip(*seeds.tolist())) == [stage.seeds for *_, stage in want]
+        assert list(zip(*ij.tolist(), ks.tolist())) == [(i, j, k) for i, j, k, _ in want]
+        got = schedule.rounds.stages
         assert len(got) == schedule.total_rounds == len(want)
-        for a, b in zip(got, want):
-            assert (a.i, a.j, a.k) == (b.i, b.j, b.k)
-            assert a.hash.k == a.k and a.hash.seeds == b.hash.seeds
+        for a, (*_, k, b) in zip(got, want):
+            assert a.k == k and a.seeds == b.seeds
 
     def test_build_makes_no_stage_and_rounds_are_built_once(self, monkeypatch):
         built = []
@@ -568,7 +567,7 @@ class TestSeedArraySchedule:
 
         monkeypatch.setattr(BinHash, "__init__", counting_init)
         big = build_schedule(1024, 64)
-        huge = build_schedule(4, 2**62)  # n past 2**63: no round arrays, so the scalar loop runs it
+        huge = build_schedule(4, 2**62)  # n past 2**63: the scalar loop runs it
         assert built == []
         rng = Random(3)
         for w, schedule in ((1024, big), (4, build_schedule(4, 10))):
@@ -578,8 +577,8 @@ class TestSeedArraySchedule:
         for _ in range(5):
             assign(huge, random_multiset(rng.randint(0, 4), 2**62, rng))
         assert len(built) == huge.total_rounds
-        assert [r.hash for r in huge.rounds] == built
-        assert huge.rounds[0] is huge.rounds[0]
+        assert huge.rounds.stages == tuple(built)
+        assert huge.rounds.stages is huge.rounds.stages
 
     def test_rounds_view_slices_compares_and_hashes(self):
         a = build_schedule(40, 9, c=2, master_seed=-7)
@@ -589,11 +588,21 @@ class TestSeedArraySchedule:
         assert repr(a) == "RoundSchedule(w=40, t=9, c=2, master_seed=-7)"
         cut = a.rounds[5:17]
         assert len(cut) == 12 and cut == b.rounds[5:17] and cut != a.rounds[5:18]
-        assert [r.hash.seeds for r in cut] == [r.hash.seeds for r in list(a.rounds)[5:17]]
+        assert [stage.seeds for stage in cut.stages] == [stage.seeds for stage in a.rounds.stages[5:17]]
         assert isinstance(cut, SeededRounds) and assigner._on_arrays(RoundSchedule(40, 9, 2, -7, cut))
         seeds, ks = a.rounds.seeds, a.rounds.ks
         with pytest.raises(ValueError):
             seeds[0, 0] = 1  # the arrays are the schedule, so they are read-only
+        table = explicit_schedule(trivial_families(4, 16), 1, 4, 4).rounds
+        same = explicit_schedule(trivial_families(4, 16), 1, 4, 4).rounds
+        assert len(table) == 8 and table[2:5] == same[2:5] and hash(table[2:5]) == hash(same[2:5])
+        assert len(table[2:5]) == 3 and table[2:5] != table[2:6] and isinstance(table[2:5], TableRounds)
+        # A slice is the only index: there is no round object to index or iterate.
+        for rounds in (a.rounds, table):
+            with pytest.raises(TypeError):
+                rounds[0]
+            with pytest.raises(TypeError):
+                list(rounds)
 
 
 def assert_matches_scalar_assign(got, schedule, T):
@@ -679,7 +688,7 @@ class TestArrayNativeAssign:
         # has more than _DENSE_BINS bins per id, so the round sorts instead
         # of scattering; at 300 workers and below that never happens.
         s = build_schedule(1024, 3, c=1, master_seed=4)
-        assert s.rounds[0].k > assigner._DENSE_BINS * 100
+        assert s.rounds.ks[0] > assigner._DENSE_BINS * 100
         rng = Random(6)
         for size in (100, 200):
             T = TaskMultiset.from_elements((rng.randint(1, 3) for _ in range(size)), 3)

@@ -77,7 +77,7 @@ def explicit_families(w, t, rng, D=None):
 
 
 def explicit_case():
-    # The explicit variant on the scalar loop: multisets at a few sizes, then set inputs, the
+    # The explicit variant on the array engine: multisets at a few sizes, then set inputs, the
     # last on one seed per level so that it ends in the fallback. Pinned when the explicit
     # variant had entry points of its own.
     rng, out = Random(21), []

@@ -75,6 +75,15 @@ def test_failing_property_test_prints_its_falsifying_example(tmp_path):
     assert "Falsifying example" in output and "INTERNALERROR" not in output, output
 
 
+# Seed 0's --quick counts per w and regime: calls, rounds, ids x rounds hashed and pairs matched. The tool
+# runs the engine's own blocks, so a change to the block rules or the regime split shows here.
+QUICK_COUNTS = {
+    64: {"head": (2, 2, 196, 38), "sorted": (0, 0, 0, 0), "tail": (4, 24, 464, 26)},
+    1024: {"head": (7, 7, 5774, 887), "sorted": (3, 11, 2174, 84), "tail": (6, 983, 11216, 53)},
+    16384: {"head": (25, 25, 130834, 15789), "sorted": (15, 305, 88148, 552), "tail": (8, 3824, 67838, 43)},
+}
+
+
 def test_engine_split_quick_prints_every_regime(capsys):
     assert engine_split.main(["--quick"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -83,6 +92,8 @@ def test_engine_split_quick_prints_every_regime(capsys):
         assert {"t", "inputs", "repeats", "engine_ms", "head", "sorted", "tail"} <= row.keys()
         for regime in ("head", "sorted", "tail"):
             assert row[regime].keys() == {"calls", "rounds", "ids_x_rounds", "pairs", "ms"}
+            counts = tuple(row[regime][field] for field in ("calls", "rounds", "ids_x_rounds", "pairs"))
+            assert counts == QUICK_COUNTS[row["w"]][regime], (row["w"], regime)
         # Seed 0's inputs leave no residual for the fallback: the regimes match all w pairs.
         assert sum(row[regime]["pairs"] for regime in ("head", "sorted", "tail")) == row["w"]
         # Every run ends in the tail, and starts in head rounds: a full workforce's first
