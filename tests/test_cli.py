@@ -554,12 +554,12 @@ def test_every_entry_point_rejects_more_tasks_than_workers(capsys, call):
         (["oracle", "exact", "--w", "6", "--t", "6", "--k", "2"], None, "instance over documented limit: w=6 > 5"),
         (["oracle", "audit", "--w", "3", "--t", "100"], None, "instance over documented limit: 161700 states > 100000"),
         (["oracle", "ramsey", "--w", "3", "--t", "100"], None, "instance over documented limit for ramsey search"),
+        (["embed", "--k", "2", "--n", "9", "--all-pairs"], ["9 2 1,2", "8 2 1,2"], "line 2: dimension 8 != --n 9"),
+        (["embed", "--k", "2", "--n", "8", "--all-pairs"], ["8 2 1,2", "", "8 3 1,2,3"], "line 3: weight 3 != --k 2"),
         (["oracle", "disperser", "--domain", "4", "--seeds", "1", "--bins", "0", "--k-param", "0"], None,
          "N, D, M must be >= 1"),
         (["oracle", "exact", "--w", "-1", "--t", "3", "--k", "1"], None, "w must be >= 0"),
         (["oracle", "ramsey", "--w", "-2", "--t", "3"], None, "w must be >= 0"),
-        (["embed", "--k", "2", "--n", "9", "--all-pairs"], ["9 2 1,2", "8 2 1,2"], "line 2: dimension 8 != --n 9"),
-        (["embed", "--k", "2", "--n", "8", "--all-pairs"], ["8 2 1,2", "", "8 3 1,2,3"], "line 3: weight 3 != --k 2"),
     ],
 )
 def test_inputs_past_a_check_exit_2_with_its_message(capsys, tmp_path, argv, lines, message):
