@@ -130,6 +130,13 @@ def _oracle_state_count(w: int, t: int, multisets: bool) -> int:
     return _comb(t + w - 1, w) if multisets else _comb(t, w)
 
 
+def _budget(limit_flag: str, limit: int, time_limit: float | None) -> SearchBudget:
+    """``SearchBudget(limit, time_limit)``; a limit below 1 is refused naming ``limit_flag``, the user's flag for it."""
+    if limit < 1:
+        raise ValueError(f"{limit_flag} must be >= 1")
+    return SearchBudget(node_limit=limit, time_limit=time_limit)
+
+
 def cmd_oracle_exact(args: argparse.Namespace) -> int:
     multisets = bool(args.multisets)
     if args.w > _MAX_ORACLE_WORKERS:
@@ -141,7 +148,7 @@ def cmd_oracle_exact(args: argparse.Namespace) -> int:
         raise ValueError(
             f"instance over documented limit: {states} states > {_MAX_ORACLE_STATES}"
         )
-    budget = SearchBudget(node_limit=args.node_limit, time_limit=args.time_limit)
+    budget = _budget("--node-limit", args.node_limit, args.time_limit)
     res = exact_feasible(args.w, args.t, args.k, multisets=multisets, budget=budget)
     print(res.verdict)
     _emit(
@@ -211,7 +218,7 @@ def cmd_oracle_ramsey(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_disperser(args: argparse.Namespace) -> int:
-    budget = SearchBudget(node_limit=args.restarts, time_limit=args.time_limit)
+    budget = _budget("--restarts", args.restarts, args.time_limit)
     family = disperser_search(
         args.domain, args.seeds, args.bins, args.k_param, args.epsilon, budget, seed=args.seed
     )

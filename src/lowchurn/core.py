@@ -131,7 +131,28 @@ class TaskMultiset:
 
     @classmethod
     def from_elements(cls, elements: Iterable[int], t: int) -> "TaskMultiset":
-        return cls(sorted(Counter(elements).items()), t)
+        """The multiset of ``elements``, each an integral value in ``[1, t]``: ``3.0`` is task 3, ``2.5`` is refused.
+
+        The sorted ``Counter`` runs are strictly increasing with counts of at least 1, so only
+        ``t`` and the id range are checked, with ``TaskMultiset(entries, t)``'s messages.
+        """
+        runs = sorted(Counter(elements).items())
+        if t < 1:
+            raise ValueError(_MULTISET_FAULTS[0])
+        keys = [task for task, _ in runs]
+        try:
+            tasks = np.array(keys, np.int64)
+        except OverflowError:  # an id past int64
+            tasks = np.array(list(map(int, keys)), object)
+        ids = tasks.tolist()
+        if ids != keys:
+            raise ValueError(f"task id {next(x for x, i in zip(keys, ids) if x != i)!r} is not an integer")
+        if runs and (ids[0] < 1 or ids[-1] > t):
+            raise ValueError(_MULTISET_FAULTS[1].format(next(i for i in ids if not 1 <= i <= t), t))
+        counts = [count for _, count in runs]
+        self = object.__new__(cls)
+        self.__dict__.update(tasks=_frozen(tasks), counts=_frozen(counts), t=t, size=sum(counts))
+        return self
 
     @classmethod
     def parse(cls, text: str, t: int) -> "TaskMultiset":

@@ -9,6 +9,9 @@ Four tools live here, all exact within their budgets:
   fixed neighbors, and the first state is pinned to sorted order (worker
   relabeling is a symmetry of the problem). Domains are bitsets, pruned with
   one ``&`` per neighbor against masks built on first use within the call.
+  A subtree that failed is remembered under the domains it depends on and
+  replayed, not searched again, when they recur; ``nodes`` still counts the
+  plain search's tree, node for node.
 * :func:`exhaustive_max_switching` measures the true worst adjacent transition
   of a concrete assignment function by enumerating every adjacent pair.
 * :func:`disperser_search` hunts for tiny verified strong-disperser tables by
@@ -140,6 +143,22 @@ def exact_feasible(
     the first time ``j`` is tried there and keeps until the call returns: at
     most one row per node, so O(nodes x degree) memory. At ``target_k >= w``
     nothing can be pruned and no row is built.
+
+    Failed subtrees are cached. The subtree below position ``p`` in the
+    search order depends only on the domains of positions ``p`` up to
+    ``reach[p]``, one past the furthest later neighbor of any position before
+    ``p``: every position from ``reach[p]`` on is still full, and the masks
+    are fixed. So a subtree that failed fails again from the same domains,
+    after the same number of nodes. Its count is kept under that slice of
+    domains if it is at least the slice's length (a smaller subtree costs
+    less to search again than its key costs to build), and when the slice
+    recurs the search adds the count and backtracks. ``nodes`` and
+    ``node_limit`` count the plain search's tree, in which a replayed subtree
+    holds every node it held when it was searched; so the counts, verdicts
+    and solutions are the plain search's. A replay past ``node_limit`` stops
+    at ``node_limit + 1``; one that passes a multiple of 4096 under a
+    deadline reads the clock once and, past the deadline, stops at the first
+    such multiple.
     """
     if target_k < 0:
         raise ValueError("target switching cost must be >= 0")
@@ -182,13 +201,25 @@ def exact_feasible(
         row = [(q, int.from_bytes(packed[a:b], "little")) for q, a, b in zip(later[p], bounds, bounds[1:])]
         return [(q, mask) for q, mask in row if ~mask & full[q]]  # an all-ones mask prunes nothing
 
+    # ``reach[p]`` is one past the furthest later neighbor of any position
+    # before ``p``, and ``failed[p]`` maps ``tuple(domains[p:reach[p]])`` to
+    # the node count of a subtree that failed from those domains.
+    reach = list(accumulate((max(qs, default=p) + 1 for p, qs in enumerate(later)), max, initial=0))
+    failed: list[dict[tuple[int, ...], int]] = [{} for _ in order]
     nodes = 0
+    # The budget stops the search at node ``node_limit + 1`` or, under a
+    # deadline, at the first multiple of 4096 nodes where the clock is past
+    # it. ``check`` is the next node where either can happen.
+    node_limit = budget.node_limit
+    check = node_limit + 1 if deadline is None else min(4096, node_limit + 1)
 
     # Depth-first over positions with an explicit stack: ``next_cand[p]`` is
-    # the bit after the one placed at position ``p`` and ``trails[p]`` undoes
-    # the pruning done by it.
+    # the bit after the one placed at position ``p``, ``trails[p]`` undoes
+    # the pruning done by it and ``entered[p]`` is the node count when the
+    # search entered ``p``.
     depth = len(order)
     next_cand = [0] * (depth + 1)
+    entered = [0] * depth
     trails: list[list[tuple[int, int]] | None] = [None] * depth
     pos = 0
     found = True
@@ -198,6 +229,21 @@ def exact_feasible(
             for q, old in trail:
                 domains[q] = old
             trails[pos] = None
+        else:
+            entered[pos] = nodes
+            if failed[pos] and (count := failed[pos].get(tuple(domains[pos : reach[pos]]))) is not None:
+                # Replay the subtree's nodes. If they reach ``check``, that first
+                # check decides, with one clock read for every multiple passed;
+                # then the node limit does.
+                nodes += count
+                if nodes >= check:
+                    if check > node_limit or time.monotonic() > deadline:
+                        return FeasibilityResult("budget_exhausted", None, check)
+                    if nodes > node_limit:
+                        return FeasibilityResult("budget_exhausted", None, node_limit + 1)
+                    check = min(nodes // 4096 * 4096 + 4096, node_limit + 1)
+                pos -= 1
+                continue
         j = next_cand[pos] - 1
         bits = domains[pos] >> next_cand[pos]
         while bits:
@@ -205,10 +251,10 @@ def exact_feasible(
             bits >>= step
             j += step
             nodes += 1
-            if nodes > budget.node_limit or (
-                deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline
-            ):
-                return FeasibilityResult("budget_exhausted", None, nodes)
+            if nodes >= check:
+                if nodes > node_limit or time.monotonic() > deadline:
+                    return FeasibilityResult("budget_exhausted", None, nodes)
+                check = min(nodes + 4096, node_limit + 1)
             row = masks[pos].get(j) if later[pos] else ()
             if row is None:
                 row = masks[pos][j] = mask_row(pos, j)
@@ -231,6 +277,8 @@ def exact_feasible(
             if pos == 0:
                 found = False
                 break
+            if (count := nodes - entered[pos]) >= reach[pos] - pos:
+                failed[pos][tuple(domains[pos : reach[pos]])] = count
             pos -= 1
             continue
         pos += 1

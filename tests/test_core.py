@@ -100,6 +100,13 @@ class TestMultisetBasics:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TaskMultiset(entries, t)
 
+    def test_from_elements_takes_integral_values_only(self):
+        # An integral float is its task; any other value is refused, not truncated to a task.
+        assert TaskMultiset.from_elements((3.0, 3, True), 5) == TaskMultiset(((1, 1), (3, 2)), 5)
+        for elements, bad in [((2.5, 3), "2.5"), ((2**70, 2.5), "2.5"), (("4",), "'4'")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'task id {bad} is not an integer')}$"):
+                TaskMultiset.from_elements(elements, 2**71)
+
     def test_size_is_recorded_by_every_constructor(self):
         made = [
             TaskMultiset(((1, 2), (4, 1), (9, 3)), 9),

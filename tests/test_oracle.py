@@ -254,11 +254,19 @@ class TestExactFeasible:
         assert exact_feasible(3, 5, 2, multisets=True).nodes == 92_971
         res = exact_feasible(4, 8, 3, budget=SearchBudget(node_limit=20_000))
         assert (res.verdict, res.nodes) == ("budget_exhausted", 20_001)
+        # Nearly all of this tree is replayed from failed subtrees, and counted node by node.
+        assert exact_feasible(4, 6, 2, multisets=True).nodes == 7_514_973
 
     def test_deadline_ends_the_search_at_a_check(self):
         # The deadline is read every 4096 nodes, so an expired one ends the
         # search at node 4096.
         res = exact_feasible(3, 5, 2, multisets=True, budget=SearchBudget(time_limit=0.0))
+        assert (res.verdict, res.nodes) == ("budget_exhausted", 4096)
+
+    def test_deadline_inside_a_replayed_subtree_ends_the_search_at_its_check(self):
+        # Nodes 4007-4150 of this search replay a failed subtree, so node 4096 is
+        # never visited; the replay reads the clock once and stops there.
+        res = exact_feasible(3, 7, 2, multisets=True, budget=SearchBudget(time_limit=0.0))
         assert (res.verdict, res.nodes) == ("budget_exhausted", 4096)
 
     def test_masks_are_built_at_most_once_per_node(self, monkeypatch):
@@ -327,6 +335,15 @@ class TestAgainstReference:
     )
     def test_wider_instances_match_reference(self, args, multisets, limit):
         ours, ref = _both(args, multisets, limit)
+        assert ours == ref
+
+    @pytest.mark.parametrize("limit", [51, 85, 86, 8_192, 8_355, 31_000, 62_000, 91_248])
+    def test_budget_inside_a_replayed_subtree_matches_reference(self, limit):
+        # w3t5k2-multi replays 85 872 of its 92 971 nodes from failed subtrees,
+        # among them nodes 52-86, 8160-8355, 30 998-31 856, 61 988-62 846 and
+        # 90 390-91 248. A limit inside one, or at either end, must stop at the
+        # node where the plain search stops.
+        ours, ref = _both((3, 5, 2), True, limit)
         assert ours == ref
 
     @settings(max_examples=100, deadline=None)
