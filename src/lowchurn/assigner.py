@@ -86,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain, compress, count
+from itertools import compress, count
 from random import Random
 from typing import Iterable, Sequence
 
@@ -447,8 +447,8 @@ def _run_arrays(rounds: SeededRounds | TableRounds, wt: np.ndarray) -> Run:
     """
     matched: Matches = []
     blocks: list[tuple[int, int, int]] = []
-    r = 0
-    while r < len(rounds) and wt.shape[1]:
+    r, total = 0, len(rounds)
+    while r < total and wt.shape[1]:
         wt, r, _ = _run_block(rounds, wt, r, matched, blocks)
     if blocks:
         matched.append(tuple(map(list, zip(*blocks))))
@@ -637,18 +637,22 @@ def _tail_block(bins: np.ndarray, wt: np.ndarray, start: int, pairs: list[tuple[
     """
     n = wt.shape[1]
     # Each collision as one flat index (h*n + i)*n + j: ascending is round, worker, task order.
-    flat = np.flatnonzero(bins[0][:, :, None] == bins[1][:, None, :])
+    flat = (bins[0][:, :, None] == bins[1][:, None, :]).ravel().nonzero()[0]  # np.flatnonzero's wrappers cost 1 us
     hit = bins[0].ravel()[flat // n]
     ws, ts = wt.tolist()
     keep = [[True] * n, [True] * n]
     alive_w, alive_t = keep
     seen: set[tuple[int, int]] = set()  # the (round, bin) of each pair made
+    left = n
     for f, bin_ in zip(flat.tolist(), hit.tolist()):
         h, i, j = f // n // n, f // n % n, f % n
         if alive_w[i] and alive_t[j] and (h, bin_) not in seen:
             seen.add((h, bin_))
             alive_w[i] = alive_t[j] = False
             pairs.append((ws[i], ts[j], start + h))
+            left -= 1
+            if not left:  # the residual is empty: no later collision is live
+                break
     return np.array(keep)
 
 
@@ -662,7 +666,9 @@ def _pack(workers: np.ndarray, matched: Matches, residual: np.ndarray) -> tuple[
     dense = not workers.size or workers[-1] == workers.size  # workers are 1..size
     task_of = np.empty(workers.size, dtype=residual.dtype)
     round_of = np.empty(workers.size, dtype=np.int64)
-    for ws, ts, rs in chain(matched, [(*residual, -1)]):
+    if residual.shape[1]:  # most runs leave none to scatter
+        matched = [*matched, (*residual, -1)]
+    for ws, ts, rs in matched:
         at = np.asarray(ws, np.int64) - 1 if dense else np.searchsorted(workers, ws)
         task_of[at] = ts
         round_of[at] = rs
@@ -721,6 +727,11 @@ def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
     them: no tuple is built until one is read.
     """
     _check_multiset(schedule, T)
+    return _assign(schedule, T)
+
+
+def _assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
+    """:func:`assign` on a multiset already checked by :func:`_check_multiset`."""
     wt = _lifted_rows(T, schedule.w)
     return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, True)
 
@@ -812,11 +823,11 @@ class AssignSession:
         schedule, grid = self.schedule, self._grid
         _check_multiset(schedule, T)
         if grid is None:
-            result = assign(schedule, T)
+            result = _assign(schedule, T)
         else:
             changed = None if cache is None else cache.advance(T)
             if changed is None:
-                cache = _Cache(grid, T, assign(schedule, T))
+                cache = _Cache(grid, T, _assign(schedule, T))
             else:
                 self.replays += 1
                 self.changed_rounds += changed

@@ -131,9 +131,14 @@ def _oracle_state_count(w: int, t: int, multisets: bool) -> int:
 
 
 def _budget(limit_flag: str, limit: int, time_limit: float | None) -> SearchBudget:
-    """``SearchBudget(limit, time_limit)``; a limit below 1 is refused naming ``limit_flag``, the user's flag for it."""
+    """``SearchBudget(limit, time_limit)``; a limit below 1 is refused naming ``limit_flag``, the user's flag for it.
+
+    A NaN time limit is refused naming ``--time-limit``.
+    """
     if limit < 1:
         raise ValueError(f"{limit_flag} must be >= 1")
+    if time_limit != time_limit:
+        raise ValueError("--time-limit must not be NaN")
     return SearchBudget(node_limit=limit, time_limit=time_limit)
 
 

@@ -155,6 +155,36 @@ class TaskMultiset:
         return self
 
     @classmethod
+    def from_rows(cls, rows: np.ndarray, t: int) -> list["TaskMultiset"]:
+        """The multiset of each row of the 2-D int64 array ``rows``, whose rows must be non-decreasing over ``[1, t]``.
+
+        One pass finds every row's runs, and one check in array form refuses
+        ``t`` below 1 and then an id outside ``[1, t]``, the first in row
+        order, with ``TaskMultiset(entries, t)``'s messages, and then a
+        decreasing row. The multisets keep read-only slices of the runs'
+        arrays.
+        """
+        if t < 1:
+            raise ValueError(_MULTISET_FAULTS[0])
+        size = rows.shape[1]
+        if rows.size and (rows.min() < 1 or rows.max() > t or np.count_nonzero(rows[:, 1:] < rows[:, :-1])):
+            bad = (rows < 1) | (rows > t)
+            if bad.any():
+                raise ValueError(_MULTISET_FAULTS[1].format(rows.ravel()[bad.argmax()], t))
+            raise ValueError("rows must be non-decreasing")
+        head = np.ones(rows.shape, bool)  # the first slot of each run
+        head[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        at = np.flatnonzero(head)
+        tasks, counts = _frozen(rows.ravel()[at]), _frozen(np.diff(at, append=rows.size))
+        ends = np.count_nonzero(head, axis=1).cumsum().tolist()
+        out = []
+        for a, b in zip([0, *ends], ends):
+            self = object.__new__(cls)
+            self.__dict__.update(tasks=tasks[a:b], counts=counts[a:b], t=t, size=size)
+            out.append(self)
+        return out
+
+    @classmethod
     def parse(cls, text: str, t: int) -> "TaskMultiset":
         """Parse the comma-separated text form, e.g. ``"1,2,2,5"``. Empty string is the empty multiset."""
         text = text.strip()

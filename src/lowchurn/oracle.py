@@ -85,6 +85,45 @@ def _states(w: int, t: int, multisets: bool) -> list[tuple[int, ...]]:
     return [tuple(s) for s in combinations(range(1, t + 1), w)]
 
 
+def _adjacent_pairs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every adjacent pair ``(a, b)``, ``a < b``, of the rows of ``states``, as index arrays sorted by ``(a, b)``.
+
+    Two sorted rows of one size are adjacent exactly when they share a
+    ``rest``, the row less one slot: swapping one element keeps the rest of
+    the row, and the rest of an adjacent pair is their common part, so each
+    pair has one. Dropping each slot in turn gives every row's rests. One
+    lexsort by rest, then by row, groups them; rests are compared column by
+    column, not folded into one integer code, which overflows int64 (at
+    w=63, t=2 on multisets, for one). Each row is kept once per distinct
+    rest (a repeated element gives one rest twice), and within a group,
+    ascending by row, every row pairs with each one after it.
+    """
+    count, w = states.shape
+    if not w:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    drop = np.arange(1, w) - (np.arange(w - 1) < np.arange(w)[:, None])  # row i: every slot but i
+    rests = states[:, drop].reshape(count * w, w - 1)
+    owner = np.arange(count).repeat(w)
+    order = np.lexsort((owner, *rests.T[::-1]))
+    rests, owner = rests[order], owner[order]
+    head = np.ones(owner.size, bool)  # the first entry of each rest's group
+    head[1:] = (rests[1:] != rests[:-1]).any(axis=1)
+    keep = head.copy()
+    keep[1:] |= owner[1:] != owner[:-1]
+    owner, head = owner[keep], head[keep]
+    # Entry i pairs with the ``later[i]`` entries after it in its group: pair k of
+    # them is entry ``i + 1 + k``. Methods, not np.repeat, np.cumsum and np.diff,
+    # whose wrappers cost more than the work on a small instance.
+    group = head.cumsum() - 1
+    at = np.arange(owner.size)
+    later = np.bincount(group).cumsum()[group] - at - 1
+    first = at.repeat(later)
+    second = np.arange(first.size) + (at + 1 - (later.cumsum() - later)).repeat(later)
+    a, b = owner[first], owner[second]
+    order = np.lexsort((b, a))
+    return a[order], b[order]
+
+
 def _neighbors(states: list[tuple[int, ...]]) -> list[list[int]]:
     """Each state's adjacent states, as ascending index lists.
 
@@ -92,7 +131,12 @@ def _neighbors(states: list[tuple[int, ...]]) -> list[list[int]]:
     a sorted tuple less one element: swapping one element keeps the rest of
     the tuple. So the states are grouped by each of their rests, and a
     state's neighbors are the union of its rests' groups, less the state
-    itself.
+    itself. :func:`_adjacent_pairs` groups the same rests in arrays for the
+    audit; the search keeps these dicts, which are the faster on the few
+    dozen states of a small instance and hold one int per state: lists
+    made from the pair arrays took 50-100 us more on each of oracle-small's
+    two smallest instances, and their peak RSS at ``(5, 20)`` sets was
+    148 MB against 106.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     member_of = [[groups.setdefault(state[:i] + state[i + 1 :], []) for i in range(len(state))] for state in states]
@@ -105,6 +149,19 @@ def _neighbors(states: list[tuple[int, ...]]) -> list[list[int]]:
         found.discard(me)
         out.append(sorted(found))
     return out
+
+
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """``rows`` by columns, one contiguous row per slot, padded with zero columns to a multiple of 8.
+
+    The padding makes each array whole bytes of packed bits, so a neighbor's
+    mask is one slice of them. By columns, a mask row adds up ``w`` long
+    rows of differences instead of counting along short ones: 6 against
+    121 us over a 4440 x 5 stack.
+    """
+    cols = np.zeros((rows.shape[1], -(-len(rows) // 8) * 8), rows.dtype)
+    cols[:, : len(rows)] = rows.T
+    return cols
 
 
 def _bfs_order(states: list[tuple[int, ...]], neighbors: list[list[int]]) -> list[int]:
@@ -185,8 +242,8 @@ def exact_feasible(
     # Per-position domains, rewritten destructively with an undo trail.
     full = [(1 << len(c)) - 1 for c in cands]
     domains = full[:]
-    # Zero rows pad each array to whole bytes, so a neighbor's mask is one slice of the packed bits.
-    cands = [np.concatenate([c, np.zeros((-len(c) % 8, w), dtype)]) for c in cands]
+    cands = [_columns(c) for c in cands]  # from here on, candidate j is column j
+    slots = np.min_scalar_type(w)  # holds a count of differing slots
     # Each position's not-yet-placed neighbors, in the order they are pruned;
     # none at target_k >= w, where every pair of candidates is within reach.
     prunable = neighbors if target_k < w else [[] for _ in states]
@@ -195,9 +252,10 @@ def exact_feasible(
 
     def mask_row(p: int, j: int) -> list[tuple[int, int]]:
         """``(q, mask)`` for each later neighbor ``q`` of ``p`` that candidate ``j`` prunes."""
-        diff = np.concatenate([cands[q] for q in later[p]]) != cands[p][j]
-        packed = np.packbits(np.count_nonzero(diff, axis=1) <= target_k, bitorder="little").tobytes()
-        bounds = [0, *accumulate(len(cands[q]) // 8 for q in later[p])]
+        diff = np.concatenate([cands[q] for q in later[p]], axis=1) != cands[p][:, j, None]
+        near = np.add.reduce(diff, axis=0, dtype=slots) <= target_k
+        packed = np.packbits(near, bitorder="little").tobytes()
+        bounds = [0, *accumulate(cands[q].shape[1] // 8 for q in later[p])]
         row = [(q, int.from_bytes(packed[a:b], "little")) for q, a, b in zip(later[p], bounds, bounds[1:])]
         return [(q, mask) for q, mask in row if ~mask & full[q]]  # an all-ones mask prunes nothing
 
@@ -286,7 +344,7 @@ def exact_feasible(
 
     if not found:
         return FeasibilityResult("infeasible", None, nodes)
-    solution = {states[idx]: tuple(cands[pos][next_cand[pos] - 1].tolist()) for pos, idx in enumerate(order)}
+    solution = {states[idx]: tuple(cands[pos][:, next_cand[pos] - 1].tolist()) for pos, idx in enumerate(order)}
     return FeasibilityResult("feasible", solution, nodes)
 
 
@@ -298,24 +356,30 @@ def exhaustive_max_switching(
     Returns the maximum and a witness pair, the first pair ``(a, b)``, ``a <
     b`` in state order, to reach it; or ``(0, None)`` when the instance has
     no adjacent pairs at all (e.g. ``t == 1``). Every result becomes one row
-    of a task matrix, with 0 for an unassigned worker (tasks are in ``[1,
-    t]``), so a pair's cost, :func:`switching_cost` with its rule that a
-    worker assigned in only one of the two differs, is the count of columns
-    where its rows differ, taken for all pairs at once.
+    of a task matrix, filled by one scatter, with 0 for an unassigned worker
+    (tasks are in ``[1, t]``), so a pair's cost, :func:`switching_cost` with
+    its rule that a worker assigned in only one of the two differs, is the
+    count of columns where its rows differ, taken for all pairs at once.
+
+    The pairs come from one array pass over the states
+    (:func:`_adjacent_pairs`), sorted by ``(a, b)``: ``argmax`` returns the
+    first maximum in that order, so the witness is the one a loop over the
+    pairs in state order finds first.
     """
     tuples = _states(w, t, multisets)
-    states = [TaskMultiset.from_elements(s, t) for s in tuples]
+    grid = np.array(tuples, np.int64).reshape(len(tuples), w)
+    states = TaskMultiset.from_rows(grid, t)
     results = [assignfn(s) for s in states]
-    pairs = [(a, b) for a, adjacent in enumerate(_neighbors(tuples)) for b in adjacent if a < b]
-    if not pairs:
+    a, b = _adjacent_pairs(grid)
+    if not a.size:
         return 0, None
     universe = results[0].w
     if any(r.w != universe for r in results):
         raise ValueError("assignments over different worker universes")
     tasks = np.zeros((len(results), universe), dtype=np.int64)
-    for row, r in zip(tasks, results):
-        row[r.workers - 1] = r.tasks
-    a, b = np.array(pairs).T
+    rows = np.arange(len(results)).repeat([r.workers.size for r in results])
+    workers = np.concatenate([r.workers for r in results], dtype=np.int64, casting="unsafe")
+    tasks[rows, workers - 1] = np.concatenate([r.tasks for r in results], dtype=np.int64, casting="unsafe")
     costs = np.count_nonzero(tasks[a] != tasks[b], axis=1)
     i = int(costs.argmax())
     return int(costs[i]), (states[a[i]], states[b[i]])

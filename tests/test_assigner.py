@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from random import Random
 
 import numpy as np
@@ -635,6 +635,15 @@ class TestArrayNativeAssign:
         support = rng.sample(range(1, t + 1), kinds)
         T = TaskMultiset.from_elements((rng.choice(support) for _ in range(size)), t)
         assert_matches_scalar_assign(assign(schedule, T), schedule, T)
+
+    def test_every_multiset_of_the_small_audit_matches_the_scalar_reference(self):
+        # The inputs of the exhaustive audit at w=4, t=10 (c=4, seed 0): all 715
+        # multisets, each with the reference's lifted tasks, match rounds,
+        # fallback count and rounds executed.
+        schedule = build_schedule(4, 10, 4, 0)
+        for elements in combinations_with_replacement(range(1, 11), 4):
+            T = TaskMultiset.from_elements(elements, 10)
+            assert_matches_scalar_assign(assign(schedule, T), schedule, T)
 
     def test_head_rounds_repeats_and_fallback_are_exercised(self):
         # Cases the differential test reaches only by chance: a residual

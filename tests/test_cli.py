@@ -185,7 +185,7 @@ class TestOracle:
     def test_nan_time_limit_exits_2(self, capsys, argv):
         # A NaN deadline compares false with every clock reading, so it would never end the search.
         rc, out, err = run_cli(capsys, "oracle", *argv, "--time-limit", "nan")
-        assert (rc, out, err) == (2, "", "error: time_limit must not be NaN\n")
+        assert (rc, out, err) == (2, "", "error: --time-limit must not be NaN\n")
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_expired_time_limit_ends_the_search_at_its_first_check(self, capsys, limit):

@@ -448,6 +448,8 @@ class TestTaskMultiset:
             TaskMultiset.parse(ra.format(), t),
             TaskMultiset.from_arrays(ids_array(tasks), np.array(counts, np.int64), t),
         ]
+        if all(x < 2**63 for x in xs):  # a row of int64 ids
+            built += TaskMultiset.from_rows(np.array([sorted(xs)], np.int64), t)
         b = TaskMultiset.from_elements(ys, t)
         for a in built:
             assert "entries" not in a.__dict__  # built from the arrays when first read

@@ -1,6 +1,7 @@
 import re
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,8 +108,30 @@ class TestMultisetBasics:
             with pytest.raises(ValueError, match=f"^{re.escape(f'task id {bad} is not an integer')}$"):
                 TaskMultiset.from_elements(elements, 2**71)
 
+    @given(data=st.data(), width=st.integers(0, 5), count=st.integers(1, 6))
+    def test_from_rows_is_from_elements_of_each_row(self, data, width, count):
+        rows = [sorted(data.draw(st.lists(st.integers(1, T6), min_size=width, max_size=width))) for _ in range(count)]
+        made = TaskMultiset.from_rows(np.array(rows, np.int64).reshape(count, width), T6)
+        assert made == [TaskMultiset.from_elements(row, T6) for row in rows]
+        for T in made:
+            assert not T.tasks.flags.writeable and not T.counts.flags.writeable
+
+    @pytest.mark.parametrize(
+        "t, rows, message",
+        [
+            (0, [[1]], "task universe size must be >= 1"),
+            (5, [[1, 2], [0, 3]], "task id 0 outside universe [1, 5]"),
+            (5, [[1, 6], [0, 3]], "task id 6 outside universe [1, 5]"),  # the first fault in row order
+            (5, [[1, 2], [3, 2]], "rows must be non-decreasing"),
+        ],
+    )
+    def test_from_rows_refuses_a_bad_row(self, t, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TaskMultiset.from_rows(np.array(rows, np.int64), t)
+
     def test_size_is_recorded_by_every_constructor(self):
         made = [
+            *TaskMultiset.from_rows(np.array([[1, 1, 4], [2, 3, 3]], np.int64), 9),
             TaskMultiset(((1, 2), (4, 1), (9, 3)), 9),
             TaskMultiset((), 9),
             TaskMultiset.from_elements([5, 1, 5, 5, 2], 9),

@@ -15,6 +15,7 @@ from lowchurn.oracle import (
     FeasibilityResult,
     RamseyWitness,
     SearchBudget,
+    _adjacent_pairs,
     _bfs_order,
     _neighbors,
     _states,
@@ -88,6 +89,23 @@ def reference_max_switching(assignfn, w: int, t: int, multisets: bool):
             if cost > best or witness is None:
                 best, witness = cost, (states[a], states[b])
     return best, witness
+
+
+def drawn_assignfn(rng: Random, w: int, t: int, spare: int):
+    """An assignment function over ``w + spare`` workers that draws each state's result once and keeps it.
+
+    A result's workers are drawn from ``1..w + spare``, so not always
+    ``1..size``, and its tasks from ``[1, t]``.
+    """
+    drawn = {}
+
+    def assignfn(T):
+        if T not in drawn:
+            workers = sorted(rng.sample(range(1, w + spare + 1), len(T)))
+            drawn[T] = Assignment(w + spare, [(x, rng.randint(1, t)) for x in workers])
+        return drawn[T]
+
+    return assignfn
 
 
 def reference_exact_feasible(
@@ -416,27 +434,50 @@ class TestExhaustiveMaxSwitching:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        w=st.integers(1, 3),
+        w=st.integers(1, 5),
         t=st.integers(1, 6),
         multisets=st.booleans(),
         spare=st.integers(0, 3),
         rng=st.randoms(use_true_random=False),
     )
     def test_matches_the_pair_loop(self, w, t, multisets, spare, rng):
-        # Each state gets workers drawn from 1..w + spare, so not always 1..size,
-        # and tasks drawn from [1, t]; a state's result is drawn once and kept.
         assume(multisets or t >= w)
-        drawn = {}
-
-        def assignfn(T):
-            if T not in drawn:
-                workers = sorted(rng.sample(range(1, w + spare + 1), len(T)))
-                drawn[T] = Assignment(w + spare, [(x, rng.randint(1, t)) for x in workers])
-            return drawn[T]
-
+        assignfn = drawn_assignfn(rng, w, t, spare)
         assert exhaustive_max_switching(assignfn, w, t, multisets=multisets) == reference_max_switching(
             assignfn, w, t, multisets
         )
+
+    def test_matches_the_pair_loop_past_an_int64_rest_code(self):
+        # A rest of 62 slots over [2] read as one positional code needs 62
+        # base-3 digits, past int64; the pairs compare rests column by column.
+        assignfn = drawn_assignfn(Random(5), 63, 2, 2)
+        got = exhaustive_max_switching(assignfn, 63, 2, multisets=True)
+        assert got == reference_max_switching(assignfn, 63, 2, True)
+        assert got[0] > 0
+
+    def test_a_tie_keeps_the_first_pair_in_state_order(self):
+        # Over the 2-sets of [4], pairs (0, 3) and (1, 2) both reach cost 2 and
+        # every other pair costs at most 1. In (a, b) order (0, 3) comes first;
+        # in the order of their rests, or of b, (1, 2) does.
+        tasks = {(1, 2): (1, 1), (1, 3): (1, 2), (1, 4): (2, 1), (2, 3): (2, 2), (2, 4): (2, 1), (3, 4): (2, 2)}
+
+        def assignfn(T):
+            return Assignment(2, list(zip((1, 2), tasks[T.elements()])))
+
+        worst, witness = exhaustive_max_switching(assignfn, 2, 4)
+        assert (worst, witness[0].elements(), witness[1].elements()) == (2, (1, 2), (2, 3))
+        assert (worst, witness) == reference_max_switching(assignfn, 2, 4, False)
+
+    @pytest.mark.parametrize(
+        "w, t, multisets",
+        [(4, 10, True), (3, 5, True), (3, 5, False), (4, 8, False), (2, 60, False), (1, 5, True),
+         (63, 2, True), (40, 2, True), (0, 3, True), (1, 1, True), (3, 3, False)],
+    )
+    def test_adjacent_pairs_are_the_neighbor_lists(self, w, t, multisets):
+        states = _states(w, t, multisets)
+        a, b = _adjacent_pairs(np.array(states, np.int64).reshape(len(states), w))
+        want = [(x, y) for x, adjacent in enumerate(_neighbors(states)) for y in adjacent if x < y]
+        assert list(zip(a.tolist(), b.tolist())) == want
 
     def test_results_over_different_universes_are_refused(self):
         def assignfn(T):
