@@ -74,8 +74,8 @@ the scalar loop on the seeded rest.
 :class:`AssignSession` answers a sequence of multisets with the results
 ``assign`` gives, working each one out from the last when their lifted sets
 differ in a few ids (``reduction.lifted_changes``). Its docstring is the
-contract; :class:`_Cache` holds the cell layout and :class:`_Replay` the
-events that carry one run to the next.
+contract; :class:`_Cache` holds the cell layout and each element's hashed
+bins, and :class:`_Replay` the events that carry one run to the next.
 
 Schedules and families are immutable; ``assign`` and ``assign_set`` are
 pure, so evaluating many inputs in parallel is safe.
@@ -83,6 +83,7 @@ A session is a cache with one owner: it is not for concurrent use.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -92,7 +93,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .binhash import BinHash, _bin_of, seeds_np
+from .binhash import BinHash, seeds_np
 from .core import Assignment, TaskMultiset, WorkerTaskInput, _check_fits, _frozen
 from .hashing import bins_np, derive, derive_np
 from .reduction import id_dtype, lift_np, lifted_changes, project_np
@@ -754,11 +755,15 @@ def _lifted_rows(T: TaskMultiset, w: int) -> np.ndarray:
 # fixed cost per call loses to a full run of the short schedule. Time of
 # ``assign`` over time of the session on the same 600-step walks (t = 4w,
 # fixed-size / size-varying, restarted every 64 steps, the size-varying ones
-# at a random size; the two called in alternating order; two seeds), on a
-# 2-core x86-64 VM with Python 3.11.7 and numpy 2.4.6: w=64 (no cache, so
-# the noise) 0.99-1.00 / 0.98-0.99, w=96 1.04-1.06 / 0.88-0.92, w=128
-# 1.07-1.08 / 0.91-1.00, w=160 1.16-1.18 / 1.07-1.14, w=192 1.26-1.27 /
-# 1.13-1.23, w=256 1.37-1.39 / 1.30-1.35, w=1024 (t=64w) 2.23-2.28 / -.
+# at a random size; best of four passes of each, in alternating order; two
+# seeds), on a 2-core x86-64 VM with Python 3.11.7 and numpy 2.4.6, with the
+# session's rows: w=160 0.81-0.84 / 0.76-0.80, w=192 0.84-0.85 / 0.83-0.85,
+# w=256 0.96-0.98 / 0.85-0.93, w=512 1.14-1.19 / 1.07-1.08, w=1024 (t=64w)
+# 1.41-1.44 / 1.35-1.44. When the bound was set the session led from w=96
+# on; the array engine has since got faster, and the crossover now lies
+# between w=256 and w=512, so from 160 to 256 a session call costs up to
+# 1.3x a plain one. The bound stays at 160, where the pinned w=256 walks
+# keep exercising the incremental path.
 SESSION_MIN_W = 160
 # An input that differs from the cached one in more than this many lifted
 # ids, added plus removed, workers and tasks together, is run in full.
@@ -769,6 +774,13 @@ _SESSION_MAX_CHANGES = 8
 # variants called in turn on the same steps (3 x 1500 steps): 64 and 256
 # both 1.01.
 _WINDOW = 128
+# The session's rows hold at most this many bins between calls (see
+# ``_Cache``): 2 MB at w=1024, whose bins fit in a uint16. Over 8000 steps
+# of a fixed-size walk at w=1024, t=65536 (one seed) the rows grew to 1.29M
+# bins with no cap; under this one they filled it after about 4700 steps,
+# and the walk hashed 435 element-rounds per step against 423 with no cap,
+# 663 under a cap of 2**18 and about 2070 with no rows kept.
+_ROW_BINS = 1 << 20
 _NO_LIMIT = np.iinfo(np.int64).max
 
 
@@ -790,7 +802,11 @@ class AssignSession:
     larger difference, and an empty input before or after. A full run keeps
     only its input and its result; the first call that replays builds the
     cache's tables from them, so one-shot and unrelated inputs never pay for
-    them. The tables are linear in the input, whatever ``w``. Explicit
+    them. The tables are linear in the input, whatever ``w``. Each
+    element's bins, once hashed, are kept in a row for the next replay, so
+    a walk hashes an (element, round) once while the element stays in the
+    input; the rows hold at most ``_ROW_BINS`` bins between calls besides
+    the build's, one per cell (see :class:`_Cache`). Explicit
     schedules, seeded ones the array engine does not run, those with fewer
     than ``SESSION_MIN_W`` workers (a measured crossover), and those whose
     cells would not fit in an int64 keep no cache: each call is a plain
@@ -837,12 +853,13 @@ class AssignSession:
 
 
 class _Grid:
-    """A seeded schedule as the session reads it: seeds, bin counts, ``K`` and cell layout."""
+    """A seeded schedule as the session reads it: seeds, bin counts, ``K``, cell layout and the rows' dtype."""
 
     def __init__(self, w: int, seeds: np.ndarray, ks: np.ndarray) -> None:
         self.w, self.seeds, self.ks = w, seeds, ks
         self.total = len(ks)
         self.K = int(ks.max())
+        self.dtype = np.min_scalar_type(self.K - 1)  # the narrowest that holds every bin
         self.base = np.arange(self.total, dtype=np.int64) * self.K
         self.shift = (w - 1).bit_length()  # a slot is below w
         self.mask = (1 << self.shift) - 1
@@ -862,6 +879,21 @@ class _Cache:
     each element of side ``s`` is live in: 6 to 7 cells per element at
     w=1024 and t=65536. The cells of one bin form a run of the array, found
     by bisection.
+
+    An element's row (:meth:`row`) is its bins from round 0 on, as far as
+    any call has hashed it, in the narrowest dtype that holds ``K``. The
+    build's bins, each element's up to its end, stay as one array,
+    ``seed_bins``, and an element's row is a slice of it (``seeded[s]`` maps
+    the element to its index in the build) until :meth:`hashed` first
+    hashes it on; from then on ``rows[s, x]`` holds it, the rows written
+    last at the end. A row is hashed on only past its last round, so a
+    replay hashes no (element, round) twice while the row is kept: an end
+    that moves back leaves the row as it is, ready for the next time the
+    end moves on. A row is dropped when its element leaves the input. Past
+    ``_ROW_BINS`` bins in ``rows``, after a call, the rows written longest
+    ago are dropped, and a dropped row is hashed again from round 0 when it
+    is next read. So between calls ``rows`` holds at most ``_ROW_BINS``
+    bins, besides the build's array of one bin per cell.
     """
 
     def __init__(self, grid: _Grid, T: TaskMultiset, result: AssignResult) -> None:
@@ -869,7 +901,7 @@ class _Cache:
         self.cells: list[np.ndarray] | None = None
 
     def _build(self) -> None:
-        """Build the tables from the result's trace, both sides in one vectorized pass."""
+        """Build the tables from the result's trace, both sides in one vectorized pass, and keep its bins as rows."""
         grid, trace = self.grid, self.result
         ends = np.where(trace.rounds < 0, grid.total, trace.rounds)
         ids = np.array([np.arange(1, ends.size + 1, dtype=np.uint64), trace.lifted])
@@ -883,6 +915,42 @@ class _Cache:
         cells = (grid.base[rounds] + bins.view(np.int64)) << grid.shift | np.repeat(np.arange(ends.size), n)
         cells.sort()
         self.cells = list(cells)
+        self.seed_bins, self.seed_at = bins.astype(grid.dtype), [0, *np.cumsum(n).tolist()]
+        self.seeded = tuple(map(dict.copy, self.slot))  # a slot is the element's index in the build until it leaves
+        self.rows: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()  # the newest row last
+        self.row_bins = 0
+
+    def row(self, s: int, x: int) -> np.ndarray:
+        """The row of ``x`` on side ``s``: the one in ``rows``, else the build's, else an empty one."""
+        row = self.rows.get((s, x))
+        if row is not None:
+            return row
+        i = self.seeded[s].get(x)
+        return self.seed_bins[s, self.seed_at[i] : self.seed_at[i + 1]] if i is not None else self.seed_bins[s, :0]
+
+    def hashed(self, s: int, xs: list[int], stop: int) -> list[np.ndarray]:
+        """The rows of ``xs`` on side ``s``, those that end before round ``stop`` first hashed on to it.
+
+        The rows that end at one round are hashed on in one ``bins_np`` call.
+        """
+        out = [self.row(s, x) for x in xs]
+        short: dict[int, list[int]] = {}  # the length of a row that ends before stop -> the indices of xs with one
+        for i, row in enumerate(out):
+            if row.size < stop:
+                short.setdefault(row.size, []).append(i)
+        grid, rows, seeded = self.grid, self.rows, self.seeded[s]
+        for have, at in short.items():
+            ids = np.array([xs[i] for i in at], np.uint64)[:, None]
+            bins = bins_np(grid.seeds[s, have:stop], ids, grid.ks[have:stop]).astype(grid.dtype)
+            for i, part in zip(at, bins):
+                x = xs[i]
+                if have:
+                    part = np.concatenate([out[i], part])
+                    seeded.pop(x, None)
+                    self.row_bins -= len(rows.pop((s, x), ()))
+                rows[s, x] = out[i] = part
+                self.row_bins += stop
+        return out
 
     def members(self, s: int, r: int, b: int) -> list[int]:
         """The elements of side ``s`` live in bin ``b`` of round ``r``."""
@@ -897,12 +965,13 @@ class _Cache:
         # The first cell at or past a key's lowest cell holds the key if any does.
         return cells.take(cells.searchsorted(keys << shift), mode="clip") >> shift == keys
 
-    def update(self, s: int, ends: dict[int, int], grow: dict[int, np.ndarray]) -> None:
+    def update(self, s: int, ends: dict[int, int]) -> None:
         """Move the ends of side ``s``'s elements to ``ends``, -1 for one that left the input.
 
-        An element whose end comes earlier drops its cells past the new end.
-        One whose end comes later gains cells up to it, and ``grow`` holds
-        its bins from the round after its old end on.
+        An element whose end comes earlier drops its cells past the new end,
+        and one that left the input its row too. One whose end comes later
+        gains cells up to it, read from its row, which the replay hashed on
+        that far.
         """
         grid, end, slot, free, elems = self.grid, self.end[s], self.slot[s], self.free[s], self.elems[s]
         cells = self.cells[s]
@@ -915,16 +984,20 @@ class _Cache:
                     free.append(slot.pop(x))
                     elems[free[-1]] = None
                     del end[x]
+                    self.seeded[s].pop(x, None)
+                    self.row_bins -= len(self.rows.pop((s, x), ()))
             cells = cells[cells < limit[cells & grid.mask]]
         added = []
-        for x, bins in grow.items():
+        for x, e in ends.items():
+            first, stop = end.get(x, -1) + 1, min(e + 1, grid.total)
+            if first > e:
+                continue  # no later end
             i = slot.get(x)
             if i is None:
                 i = free.pop() if free else len(elems)
                 elems[i:i + 1] = [x]  # a free slot, or a new one at the end
                 slot[x] = i
-            first, stop = end.get(x, -1) + 1, min(ends[x] + 1, grid.total)
-            added.append((grid.base[first:stop] + bins[: stop - first]) << grid.shift | i)
+            added.append((grid.base[first:stop] + self.row(s, x)[first:stop]) << grid.shift | i)
         if added:
             # A stable sort merges the sorted cells with the few new ones in linear time.
             cells = np.sort(np.concatenate([cells, *added]), kind="stable")
@@ -957,7 +1030,9 @@ class _Cache:
             for s, ids in enumerate((old.assignment.workers, old.lifted))
         ]
         for s in (0, 1):
-            self.update(s, ends[s], {x: np.concatenate(rows) for x, rows in replay.grow[s].items()})
+            self.update(s, ends[s])
+        while self.row_bins > _ROW_BINS:
+            self.row_bins -= self.rows.popitem(last=False)[1].size
         # Copies of the trace, resized to the new input, so results already returned keep
         # theirs; only the workers that pair differently, and the fallback's, change.
         tasks, rounds = (a[:size].copy() if size <= a.size else np.resize(a, size)  # a copy costs far less
@@ -981,12 +1056,13 @@ class _Replay:
     A bin's pair can differ between the runs only if it holds a delta
     element: a new-only one that shares the bin with a live element of the
     other side, or an old-only one that the old run matched there. So the
-    unmatched new-only elements are hashed a window of rounds at a time
-    (``_WINDOW`` rounds, then twice as many per window), one ``bins_np``
-    call per side, and one that turns new-only inside a window over the rest
-    of it. Each bin where one meets a cached cell of the other side or
-    another new-only element is queued, and so is each old-only element's
-    old match, one scalar hash. Events pop in round and bin order, and a bin
+    unmatched new-only elements are looked up a window of rounds at a time
+    (``_WINDOW`` rounds, then twice as many per window) in the cache's rows,
+    which one ``bins_np`` call per side hashes on where they fall short, and
+    one that turns new-only inside a window over the rest of it. Each bin
+    where one meets a cached cell of the other side or another new-only
+    element is queued, and so is each old-only element's old match, read
+    from its row. Events pop in round and bin order, and a bin
     is resolved at its first event whose element is still in the delta;
     every element it pairs differently moves its end. An event's bin is its
     element's bin in that round, and resolving a bin moves only its members'
@@ -996,7 +1072,7 @@ class _Replay:
     live members in both runs, so resolving it changes nothing. Past the
     cached run's last match only new-only elements are live, so the same
     events carry the new run on to its end. :meth:`_Cache.advance` applies
-    ``ends``, ``grow`` and ``partner`` to the cache and its result.
+    ``ends`` and ``partner`` to the cache and its result.
     """
 
     def __init__(self, cache: _Cache, removed, added) -> None:
@@ -1004,8 +1080,7 @@ class _Replay:
         total = self.grid.total
         self.ends: tuple[dict, dict] = ({}, {})
         self.partner: dict[int, int] = {}  # worker -> its new lifted task, for every worker that pairs differently
-        self.live: tuple[dict, dict] = ({}, {})  # unmatched new-only element -> (round, its bins from there on)
-        self.grow: tuple[dict, dict] = ({}, {})  # every element that was new-only -> its bins, window by window
+        self.live: tuple[dict, dict] = ({}, {})  # unmatched new-only element -> the first round it is new-only in
         self.changes: set[int] = set()  # rounds whose pairs differ
         self.heap: list[tuple[int, int, int, int]] = []  # (round, bin, side, element that queued it)
         for s in (0, 1):
@@ -1014,8 +1089,7 @@ class _Replay:
                 self._kill(s, x)
             for x in added[s]:
                 self.ends[s][x] = total
-                self.grow[s][x] = []
-            self.live[s].update(dict.fromkeys(added[s]))  # hashed when the first window opens
+            self.live[s].update(dict.fromkeys(added[s], 0))  # looked up when the first window opens
         heap, ends, end = self.heap, self.ends, cache.end
         start, size = 0, _WINDOW
         done = None  # the last bin resolved; one bin's events pop one after another
@@ -1033,30 +1107,31 @@ class _Replay:
 
     def _kill(self, s: int, x: int) -> None:
         """``x`` is live in the old run only from now on: queue the bin of its old match."""
-        grid, m = self.grid, self.cache.end[s][x]
-        if m < grid.total:
-            heappush(self.heap, (m, _bin_of(int(grid.seeds[s, m]), x, int(grid.ks[m])), s, x))
+        cache, m = self.cache, self.cache.end[s][x]
+        if m < self.grid.total:
+            row = cache.row(s, x)
+            if m >= row.size:  # dropped for the cap
+                row = cache.hashed(s, [x], m + 1)[0]
+            heappush(self.heap, (m, int(row[m]), s, x))
 
     def _hash(self, s: int, xs: list[int], start: int, meet_new: bool) -> None:
-        """Hash the new-only ``xs`` of side ``s`` from round ``start`` to the window's end and queue what they meet.
+        """Look up the new-only ``xs`` of side ``s`` from round ``start`` to the window's end and queue what they meet.
 
         With ``meet_new``, meetings with the other side's new-only elements,
-        hashed from ``start`` or before, are queued too.
+        whose rows reach the window's end, are queued too.
         """
         if not xs:
             return
-        grid, rows = self.grid, slice(start, self.stop)
-        bins = bins_np(grid.seeds[s, rows], np.array(xs, np.uint64)[:, None], grid.ks[rows]).view(np.int64)
-        hits = self.cache.meets(1 - s, bins + grid.base[rows])
+        cache, rows = self.cache, slice(start, self.stop)
+        hashed = cache.hashed(s, xs, self.stop)
+        bins = hashed[0][None, rows] if len(xs) == 1 else np.array([row[rows] for row in hashed])
+        hits = cache.meets(1 - s, bins + self.grid.base[rows])
         if meet_new:
-            for first, other in self.live[1 - s].values():
-                hits |= bins == other[start - first :]
+            for y in self.live[1 - s]:
+                hits |= bins == cache.row(1 - s, y)[rows]
         at, j = np.nonzero(hits)
         for i, r, b in zip(at.tolist(), (j + start).tolist(), bins[at, j].tolist()):
             heappush(self.heap, (r, b, s, xs[i]))
-        for x, row in zip(xs, bins):
-            self.live[s][x] = (start, row)
-            self.grow[s][x].append(row)
 
     def _resolve(self, r: int, b: int) -> None:
         """Work out bin ``b`` of round ``r`` in the new run and record how it differs."""
@@ -1064,7 +1139,7 @@ class _Replay:
         for s in (0, 1):
             group = cache.members(s, r, b)
             here = [x for x in group if x not in ends[s]]  # an old member with a moved end is old-only
-            here += [x for x, (first, row) in self.live[s].items() if first <= r and row[r - first] == b]
+            here += [x for x, first in self.live[s].items() if first <= r and cache.row(s, x)[r] == b]
             old.append(min(group, default=None))
             new.append(min(here, default=None))
         old_pair = (None, None) if None in old else tuple(old)
@@ -1081,7 +1156,7 @@ class _Replay:
                 continue  # matched in this round by both runs, maybe to another partner
             if o is not None and o not in ends[s]:  # live in both runs until now: new-only from the next round
                 ends[s][o] = self.grid.total
-                self.grow[s][o] = []
+                self.live[s][o] = r + 1
                 self._hash(s, [o], r + 1, True)
             if n is not None and self.live[s].pop(n, None) is None:  # live in both until now: old-only from here
                 self._kill(s, n)

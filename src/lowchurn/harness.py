@@ -59,13 +59,17 @@ class ExperimentRecord:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepOutcome:
     """One assigner call; ``result`` is the pipeline's :class:`AssignResult`, None for a baseline."""
 
     assignment: Assignment
     fallback_used: bool
     result: AssignResult | None = None
+
+    def __init__(self, assignment: Assignment, fallback_used: bool, result: AssignResult | None = None) -> None:
+        # Writes the frozen fields directly, as core's classes do: every assigner call builds one.
+        self.__dict__.update(assignment=assignment, fallback_used=fallback_used, result=result)
 
     @property
     def round_pairs(self) -> tuple[frozenset, ...]:

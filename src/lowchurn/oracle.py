@@ -51,6 +51,18 @@ __all__ = [
 AssignFn = Callable[[TaskMultiset], Assignment]
 Verdict = Literal["feasible", "infeasible", "budget_exhausted"]
 
+# A position of the exact search that has stored this many failed subtrees
+# and replayed none drops them and stores no more. On multisets the most a
+# position stored before its first replay was 92 at (3, 5, 2), 384 at
+# (3, 6, 2), 1748 at (3, 7, 2) and 966 at (4, 6, 2); on sets, (4, 8, 3) to
+# 2 000 000 nodes stored 30 407 and 7011 keys at its two busiest positions
+# and replayed none.
+_UNUSED_KEYS = 4096
+# ``ramsey_witness`` remembers the colors of subsets holding at most this many
+# elements in all, so a scan at large w keeps tens of MB, not one w-tuple per
+# call: at w=16383, t=16384 the one (w+1)-set has 16384 faces of 16383 tasks.
+_COLORED_ELEMENTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -209,7 +221,9 @@ def exact_feasible(
     after the same number of nodes. Its count is kept under that slice of
     domains if it is at least the slice's length (a smaller subtree costs
     less to search again than its key costs to build), and when the slice
-    recurs the search adds the count and backtracks. ``nodes`` and
+    recurs the search adds the count and backtracks. A position that has
+    kept ``_UNUSED_KEYS`` subtrees and replayed none drops them and keeps no
+    more: on sets most keys never recur. ``nodes`` and
     ``node_limit`` count the plain search's tree, in which a replayed subtree
     holds every node it held when it was searched; so the counts, verdicts
     and solutions are the plain search's. A replay past ``node_limit`` stops
@@ -261,9 +275,11 @@ def exact_feasible(
 
     # ``reach[p]`` is one past the furthest later neighbor of any position
     # before ``p``, and ``failed[p]`` maps ``tuple(domains[p:reach[p]])`` to
-    # the node count of a subtree that failed from those domains.
+    # the node count of a subtree that failed from those domains, or is None
+    # once ``p`` gave up caching; ``replayed[p]`` is whether one has recurred.
     reach = list(accumulate((max(qs, default=p) + 1 for p, qs in enumerate(later)), max, initial=0))
-    failed: list[dict[tuple[int, ...], int]] = [{} for _ in order]
+    failed: list[dict[tuple[int, ...], int] | None] = [{} for _ in order]
+    replayed = [False] * len(order)
     nodes = 0
     # The budget stops the search at node ``node_limit + 1`` or, under a
     # deadline, at the first multiple of 4096 nodes where the clock is past
@@ -290,6 +306,7 @@ def exact_feasible(
         else:
             entered[pos] = nodes
             if failed[pos] and (count := failed[pos].get(tuple(domains[pos : reach[pos]]))) is not None:
+                replayed[pos] = True
                 # Replay the subtree's nodes. If they reach ``check``, that first
                 # check decides, with one clock read for every multiple passed;
                 # then the node limit does.
@@ -335,8 +352,10 @@ def exact_feasible(
             if pos == 0:
                 found = False
                 break
-            if (count := nodes - entered[pos]) >= reach[pos] - pos:
-                failed[pos][tuple(domains[pos : reach[pos]])] = count
+            if (count := nodes - entered[pos]) >= reach[pos] - pos and (keys := failed[pos]) is not None:
+                keys[tuple(domains[pos : reach[pos]])] = count
+                if not replayed[pos] and len(keys) >= _UNUSED_KEYS:
+                    failed[pos] = None  # many keys and no replay: this position caches no more
             pos -= 1
             continue
         pos += 1
@@ -458,19 +477,28 @@ def ramsey_witness(assignfn: AssignFn, w: int, t: int) -> RamseyWitness | None:
     Colors each size-``w`` subset by the pattern of ranks its workers
     receive; a monochromatic ``w+1``-clique pins every worker to "shift one
     task up" between the two extreme subsets, which is verified before
-    returning.
+    returning. The ``w+1``-subsets go in ``combinations`` order, each is
+    given up at its first face whose color differs, and each face is
+    colored by one call of ``assignfn`` and remembered, up to
+    ``_COLORED_ELEMENTS`` subset elements in all; past that, a face is
+    colored again each time it recurs.
     """
     if w < 0:
         raise ValueError("w must be >= 0")
     if t < w + 1:
         return None
+    colors: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def color(subset: tuple[int, ...]) -> tuple[int, ...]:
+        if (pattern := colors.get(subset)) is None:
+            pattern = _color_of(assignfn, subset, t)
+            if len(colors) * w < _COLORED_ELEMENTS:
+                colors[subset] = pattern
+        return pattern
+
     for vertices in combinations(range(1, t + 1), w + 1):
-        colors = {
-            _color_of(assignfn, tuple(v for k, v in enumerate(vertices) if k != skip), t)
-            for skip in range(w + 1)
-        }
-        if len(colors) == 1:
-            pattern = colors.pop()
+        pattern = color(vertices[1:])
+        if all(color(vertices[:k] + vertices[k + 1 :]) == pattern for k in range(1, w + 1)):
             low = TaskMultiset.from_elements(vertices[:-1], t)
             high = TaskMultiset.from_elements(vertices[1:], t)
             got = switching_cost(assignfn(low), assignfn(high))

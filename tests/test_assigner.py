@@ -1310,6 +1310,109 @@ class TestAssignSession:
             assert got == assign(schedule, T)
         assert session.replays == 6
 
+    @pytest.mark.parametrize(("w", "t"), [(300, 1200), (1024, 65536)])
+    def test_a_replay_hashes_no_kept_round_twice(self, monkeypatch, w, t):
+        # Every (side, element, round) that bins_np hashes in a replayed walk,
+        # the build's included, is hashed once while its element stays in the
+        # input: the rows keep it. Nothing is evicted under this cap.
+        schedule = build_schedule(w, t, 4, 7)
+        where = {seed: (s, r) for s, side in enumerate(schedule.rounds.seeds.tolist()) for r, seed in enumerate(side)}
+        assert len(where) == 2 * schedule.total_rounds
+        monkeypatch.setattr(assigner, "_ROW_BINS", 1 << 62)
+        session = AssignSession(schedule)
+        rng = Random(w)
+        T = random_multiset(w, t, rng)
+        session(T)  # a full run, on the engine
+        hashed = []
+        real = assigner.bins_np
+
+        def counting(seed, x, k):
+            seeds, ids = np.broadcast_arrays(seed, x)
+            hashed.extend(zip(seeds.ravel().tolist(), ids.ravel().tolist()))
+            return real(seed, x, k)
+
+        monkeypatch.setattr(assigner, "bins_np", counting)
+        seen = {}  # (side, element) -> the rounds hashed for it since it joined the input
+        for step in range(200):
+            T = adjacent_step(T, rng, w=w, size_varying=step % 4 == 3)
+            hashed.clear()
+            session(T)
+            for seed, x in hashed:
+                s, r = where[seed]
+                rounds = seen.setdefault((s, x), set())
+                assert r not in rounds
+                rounds.add(r)
+            inputs = (set(range(1, len(T) + 1)), set(lift(T, w)))
+            for key in [key for key in seen if key[1] not in inputs[key[0]]]:
+                del seen[key]
+        assert session.replays == 200 and seen
+
+    def test_rows_hold_each_elements_bins(self):
+        # Every row the store reads, kept or the build's, is its element's
+        # bins from round 0 on, in the narrowest dtype that holds K, and the
+        # kept rows are all of elements in the input.
+        schedule = build_schedule(300, 1200, 2, 4)
+        seeds, ks = schedule.rounds.seeds.tolist(), schedule.rounds.ks.tolist()
+        session = AssignSession(schedule)
+        rng = Random(12)
+        T = random_multiset(250, 1200, rng)
+        for step in range(120):
+            session(T)
+            T = adjacent_step(T, rng, w=300, size_varying=step % 2 == 0)
+        cache = session._cache
+        inputs = (set(range(1, len(cache.T) + 1)), set(lift(cache.T, 300)))
+        assert {x for s, x in cache.rows} and all(x in inputs[s] for s, x in cache.rows)
+        assert cache.row_bins == sum(row.size for row in cache.rows.values())
+        for s in (0, 1):
+            for x in inputs[s]:
+                row = cache.row(s, x)
+                assert row.dtype == np.uint16 and row.size >= min(cache.end[s][x] + 1, cache.grid.total)
+                assert row.tolist() == [_bin_of(seeds[s][r], x, ks[r]) for r in range(row.size)]
+
+    def test_rows_past_the_cap_are_dropped_oldest_first(self, monkeypatch):
+        # A small cap drops rows after most calls. The rows a call writes go
+        # last, those dropped for the cap are the ones written longest ago,
+        # and a dropped row is hashed again when it is read.
+        monkeypatch.setattr(assigner, "_ROW_BINS", 3000)
+        schedule = build_schedule(300, 1200, 2, 5)
+        session = AssignSession(schedule)
+        rng = Random(13)
+        T = random_multiset(300, 1200, rng)
+        before, evicted = {}, 0
+        for step in range(150):
+            assert session(T) == assign(schedule, T)
+            assert_cache_is_fresh(session, T)
+            cache = session._cache
+            rows = cache.rows if cache.cells is not None else {}
+            assert sum(row.size for row in rows.values()) == getattr(cache, "row_bins", 0) <= 3000
+            inputs = (set(range(1, len(T) + 1)), set(lift(T, 300)))
+            written = [key for key, row in rows.items() if before.get(key) is not row]
+            assert list(rows)[len(rows) - len(written):] == written
+            kept = [key in rows for key in before if key[1] in inputs[key[0]] and key not in written]
+            assert kept == sorted(kept)  # the dropped ones first
+            evicted += kept.count(False)
+            before = dict(rows)
+            T = adjacent_step(T, rng, w=300, size_varying=step % 3 == 0)
+        assert session.replays == 149 and evicted
+
+    def test_rows_stay_bounded_over_a_long_walk(self):
+        # 1000 replayed steps at w=1024: the rows, two bytes a bin, hold about
+        # half a million bins by then; int64 rows would take four times that.
+        schedule = build_schedule(1024, 65536, 4, 3)
+        rng = Random(3)
+        T = random_multiset(1024, 65536, rng)
+        session = AssignSession(schedule)
+        tracemalloc.start()
+        try:
+            for _ in range(1000):
+                T = adjacent_step(T, rng, w=1024)
+                session(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert session.replays == 999
+        assert peak < 3 << 20
+
     @pytest.mark.parametrize("w", [2**25 + 1, 2**26])
     def test_cells_past_63_bits_keep_no_cache(self, w):
         # With t = 2 and c = 1, a cell ``(round * K + bin) << shift | slot``

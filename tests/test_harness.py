@@ -144,3 +144,32 @@ def test_walk_yields_each_record_once_measured(monkeypatch):
     record = next(walk)
     assert isinstance(record, ExperimentRecord) and record.experiment_id == "walk-000000"
     assert len(steps) == 1
+
+
+def test_step_outcome_behaves_as_a_plain_frozen_dataclass():
+    # StepOutcome writes its fields straight into __dict__; equality, hashing,
+    # repr and the refusal to change a field stay those of the dataclass.
+    @dataclasses.dataclass(frozen=True)
+    class StepOutcome:
+        assignment: object
+        fallback_used: bool
+        result: object = None
+
+    StepOutcome.__qualname__ = "StepOutcome"
+    T = TaskMultiset.from_elements([1, 3, 3], 5)
+    step = make_assigner("mrbb", 3, 5, 4, 1)(T)
+    baseline = make_assigner("sorted", 3, 5, 4, 1)(T)
+    for got in (step, baseline, harness.StepOutcome(step.assignment, fallback_used=True)):
+        want = StepOutcome(got.assignment, got.fallback_used, got.result)
+        assert repr(got) == repr(want)
+        assert hash(got) == hash(want)
+        fields = (got.assignment, got.fallback_used, got.result)
+        assert [getattr(got, f.name) for f in dataclasses.fields(got)] == list(fields)
+        assert got == harness.StepOutcome(*fields) and got != want  # a dataclass equals only its own class
+        for field in ("assignment", "fallback_used", "result"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, field, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(got, field)
+    assert baseline.result is None and step.result is not None
+    assert step != baseline

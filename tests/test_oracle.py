@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lowchurn import oracle
 from lowchurn.assigner import DisperserFamily, build_schedule, assign, single_bin_family
 from lowchurn.baselines import sorted_order
 from lowchurn.core import Assignment, TaskMultiset, switching_cost
@@ -275,6 +276,19 @@ class TestExactFeasible:
         # Nearly all of this tree is replayed from failed subtrees, and counted node by node.
         assert exact_feasible(4, 6, 2, multisets=True).nodes == 7_514_973
 
+    @pytest.mark.parametrize("keys", [1, 8, 64])
+    def test_positions_that_stop_caching_keep_the_counts(self, monkeypatch, keys):
+        # A position that has kept this many failed subtrees and replayed none
+        # drops them and keeps no more; at these limits most positions do,
+        # and the counts, verdicts and solutions stay the plain search's.
+        want = [exact_feasible(2, 60, 2), exact_feasible(3, 5, 3, multisets=True)]
+        monkeypatch.setattr(oracle, "_UNUSED_KEYS", keys)
+        assert exact_feasible(3, 5, 2).nodes == 55
+        assert exact_feasible(3, 5, 2, multisets=True).nodes == 92_971
+        res = exact_feasible(4, 8, 3, budget=SearchBudget(node_limit=20_000))
+        assert (res.verdict, res.nodes) == ("budget_exhausted", 20_001)
+        assert [exact_feasible(2, 60, 2), exact_feasible(3, 5, 3, multisets=True)] == want
+
     def test_deadline_ends_the_search_at_a_check(self):
         # The deadline is read every 4096 nodes, so an expired one ends the
         # search at node 4096.
@@ -455,6 +469,27 @@ class TestExhaustiveMaxSwitching:
         assert got == reference_max_switching(assignfn, 63, 2, True)
         assert got[0] > 0
 
+    def test_matches_the_pair_loop_where_int64_rest_codes_collide(self):
+        # At w=34, t=3 on multisets a rest has 33 slots. Read as one positional
+        # code in base t + 1 = 4, wrapped to int64, slot 32 weighs 4**32 = 2**64
+        # and drops out, so rests that differ only there share a code: such a
+        # code would pair states that are not adjacent.
+        w, t = 34, 3
+        states = np.array(_states(w, t, True))
+        drop = np.arange(1, w) - (np.arange(w - 1) < np.arange(w)[:, None])
+        rests = np.unique(states[:, drop].reshape(-1, w - 1), axis=0)
+        codes = rests @ ((t + 1) ** np.arange(w - 1, dtype=np.uint64)).view(np.int64)
+        assert np.unique(codes).size < len(rests)
+        a, b = _adjacent_pairs(states)
+        assert list(zip(a.tolist(), b.tolist())) == [
+            (x, y) for x, adjacent in enumerate(_neighbors(_states(w, t, True))) for y in adjacent if x < y
+        ]
+        # Sorted order moves at most 2 workers over an adjacent pair here, and 3
+        # over a pair whose rests differ only in slot 32.
+        assignfn = _sorted_fn(w)
+        got = exhaustive_max_switching(assignfn, w, t, multisets=True)
+        assert got == reference_max_switching(assignfn, w, t, True) and got[0] == 2
+
     def test_a_tie_keeps_the_first_pair_in_state_order(self):
         # Over the 2-sets of [4], pairs (0, 3) and (1, 2) both reach cost 2 and
         # every other pair costs at most 1. In (a, b) order (0, 3) comes first;
@@ -568,3 +603,42 @@ class TestRamseyWitness:
 
     def test_universe_too_small(self):
         assert ramsey_witness(_sorted_fn(3), 3, 3) is None
+
+    def test_mrbb_witness_at_w4_colors_each_subset_once(self):
+        # Every 4-subset of [12] is colored at most once, and a 5-set is
+        # given up at its first face of another color: at most C(12, 4) = 495
+        # calls, witness check included, where coloring every face of every
+        # 5-set took 1882.
+        schedule, calls = build_schedule(4, 12, 4, 0), []
+        witness = ramsey_witness(lambda T: calls.append(T) or assign(schedule, T).assignment, 4, 12)
+        assert witness == RamseyWitness((2, 3, 5, 9, 12), (4, 2, 1, 3))
+        assert len(calls) <= 495
+
+    def test_a_full_memo_colors_faces_again(self, monkeypatch):
+        # Past its bound the scan remembers no more colors: the same witness,
+        # with faces colored again as they recur.
+        monkeypatch.setattr(oracle, "_COLORED_ELEMENTS", 40)  # ten 4-subsets
+        schedule, calls = build_schedule(4, 12, 4, 0), []
+        witness = ramsey_witness(lambda T: calls.append(T) or assign(schedule, T).assignment, 4, 12)
+        assert witness == RamseyWitness((2, 3, 5, 9, 12), (4, 2, 1, 3))
+        assert 495 < len(calls) < 1882
+
+    @pytest.mark.parametrize(("w", "t"), [(1, 4), (2, 4), (2, 5), (2, 7), (3, 5), (3, 6), (3, 7), (4, 6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_every_face_scan(self, w, t, seed):
+        # The scan that colors all w + 1 faces of every (w+1)-set, calling the
+        # function for each, gives the same first witness or none.
+        schedule = build_schedule(w, t, 1, seed)
+        fn = lambda T: assign(schedule, T).assignment  # noqa: E731
+
+        def color(subset):
+            assignment = fn(TaskMultiset.from_elements(subset, t))
+            return tuple(subset.index(task) + 1 for _, task in assignment.pairs)
+
+        want = None
+        for vertices in combinations(range(1, t + 1), w + 1):
+            colors = {color(vertices[:k] + vertices[k + 1 :]) for k in range(w + 1)}
+            if len(colors) == 1:
+                want = RamseyWitness(vertices, colors.pop())
+                break
+        assert ramsey_witness(fn, w, t) == want
