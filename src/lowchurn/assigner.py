@@ -12,64 +12,54 @@ pairs it contributed.
 A built schedule is its seed arrays. :func:`build_schedule` derives every
 round's worker seed, task seed and bin count in one numpy pass over the
 grid, and ``RoundSchedule.rounds`` is a :class:`SeededRounds` view of those
-arrays: the :class:`BinHash` stages the scalar loop needs
-(``SeededRounds.stages``) are derived from them the first time they are
-read, once per schedule.
+arrays; no :class:`BinHash` stage is built.
 
 The explicit variant replaces seeded hash functions with a per-level family
 of verified strong dispersers, sweeping each family's seeds in order instead
 of drawing fresh randomness. :func:`explicit_schedule` lays those sweeps out
 as another :class:`RoundSchedule`, whose rounds are a :class:`TableRounds`
 reading each seed's column of its family's table, so every entry point runs
-both constructions, on the array engine. The repetition count per level is
-a caller parameter; the per-sweep progress guarantee is what makes a finite
-count sufficient.
+both constructions. The repetition count per level is a caller parameter;
+the per-sweep progress guarantee is what makes a finite count sufficient.
 
 A schedule's rounds are the one place that turns ids into bins: each kind
 of rounds has a ``bins(rows, wt)`` method that gives the bins of both sides
 of a residual in a block of rounds, ``SeededRounds`` by hashing
-(``hashing.bins_np``) and ``TableRounds`` by reading tables. Two engines
-give bit-identical output, the same pairs and the same trace:
+(``hashing.bins_np``) and ``TableRounds`` by reading tables. One engine,
+``_run_arrays``, runs every schedule of both constructions. Its pairs and
+trace are bit-identical to those of the plain stage loop that calls
+``BinHash.match`` round after round on Python sets, the tests' reference
+(``tests/reference.py``). The engine runs one block of rounds at a time
+(``_run_block``), asking the rounds for each block's bins once. Each block
+is sized to a planned number of expected collisions, ``_SORT_HITS`` above
+``_TAIL_N`` and ``_TAIL_HITS`` in the tail, where a block runs at most ``k``
+rounds (``_block_size``), in three regimes:
 
-* the scalar loop (``_run_stages``) calls ``BinHash.match`` round after
-  round on Python sets. It is the reference, and it runs the seeded
-  schedules past the array engine's limits (``_on_arrays``);
-* the array engine (``_run_arrays``) runs one block of rounds at a time
-  (``_run_block``), asking the rounds for each block's bins once. Each
-  block is sized to a planned number of expected collisions, ``_SORT_HITS``
-  above ``_TAIL_N`` and ``_TAIL_HITS`` in the tail, where a block runs at
-  most ``k`` rounds (``_block_size``), in three regimes:
+* head rounds: a block of one round above ``_TAIL_N``, or a round expected
+  to hold more than ``_TAIL_HITS`` collisions at any size, is one numpy
+  round: each side's first position in each bin, scattered over the bins
+  or, where they are sparse, only the workers', read back at the tasks'
+  bins;
+* sorted blocks: above ``_TAIL_N``, a longer block keys the residual's bins
+  under all its rounds and sorts the keys once, as uint32 where they fit; a
+  worker meets a task where two neighbouring keys differ in the side bit
+  alone, and only those bins are visited, in round order;
+* the all-pairs tail: at ``_TAIL_N`` workers or fewer, any other block
+  compares every worker's bin with every task's in each of its rounds.
 
-  - head rounds: a block of one round above ``_TAIL_N``, or a round
-    expected to hold more than ``_TAIL_HITS`` collisions at any size, is one
-    numpy round: each side's first position in each bin, scattered over the
-    bins or, where they are sparse, only the workers', read back at the
-    tasks' bins;
-  - sorted blocks: above ``_TAIL_N``, a longer block keys the residual's
-    bins under all its rounds and sorts the keys once, as uint32 where they
-    fit; a worker meets a task where two neighbouring keys differ in the
-    side bit alone, and only those bins are visited, in round order;
-  - the all-pairs tail: at ``_TAIL_N`` workers or fewer, any other block
-    compares every worker's bin with every task's in each of its rounds.
+A run of single-bin rounds takes no bins: it pairs the residual's smallest
+ids, one pair per round, as a single-bin stage does.
 
-  A run of single-bin rounds takes no bins: it pairs the residual's
-  smallest ids, one pair per round, as the scalar loop does.
-
-The trace of a run is each worker's match round, -1 for the fallback.
-Wrapped by ``_run`` in the array engine's form, both engines take and
-return arrays: the residual goes in as one ``(2, n)`` array, sorted
-workers over sorted tasks, and comes back as the matched pairs with their
-rounds plus the residual left at the end. ``_pack`` scatters those and the
-rank-order fallback, which is that residual's rows side by side, into one
-task and one round per worker. ``assign`` stays in numpy from input to
-result: the lift (``reduction.lift_np``), the engine, the scatter and the
-projection to base tasks (``reduction.project_np``). The result keeps those
-arrays, and its tuples are built only when read. ``assign_set`` is the same
-path wrapped for plain id sets.
-
-``assign`` and ``assign_set`` run the array engine on every explicit
-schedule and on every seeded one with ``n < 2**63`` and ``w < 2**31``, and
-the scalar loop on the seeded rest.
+The trace of a run is each worker's match round, -1 for the fallback. The
+engine takes and returns arrays: the residual goes in as one ``(2, n)``
+array, sorted workers over sorted tasks, and comes back as the matched
+pairs with their rounds plus the residual left at the end. ``_pack``
+scatters those and the rank-order fallback, which is that residual's rows
+side by side, into one task and one round per worker. ``assign`` stays in
+numpy from input to result: the lift (``reduction.lift_np``), the engine,
+the scatter and the projection to base tasks (``reduction.project_np``).
+The result keeps those arrays, and its tuples are built only when read.
+``assign_set`` is the same path wrapped for plain id sets.
 
 :class:`AssignSession` answers a sequence of multisets with the results
 ``assign`` gives, working each one out from the last when their lifted sets
@@ -87,15 +77,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import compress, count
 from random import Random
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .binhash import BinHash, seeds_np
+from .binhash import seeds_np
 from .core import Assignment, TaskMultiset, WorkerTaskInput, _check_fits, _frozen
-from .hashing import bins_np, derive, derive_np
+from .hashing import MASK64, bins_np, derive, derive_np
 from .reduction import id_dtype, lift_np, lifted_changes, project_np
 from .reduction import lift  # noqa: F401  (perfbench's tracer wraps this name)
 
@@ -174,12 +163,10 @@ class SeededRounds(_Rounds):
     ``seeds[0]`` and ``seeds[1]`` hold each round's worker and task seeds
     (:attr:`BinHash.seeds`), ``ks`` its bin count and ``ij`` its grid
     coordinates ``(i, j)``, one column per round; all are read-only.
-    :meth:`bins` hashes ids under a block of rounds for the array engine, and
+    :meth:`bins` hashes ids under a block of rounds for the engine, and
     ``kmax[r]``, the most bins of any round from ``r`` on, is ``ks[r]``:
-    ``ks`` never rises. ``stages`` is each round's :class:`BinHash`, for the
-    scalar loop, built on first read and kept, so each is built once. A
-    slice is a view of the same arrays. Equality and hashing compare the
-    arrays.
+    ``ks`` never rises. A slice is a view of the same arrays. Equality and
+    hashing compare the arrays.
     """
 
     kind = "seeded"
@@ -191,18 +178,18 @@ class SeededRounds(_Rounds):
     def _slice(self, index: slice) -> SeededRounds:
         return SeededRounds(self.seeds[:, index], self.ks[index], self.ij[:, index])
 
-    @cached_property
-    def stages(self) -> tuple[BinHash, ...]:
-        return tuple(map(BinHash, self.ks.tolist(), *self.seeds.tolist()))
-
     def bins(self, rows: slice, wt: np.ndarray) -> np.ndarray:
-        """The bin of each id of ``wt`` (workers over tasks, uint64) in each round of ``rows``, as ``(2, B, n)`` uint64.
+        """The bin of each id of ``wt`` (workers over tasks) in each round of ``rows``, as ``(2, B, n)`` uint64.
 
-        Above ``_TAIL_N`` ids, a block with one bin count, its first and last
-        (``ks`` never rises), is hashed by numpy's scalar division, the faster
-        over many ids; a tail's few ids take one remainder by the bin counts,
-        the fewer numpy calls.
+        The hash reads an id's low 64 bits only (``x * GOLDEN mod 2**64``),
+        so ids past ``2**64``, Python ints in an object array, are hashed
+        by those bits as uint64. Above ``_TAIL_N`` ids, a block with one bin
+        count, its first and last (``ks`` never rises), is hashed by numpy's
+        scalar division, the faster over many ids; a tail's few ids take one
+        remainder by the bin counts, the fewer numpy calls.
         """
+        if wt.dtype == object:
+            wt = (wt & MASK64).astype(np.uint64)
         ks = self.ks[rows, None]
         k = ks.item(0) if wt.shape[1] > _TAIL_N and ks.item(0) == ks.item(-1) else ks
         return bins_np(self.seeds[:, rows, None], wt[:, None, :], k)
@@ -258,12 +245,11 @@ class RoundSchedule:
     ``(w, t, c, master_seed)``; the stage at ``(i, j)`` derives its hash seed
     from those coordinates, so rebuilding with equal inputs reproduces every
     bin placement. Its ``rounds`` is a :class:`SeededRounds`: the seed and
-    bin-count arrays are the schedule, and :class:`BinHash` stages are
-    derived from them only when read. An explicit schedule
+    bin-count arrays are the schedule. An explicit schedule
     (:func:`explicit_schedule`) is a function of its families, with ``c`` its
     sweeps per level and ``master_seed`` 0; its ``rounds`` is a
-    :class:`TableRounds`. Either kind gives the array engine each block's
-    bins (``rounds.bins``).
+    :class:`TableRounds`. Either kind gives the engine each block's bins
+    (``rounds.bins``), so one engine runs both.
     """
 
     w: int
@@ -288,10 +274,14 @@ def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSch
     ``k = bins_for_round(w, i)``. The first step of ``derive`` runs in Python,
     so any integer master seed works; the ``i`` and ``j`` steps and the
     worker/task seed split run over the whole grid in numpy. No
-    :class:`BinHash` is built here.
+    :class:`BinHash` is built here. Any ``t`` works, ``w * t`` past ``2**64``
+    too; ``w`` must be below ``2**31``, the engine's bound on a round's bin
+    count (:func:`_colliding_bins`), and a larger one is refused.
     """
     if w < 1 or t < 1 or c < 1:
         raise ValueError("w, t, c must all be >= 1")
+    if w >= 1 << 31:
+        raise ValueError(f"w={w} workers, past the engine's 2**31 - 1")
     n = w * t
     reps = c * max(1, (n - 1).bit_length())
     outer = outer_round_count(w)
@@ -349,20 +339,6 @@ class AssignResult:
         return self.fallback_pairs > 0
 
 
-def _run_stages(stages: Sequence[BinHash], workers: set[int], tasks: set[int]) -> list[frozenset[tuple[int, int]]]:
-    """The scalar reference loop: each run stage's pairs, until the sets empty; mutates the given sets."""
-    per_round: list[frozenset[tuple[int, int]]] = []
-    for stage in stages:
-        if not workers and not tasks:
-            break
-        matched = stage.match(workers, tasks)
-        per_round.append(frozenset(matched))
-        for worker, task in matched:
-            workers.discard(worker)
-            tasks.discard(task)
-    return per_round
-
-
 # Residuals of at most this many workers run the all-pairs tail block; larger
 # ones run a sorted block or one head round (see ``_block_size``). Time of a
 # sorted block over that of the tail block on the same residual of 8 to 64
@@ -401,7 +377,7 @@ _TAIL_HITS = 16
 # 0.89-0.90, 0.90-0.92.
 _SORT_HITS = 48
 
-# What an engine returns: the matched pairs as (workers, tasks, rounds) rows,
+# What the engine returns: the matched pairs as (workers, tasks, rounds) rows,
 # where rounds is one round index or one per pair, and the residual it
 # leaves, workers over tasks.
 Matches = list[tuple[Sequence[int], Sequence[int], "Sequence[int] | int"]]
@@ -413,38 +389,15 @@ def _rows(workers: Iterable[int], tasks: Iterable[int], dtype: type) -> np.ndarr
     return np.array([sorted(workers), sorted(tasks)], dtype).reshape(2, -1)
 
 
-def _on_arrays(schedule: RoundSchedule) -> bool:
-    """Whether the array engine runs ``schedule``: table rounds always, seeded ones below ``n = 2**63`` and ``w = 2**31``.
-
-    Past those, ids or a seeded block's sort keys would no longer fit in a
-    uint64 (see :func:`_colliding_bins`).
-    """
-    return isinstance(schedule.rounds, TableRounds) or (schedule.n < 1 << 63 and schedule.w < 1 << 31)
-
-
-def _run(schedule: RoundSchedule, wt: np.ndarray) -> Run:
-    """Run ``schedule`` over the residual ``wt`` on the engine :func:`_on_arrays` picks.
-
-    The scalar loop's pairs come back in the array engine's form.
-    """
-    if _on_arrays(schedule):
-        return _run_arrays(schedule.rounds, wt)
-    W, T = set(wt[0].tolist()), set(wt[1].tolist())
-    per_round = _run_stages(schedule.rounds.stages, W, T)
-    rows = [(x, y, r) for r in compress(count(), per_round) for x, y in per_round[r]]
-    ws, ts, rs = np.array(rows, wt.dtype).reshape(-1, 3).T
-    return [(ws, ts, rs)], _rows(W, T, wt.dtype)
-
-
 def _run_arrays(rounds: SeededRounds | TableRounds, wt: np.ndarray) -> Run:
-    """Array engine over a schedule's rounds, bit-identical to :func:`_run_stages`.
+    """The one engine: run a schedule's rounds, seeded or table, over the residual ``wt``.
 
-    ``wt`` is the residual as one uint64 array, sorted workers in row 0 and
-    sorted tasks in row 1. :func:`_run_block` runs the next block of rounds
-    until the rounds end or the residual empties. Each head round's matches
-    stay the arrays it found them in, with the round's index; the blocks'
-    few matches are gathered into one set of lists. The residual left over
-    stays sorted.
+    ``wt`` is the residual as one id array, uint64 or, from ``2**64`` on,
+    object, sorted workers in row 0 and sorted tasks in row 1.
+    :func:`_run_block` runs the next block of rounds until the rounds end
+    or the residual empties. Each head round's matches stay the arrays it
+    found them in, with the round's index; the blocks' few matches are
+    gathered into one set of lists. The residual left over stays sorted.
     """
     matched: Matches = []
     blocks: list[tuple[int, int, int]] = []
@@ -522,7 +475,7 @@ def _colliding_bins(bins: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, n
     the groups in round order. The keys stay below ``4*B*k*n``: a sorted
     block has ``B*n <= _TAIL_BUDGET`` (:func:`_block_size`), and k, the most
     bins of any round from the block's first on, is below 2**31: at most
-    ``w`` for seeded rounds (:func:`_on_arrays`) and a family's ``M`` for
+    ``w`` for seeded rounds (:func:`build_schedule`) and a family's ``M`` for
     table rounds (:func:`explicit_schedule`). So every key is below 2**49.
     They are uint32 wherever they fit in one: the sort and every pass then
     move half the bytes. A bin's workers come directly before its tasks, so
@@ -634,7 +587,7 @@ def _tail_block(bins: np.ndarray, wt: np.ndarray, start: int, pairs: list[tuple[
     In each round the first live collision of a bin, in index order, pairs
     its smallest live worker with its smallest live task, and the pair is
     appended to ``pairs`` with its round. Rounds without a live collision
-    match nothing, like the scalar loop's rounds after the residual empties.
+    match nothing, as a stage matches nothing once the residual is empty.
     """
     n = wt.shape[1]
     # Each collision as one flat index (h*n + i)*n + j: ascending is round, worker, task order.
@@ -702,7 +655,7 @@ def assign_set(schedule: RoundSchedule, workers: Sequence[int], tasks: Sequence[
     rank-order matching. The result is always a perfect matching.
     """
     wt = _rows(*_check_sets(workers, tasks, schedule.w, schedule.n), id_dtype(schedule.n))
-    return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, False)
+    return _result(schedule.w, wt, _run_arrays(schedule.rounds, wt), schedule.total_rounds, False)
 
 
 def _check_sets(workers: Iterable[int], tasks: Iterable[int], w: int, n: int) -> tuple[set[int], set[int]]:
@@ -720,8 +673,8 @@ def _check_sets(workers: Iterable[int], tasks: Iterable[int], w: int, n: int) ->
 def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
     """Assign workers ``1..|T|`` to the task multiset ``T``.
 
-    Lifts ``T`` to a set over ``[w*t]``, runs it on the same engine as
-    :func:`assign_set`, and projects back; workers ``|T|+1..w`` stay
+    Lifts ``T`` to a set over ``[w*t]``, runs it on the engine as
+    :func:`assign_set` does, and projects back; workers ``|T|+1..w`` stay
     unassigned. The trace (``lifted_tasks`` and the derived
     ``per_round_pairs``) remains in lifted ids. The lifted ids, the pairs,
     the fallback and the projection stay numpy arrays, and the result keeps
@@ -734,7 +687,7 @@ def assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
 def _assign(schedule: RoundSchedule, T: TaskMultiset) -> AssignResult:
     """:func:`assign` on a multiset already checked by :func:`_check_multiset`."""
     wt = _lifted_rows(T, schedule.w)
-    return _result(schedule.w, wt, _run(schedule, wt), schedule.total_rounds, True)
+    return _result(schedule.w, wt, _run_arrays(schedule.rounds, wt), schedule.total_rounds, True)
 
 
 def _check_multiset(schedule: RoundSchedule, T: TaskMultiset) -> None:
@@ -807,10 +760,10 @@ class AssignSession:
     a walk hashes an (element, round) once while the element stays in the
     input; the rows hold at most ``_ROW_BINS`` bins between calls besides
     the build's, one per cell (see :class:`_Cache`). Explicit
-    schedules, seeded ones the array engine does not run, those with fewer
-    than ``SESSION_MIN_W`` workers (a measured crossover), and those whose
-    cells would not fit in an int64 keep no cache: each call is a plain
-    ``assign``.
+    schedules, seeded ones with fewer than ``SESSION_MIN_W`` workers (a
+    measured crossover), those with ``w * t`` of ``2**64`` or more, whose
+    ids the tables cannot hold as uint64, and those whose cells would not
+    fit in an int64 keep no cache: each call is a plain ``assign``.
 
     A call that raises drops the cache, so the next call is a full run. One
     session is not for concurrent use; :func:`assign` still is.
@@ -828,7 +781,7 @@ class AssignSession:
     @cached_property
     def _grid(self) -> _Grid | None:
         schedule, rounds = self.schedule, self.schedule.rounds
-        if schedule.w < SESSION_MIN_W or not isinstance(rounds, SeededRounds) or not len(rounds) or not _on_arrays(schedule):
+        if schedule.w < SESSION_MIN_W or not isinstance(rounds, SeededRounds) or not len(rounds) or schedule.n >= 1 << 64:
             return None
         grid = _Grid(schedule.w, rounds.seeds, rounds.ks)
         # Cells pack ``round * K + bin`` above a slot into one int64.
@@ -1232,7 +1185,7 @@ def seed_sweep(
     The input is a worker set and a task set of one size in ``[1, N]``,
     refused otherwise as :func:`assign_set` refuses it. The family's D seeds
     run as table rounds, and the stages listed end with the one that matches
-    the last pair, as the scalar loop stops once the sets are empty.
+    the last pair, as the engine stops once the sets are empty.
     """
     rows = _rows(*_check_sets(wt.workers, wt.tasks, family.N, family.N), np.uint64)
     rounds = TableRounds((family,), np.array([np.ones(family.D, np.int64), np.arange(1, family.D + 1)]))

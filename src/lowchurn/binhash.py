@@ -8,11 +8,12 @@ it carry the whole pipeline: outputs never drift further apart than inputs
 (measured by :func:`difference_score`), and a single-element input change
 perturbs the matching by at most two pairs.
 
-Stages are composed by threading each one's residual into the next; the
-package's one loop that does so is ``assigner._run_stages``. The array
-engine builds no stage: it asks a schedule's rounds for their bins.
-``SeededRounds.bins`` hashes as this stage does, and an explicit schedule's
-``TableRounds`` read disperser tables, with no stage at all.
+Stages compose by threading each one's residual into the next. The
+package composes no stage: its one engine asks a schedule's rounds for
+their bins, ``SeededRounds.bins`` hashing as this stage does and an
+explicit schedule's ``TableRounds`` reading disperser tables. The tests'
+reference loop (``tests/reference.py``) composes stages, and the engine is
+checked against it bit for bit.
 
 ``BinHash.match`` runs the stage; ``BinHash.apply`` is the same stage on one
 :class:`WorkerTaskInput`, with the residual its pairs leave. ``BinHash``
@@ -102,8 +103,8 @@ def _smallest_per_bin(
     bin only if some worker landed there. ``xs`` is scanned in increasing
     order, so the first element seen in a bin is its smallest, and the scan
     stops once every wanted bin (or all ``k``) holds one. ``mix64`` is inlined
-    with its constants bound as locals: the scalar engine spends most of its
-    time here.
+    with its constants bound as locals: a stage spends most of its time
+    here.
     """
     best: dict[int, int] = {}
     need = k if wanted is None else len(wanted)

@@ -485,6 +485,8 @@ def ramsey_witness(assignfn: AssignFn, w: int, t: int) -> RamseyWitness | None:
     """
     if w < 0:
         raise ValueError("w must be >= 0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if t < w + 1:
         return None
     colors: dict[tuple[int, ...], tuple[int, ...]] = {}

@@ -38,7 +38,8 @@ from lowchurn.core import (
 )
 from lowchurn.embed import SparseVector, embed_with_result
 from lowchurn.hashing import GOLDEN, MASK64, MUL1, MUL2, bins_np, derive
-from lowchurn.reduction import decode, lift
+from lowchurn.reduction import decode, id_dtype, lift, lift_np
+from reference import run_stages, stages
 
 
 def ms(*elements, t=8):
@@ -90,7 +91,7 @@ class TestScheduleArithmetic:
         b = build_schedule(6, 5, c=3, master_seed=42)
         inp = WorkerTaskInput(frozenset({1, 3, 5}), frozenset({2, 8, 13}))
         assert np.array_equal(a.rounds.ij, b.rounds.ij) and np.array_equal(a.rounds.ks, b.rounds.ks)
-        for sa, sb in zip(a.rounds.stages, b.rounds.stages):
+        for sa, sb in zip(stages(a.rounds), stages(b.rounds)):
             assert sa.apply(inp) == sb.apply(inp)
 
     def test_bad_params_rejected(self):
@@ -139,19 +140,19 @@ class TestAssignSet:
 
     def test_per_round_pairs_match_compose_trace(self):
         # Two routes to the same pipeline: the engine and stages composed by
-        # hand from BinHash.apply, on a schedule for each engine of assign_set.
-        # In a universe past 2**63 ids, the same rounds run on the scalar loop.
+        # hand from BinHash.apply. The same rounds over a universe past 2**64
+        # ids run on object arrays, and must give the same pairs.
         rng = Random(4)
         for w, t in ((6, 3), (40, 5)):
             seeded = build_schedule(w, t, c=2, master_seed=9)
             huge = RoundSchedule(w, 2**62, 2, 9, seeded.rounds)
-            assert assigner._on_arrays(seeded) and not assigner._on_arrays(huge)
+            assert huge.n >= 1 << 64
             for _ in range(30):
                 j = rng.randint(0, w)
                 W = rng.sample(range(1, w + 1), j)
                 T = rng.sample(range(1, seeded.n + 1), j)
                 trace, residual = [], WorkerTaskInput(frozenset(W), frozenset(T))
-                for stage in seeded.rounds.stages:
+                for stage in stages(seeded.rounds):
                     if not residual.workers and not residual.tasks:
                         break
                     out = stage.apply(residual)
@@ -163,11 +164,38 @@ class TestAssignSet:
                     assert res.fallback_pairs == len(residual.workers)
 
 
+def sample_ids(rng, n, k, top):
+    """``k`` distinct ids of ``[1, n]``, drawn one at a time: ``rng.sample`` refuses ranges past ``sys.maxsize``.
+
+    A hypothesis ``rng`` draws mostly small ids. With ``top`` each drawn
+    ``x`` gives ``n + 1 - x`` instead, so the ids sit at the top of the
+    range: past 2**63 and 2**64 where ``n`` is.
+    """
+    ids = {}
+    while len(ids) < k:
+        x = rng.randrange(1, n + 1)
+        ids[n + 1 - x if top else x] = None
+    return list(ids)
+
+
 def run_arrays(schedule, workers, tasks):
-    """``assign_set``'s result from the array engine, whatever the schedule's size."""
-    wt = assigner._rows(workers, tasks, np.uint64)
+    """``assign_set``'s result from the engine, called directly."""
+    wt = assigner._rows(workers, tasks, id_dtype(schedule.n))
     run = assigner._run_arrays(schedule.rounds, wt)
     return assigner._result(schedule.w, wt, run, schedule.total_rounds, False)
+
+
+def assert_full_and_cut_match_reference(s, tasks):
+    """Workers 1..40 on ``tasks``, on ``s`` and on its first 3 rounds, are the reference's:
+    no fallback on the whole schedule, and one on the cut."""
+    full = assign_set(s, range(1, 41), tasks)
+    assert full.fallback_pairs == 0
+    assert_matches_reference(full, *reference_run(s, range(1, 41), tasks))
+    short = RoundSchedule(40, s.t, 1, s.master_seed, s.rounds[:3])
+    cut = assign_set(short, range(1, 41), tasks)
+    assert cut.fallback_pairs > 0
+    assert len(cut.per_round_pairs) == 3
+    assert_matches_reference(cut, *reference_run(short, range(1, 41), tasks))
 
 
 def block_bins(seeds, ks, wt):
@@ -213,7 +241,7 @@ def reference_run(schedule, workers, tasks):
     sorted by worker, with round -1 for the fallback's pairs.
     """
     W, T = set(workers), set(tasks)
-    per_round = assigner._run_stages(schedule.rounds.stages, W, T)
+    per_round = run_stages(stages(schedule.rounds), W, T)
     rows = [(x, y, r) for r, matched in enumerate(per_round) for x, y in matched]
     rows += [(x, y, -1) for x, y in zip(sorted(W), sorted(T))]
     return tuple(per_round), sorted(rows)
@@ -261,7 +289,7 @@ class TestArrayEngine:
     @settings(max_examples=80, deadline=None)
     @given(
         w=st.sampled_from([1, 3, 8, 15, 16, 17, 40, 64, 65, 130, 300, 1024, 2048]),
-        t=st.sampled_from([1, 3, 2**33 + 7]),
+        t=st.sampled_from([1, 3, 2**33 + 7, 2**61 + 3, 2**70]),
         c=st.integers(1, 2),
         master_seed=st.integers(0, 2**64 - 1),
         data=st.data(),
@@ -277,8 +305,9 @@ class TestArrayEngine:
         # at 1024 and 2048 workers the sorted blocks above 64 too.
         size = data.draw(st.just(w) | st.integers(0, w), label="size")
         rng = data.draw(st.randoms(use_true_random=False))
+        top = data.draw(st.booleans(), label="ids from the top")
         workers = rng.sample(range(1, w + 1), size)
-        tasks = rng.sample(range(1, schedule.n + 1), size)
+        tasks = sample_ids(rng, schedule.n, size, top)
         reference = reference_run(schedule, workers, tasks)
         assert_matches_reference(run_arrays(schedule, workers, tasks), *reference)
         assert_matches_reference(assign_set(schedule, workers, tasks), *reference)
@@ -287,16 +316,16 @@ class TestArrayEngine:
         # Two cases the differential test reaches only by chance: ids past
         # 2**32, and a residual left when the schedule ends.
         s = build_schedule(40, 2**33 + 7, c=1, master_seed=3)
+        assert_full_and_cut_match_reference(s, Random(8).sample(range(2**32, s.n + 1), 40))
+
+    def test_ids_past_64_bits_and_fallback_are_exercised(self):
+        # Ids past 2**64 are Python ints in object arrays, hashed by their low
+        # 64 bits, whose top bit is set on about half of them.
+        s = build_schedule(40, 2**70, c=1, master_seed=3)
         rng = Random(8)
-        tasks = rng.sample(range(2**32, s.n + 1), 40)
-        full = assign_set(s, range(1, 41), tasks)
-        assert full.fallback_pairs == 0
-        assert_matches_reference(full, *reference_run(s, range(1, 41), tasks))
-        short = RoundSchedule(40, s.t, 1, 3, s.rounds[:3])
-        cut = assign_set(short, range(1, 41), tasks)
-        assert cut.fallback_pairs > 0
-        assert len(cut.per_round_pairs) == 3
-        assert_matches_reference(cut, *reference_run(short, range(1, 41), tasks))
+        tasks = [rng.randrange(2**64, s.n + 1) for _ in range(40)]
+        assert len(set(tasks)) == 40 and 10 < sum(x >> 63 & 1 for x in tasks) < 30
+        assert_full_and_cut_match_reference(s, tasks)
 
     def test_block_keys_fit_at_the_guard(self):
         # A sorted block packs its round, bin, side and position into one
@@ -506,14 +535,16 @@ class TestArrayEngine:
         assert len(runs) == 3
         # Table rounds run on it too: here workers and tasks land in disjoint bins.
         schedule = explicit_schedule(disjoint_bin_families(20, 4), 1, 20, 4)
-        assert assigner._on_arrays(schedule)
         assert assign_set(schedule, [3, 1], [30, 24]).fallback_pairs == 2
         assert len(runs) == 4 and runs[-1][0] is schedule.rounds
-        # Past n = 2**63 or w = 2**31, ids or sort keys would not fit a uint64.
-        seeded = build_schedule(20, 2, c=1).rounds
-        assert assigner._on_arrays(RoundSchedule(20, 2**58, 1, 0, seeded))
-        assert not assigner._on_arrays(RoundSchedule(20, 2**62, 1, 0, seeded))
-        assert not assigner._on_arrays(RoundSchedule(2**31, 1, 1, 0, seeded))
+        # So do universes past 2**63 ids (uint64) and past 2**64 (Python ints).
+        for t in (2**61 + 3, 2**63):
+            assign(build_schedule(4, t), random_multiset(4, t, Random(t)))
+        assert len(runs) == 6
+        # A round of 2**31 bins or more would not fit a sorted block's keys in a uint64,
+        # so no schedule has that many workers.
+        with pytest.raises(ValueError, match=r"w=2147483648 workers, past the engine's 2\*\*31 - 1"):
+            build_schedule(2**31, 1)
 
     def test_seed_arrays_stay_out_of_repr(self):
         a = build_schedule(20, 3, master_seed=5)
@@ -522,8 +553,8 @@ class TestArrayEngine:
         assert "seeds" not in repr(a)
         seeds, ks = a.rounds.seeds, a.rounds.ks
         assert seeds.dtype == ks.dtype == np.uint64
-        assert [int(k) for k in ks] == [stage.k for stage in a.rounds.stages]
-        assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [stage.seeds for stage in a.rounds.stages]
+        assert [int(k) for k in ks] == [stage.k for stage in stages(a.rounds)]
+        assert list(zip(seeds[0].tolist(), seeds[1].tolist())) == [stage.seeds for stage in stages(a.rounds)]
 
 
 def per_round_schedule(w, t, c, master_seed):
@@ -552,12 +583,12 @@ class TestSeedArraySchedule:
         assert ks.tolist() == [k for _, _, k, _ in want]
         assert list(zip(*seeds.tolist())) == [stage.seeds for *_, stage in want]
         assert list(zip(*ij.tolist(), ks.tolist())) == [(i, j, k) for i, j, k, _ in want]
-        got = schedule.rounds.stages
+        got = stages(schedule.rounds)
         assert len(got) == schedule.total_rounds == len(want)
         for a, (*_, k, b) in zip(got, want):
             assert a.k == k and a.seeds == b.seeds
 
-    def test_build_makes_no_stage_and_rounds_are_built_once(self, monkeypatch):
+    def test_build_and_assign_make_no_stage(self, monkeypatch):
         built = []
         init = BinHash.__init__
 
@@ -567,18 +598,13 @@ class TestSeedArraySchedule:
 
         monkeypatch.setattr(BinHash, "__init__", counting_init)
         big = build_schedule(1024, 64)
-        huge = build_schedule(4, 2**62)  # n past 2**63: the scalar loop runs it
+        huge = build_schedule(4, 2**62)  # n = 2**64: the ids are Python ints in object arrays
         assert built == []
         rng = Random(3)
-        for w, schedule in ((1024, big), (4, build_schedule(4, 10))):
+        for w, schedule in ((1024, big), (4, build_schedule(4, 10)), (4, huge)):
             for _ in range(5):
                 assign(schedule, random_multiset(rng.randint(0, w), schedule.t, rng))
-        assert built == []  # the array engine reads the arrays only
-        for _ in range(5):
-            assign(huge, random_multiset(rng.randint(0, 4), 2**62, rng))
-        assert len(built) == huge.total_rounds
-        assert huge.rounds.stages == tuple(built)
-        assert huge.rounds.stages is huge.rounds.stages
+        assert built == []  # the engine reads the arrays only, at every size
 
     def test_rounds_view_slices_compares_and_hashes(self):
         a = build_schedule(40, 9, c=2, master_seed=-7)
@@ -588,8 +614,8 @@ class TestSeedArraySchedule:
         assert repr(a) == "RoundSchedule(w=40, t=9, c=2, master_seed=-7)"
         cut = a.rounds[5:17]
         assert len(cut) == 12 and cut == b.rounds[5:17] and cut != a.rounds[5:18]
-        assert [stage.seeds for stage in cut.stages] == [stage.seeds for stage in a.rounds.stages[5:17]]
-        assert isinstance(cut, SeededRounds) and assigner._on_arrays(RoundSchedule(40, 9, 2, -7, cut))
+        assert [stage.seeds for stage in stages(cut)] == [stage.seeds for stage in stages(a.rounds)[5:17]]
+        assert isinstance(cut, SeededRounds)
         seeds, ks = a.rounds.seeds, a.rounds.ks
         with pytest.raises(ValueError):
             seeds[0, 0] = 1  # the arrays are the schedule, so they are read-only
@@ -617,7 +643,7 @@ class TestArrayNativeAssign:
     @settings(max_examples=80, deadline=None)
     @given(
         w=st.sampled_from([1, 3, 8, 15, 16, 17, 40, 64, 65, 130, 300]),
-        t=st.sampled_from([1, 3, 50, 2**33 + 7]),
+        t=st.sampled_from([1, 3, 50, 2**33 + 7, 2**61 + 3, 2**70]),
         c=st.integers(1, 2),
         master_seed=st.integers(0, 2**64 - 1),
         data=st.data(),
@@ -632,7 +658,8 @@ class TestArrayNativeAssign:
         # Few distinct tasks give multiplicities above 1.
         kinds = data.draw(st.integers(1, min(t, w + 2)), label="distinct tasks")
         rng = data.draw(st.randoms(use_true_random=False))
-        support = rng.sample(range(1, t + 1), kinds)
+        top = data.draw(st.booleans(), label="tasks from the top")
+        support = sample_ids(rng, t, kinds, top)
         T = TaskMultiset.from_elements((rng.choice(support) for _ in range(size)), t)
         assert_matches_scalar_assign(assign(schedule, T), schedule, T)
 
@@ -862,7 +889,7 @@ class TestExplicitVariant:
         assert list(zip(*schedule.rounds.ij.tolist(), schedule.rounds.ks.tolist())) == [
             (1, 1, 2), (1, 2, 2), (1, 3, 2), (1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 1, 1), (2, 2, 1), (2, 1, 1), (2, 2, 1)
         ]
-        assert isinstance(schedule.rounds, TableRounds) and assigner._on_arrays(schedule)  # table rounds run on arrays
+        assert isinstance(schedule.rounds, TableRounds)
 
     @settings(max_examples=150, deadline=None)
     @given(w=st.integers(1, 9), reps=st.integers(1, 2), data=st.data())
@@ -1289,6 +1316,31 @@ class TestAssignSession:
                 assert session(T) == assign(schedule, T)
                 T = adjacent_step(T, rng, w=w)
             assert session.calls == 5 and session.replays == 0 and session._cache is None
+
+    def test_walk_with_lifted_ids_past_2_63_replays(self):
+        # Ids past 2**63 that still fit a uint64 are kept in the tables.
+        w, t = 256, (2**64 - 1) // 256
+        schedule = build_schedule(w, t, 4, 7)
+        session = assigner.AssignSession(schedule)
+        rng = Random(12)
+        T = random_multiset(w, t, rng)
+        assert lift_np(T, w).max() >= 1 << 63
+        for _ in range(40):
+            assert session(T) == assign(schedule, T)
+            T = adjacent_step(T, rng, w=w)
+        assert session.calls == 40 and session.replays == 39
+
+    def test_universes_past_2_64_keep_no_cache(self):
+        # Ids from 2**64 on are Python ints, which the tables do not hold.
+        schedule = build_schedule(256, 2**56 + 3)
+        assert schedule.n >= 1 << 64
+        session = assigner.AssignSession(schedule)
+        rng = Random(13)
+        T = random_multiset(256, schedule.t, rng)
+        for _ in range(5):
+            assert session(T) == assign(schedule, T)
+            T = adjacent_step(T, rng, w=256)
+        assert session.calls == 5 and session.replays == 0 and session._cache is None
 
     def test_replay_memory_follows_the_input(self):
         # A table with a slot for each of w = 2**22 workers would take tens

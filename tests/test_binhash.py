@@ -2,9 +2,10 @@ from random import Random
 
 import pytest
 
-from lowchurn.assigner import DisperserFamily, _run_stages, seed_sweep, single_bin_family
+from lowchurn.assigner import DisperserFamily, seed_sweep, single_bin_family
 from lowchurn.binhash import BinHash, difference_score, is_matching
 from lowchurn.core import WorkerTaskInput
+from reference import run_stages
 
 
 def wt(workers, tasks):
@@ -120,13 +121,13 @@ class TestStructuralGuarantees:
 
 
 class TestCompose:
-    """Stages composed by the scalar loop, each run on the residual of the one before."""
+    """Stages composed by the reference loop, each run on the residual of the one before."""
 
     def test_single_stage_equals_apply(self):
         b = BinHash.from_seed(4, seed=8)
         inp = wt({1, 2, 5}, {3, 6, 9})
         workers, tasks = set(inp.workers), set(inp.tasks)
-        trace = _run_stages([b], workers, tasks)
+        trace = run_stages([b], workers, tasks)
         direct = b.apply(inp)
         assert frozenset().union(*trace) == direct.matched
         assert wt(workers, tasks) == direct.residual
@@ -135,7 +136,7 @@ class TestCompose:
     def test_second_stage_sees_nothing_when_first_matches_all(self):
         b1 = BinHash.from_seed(1, seed=3)  # single bin matches the min pair
         b2 = BinHash.from_seed(1, seed=4)
-        trace = _run_stages([b1, b2], {2}, {7})
+        trace = run_stages([b1, b2], {2}, {7})
         assert frozenset().union(*trace) == {(2, 7)}
         assert len(trace) == 1  # trailing stages are skipped once empty
         matched, residual, trace = seed_sweep(single_bin_family(8, D=3), wt({2}, {7}))

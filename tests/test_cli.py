@@ -563,6 +563,7 @@ def test_every_entry_point_rejects_more_tasks_than_workers(capsys, call):
         (["oracle", "disperser", "--domain", "4", "--seeds", "2", "--bins", "2", "--k-param", "1", "--restarts", "0"],
          None, "--restarts must be >= 1"),
         (["oracle", "exact", "--w", "3", "--t", "5", "--k", "2", "--node-limit", "0"], None, "--node-limit must be >= 1"),
+        (["oracle", "ramsey", "--w", "2", "--t", "-2"], None, "t must be >= 0"),
     ],
 )
 def test_inputs_past_a_check_exit_2_with_its_message(capsys, tmp_path, argv, lines, message):
