@@ -32,8 +32,9 @@ trace are bit-identical to those of the plain stage loop that calls
 (``tests/reference.py``). The engine runs one block of rounds at a time
 (``_run_block``), asking the rounds for each block's bins once. Each block
 is sized to a planned number of expected collisions, ``_SORT_HITS`` above
-``_TAIL_N`` and ``_TAIL_HITS`` in the tail, where a block runs at most ``k``
-rounds (``_block_size``), in three regimes:
+``_TAIL_N`` and ``_TAIL_HITS`` in the tail, where a block also hashes at
+least ``_TAIL_WORK`` ids x rounds per side, up to 4k rounds, so that it
+pays for its fixed numpy cost (``_block_size``), in three regimes:
 
 * head rounds: a block of one round above ``_TAIL_N``, or a round expected
   to hold more than ``_TAIL_HITS`` collisions at any size, is one numpy
@@ -367,6 +368,25 @@ _DENSE_BINS = 8
 # w=4096 1.00-1.06, w=16384 0.98-1.06.
 _TAIL_BUDGET = 1 << 16
 _TAIL_HITS = 16
+# A tail block hashes at least this many ids x rounds per side, or 4k rounds
+# if fewer (see ``_block_size``). Time of a whole ``assign`` with each floor
+# over that with none, alternating in one process on the same inputs, median
+# of 25 rounds on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6): all 715
+# multisets of w=4, t=10, and random multisets of random size at w=16, 64
+# and 256 (t = 4w):
+#
+#   floor   w=4    w=16   w=64   w=256
+#    96     0.84   0.86   0.92   0.99
+#   128     0.84   0.85   0.89   0.95
+#   192     0.86   0.87   0.86   0.91
+#   256     0.87   0.87   0.87   0.90
+#   384     0.85   0.92   0.92   0.89
+#
+# From w=1024 on, planned blocks are longer than the floor, so the blocks are
+# the same: 0.996 at w=1024 and w=16384, against an A/A of 0.995-1.014.
+# Without the 4k cap, 192 read 0.99 at w=4: its 4 ids in 4 bins ran blocks of
+# 48 rounds, where blocks of 16 still empty all 715 residuals in one.
+_TAIL_WORK = 192
 # A sorted block's numpy calls cost the same whatever it finds, and its
 # pairing loop costs about 1 us per collision, so it plans for more
 # collisions than a tail block. Time of a whole ``assign`` with _SORT_HITS
@@ -449,18 +469,30 @@ def _block_size(n: int, k: int) -> int:
     a planned number of expected collisions: rounds that match a lot shrink
     the residual and go in short blocks, rounds that rarely match go in long
     ones. A tail block plans for ``_TAIL_HITS``, but for at most n*n
-    collisions, so it runs at most k rounds: within k rounds of k bins even
-    one worker and one task are expected to meet, and the rounds hashed
-    after the match that empties the residual are wasted. That cap binds
-    only below 4 ids. A sorted block plans for ``_SORT_HITS``, more than a
-    tail block, since its fixed numpy cost is larger than its cost per
-    collision. A block also stays within ``_TAIL_BUDGET``: B * n * n bin
-    comparisons in the all-pairs tail, B * n ids per side in a sorted block.
-    Above ``_TAIL_N`` a block of 1 is a head round; at or below it, so is
-    a round expected to hold more than ``_TAIL_HITS`` collisions.
+    collisions, so for at most k rounds: within k rounds of k bins even one
+    worker and one task are expected to meet, and the rounds hashed after
+    the match that empties the residual are wasted. That cap binds only
+    below 4 ids. But a tail block costs about 25 numpy calls whatever it
+    hashes, so it runs at least ``_TAIL_WORK // n`` rounds, each side
+    hashing ``_TAIL_WORK`` ids x rounds: a small residual's rare late
+    collisions then come in one or two blocks, not in blocks of a few
+    rounds each. That floor stops at 4k rounds: m ids left meet within
+    about k/(m*m) rounds, so a residual of any size is expected to empty
+    within about 1.6k rounds, and later rounds are hashed and compared for
+    nothing. A round expected to hold more than ``_TAIL_HITS`` collisions
+    still runs alone, as a head round: in a longer block each of its
+    collisions would be a step of the tail's Python loop. A sorted block
+    plans for ``_SORT_HITS``, more than a tail block, since its fixed numpy
+    cost is larger than its cost per collision. A block also stays within
+    ``_TAIL_BUDGET``: B * n * n bin comparisons in the all-pairs tail, B * n
+    ids per side in a sorted block. Above ``_TAIL_N`` a block of 1 is a head
+    round.
     """
     if n <= _TAIL_N:
-        return max(1, min(_TAIL_BUDGET, min(_TAIL_HITS, n * n) * k) // (n * n))
+        if n * n > _TAIL_HITS * k:
+            return 1
+        planned = min(_TAIL_HITS, n * n) * k // (n * n)
+        return min(max(planned, min(_TAIL_WORK // n, 4 * k)), _TAIL_BUDGET // (n * n))
     return max(1, min(_SORT_HITS * k // (n * n), _TAIL_BUDGET // n))
 
 
@@ -710,13 +742,15 @@ def _lifted_rows(T: TaskMultiset, w: int) -> np.ndarray:
 # fixed-size / size-varying, restarted every 64 steps, the size-varying ones
 # at a random size; best of four passes of each, in alternating order; two
 # seeds), on a 2-core x86-64 VM with Python 3.11.7 and numpy 2.4.6, with the
-# session's rows: w=160 0.81-0.84 / 0.76-0.80, w=192 0.84-0.85 / 0.83-0.85,
-# w=256 0.96-0.98 / 0.85-0.93, w=512 1.14-1.19 / 1.07-1.08, w=1024 (t=64w)
-# 1.41-1.44 / 1.35-1.44. When the bound was set the session led from w=96
-# on; the array engine has since got faster, and the crossover now lies
-# between w=256 and w=512, so from 160 to 256 a session call costs up to
-# 1.3x a plain one. The bound stays at 160, where the pinned w=256 walks
-# keep exercising the incremental path.
+# session's rows and the tail's work floor: w=160 0.71-0.74 / 0.66-0.69,
+# w=192 0.73-0.75 / 0.76-0.79, w=256 0.89-1.03 / 0.77-0.79, w=512 1.13-1.16 /
+# 1.09-1.14, w=1024 (t=64w) 1.44-1.59 / 1.34-1.43 (before the floor, on the
+# same walks: 0.81 / 0.75-0.80, 0.81-0.83 / 0.83-0.85, 0.96-0.97 /
+# 0.78-0.89, 1.13-1.18 / 1.09-1.12, 1.46-1.49 / 1.38-1.47). When the bound
+# was set the session led from w=96 on; the array engine has since got
+# faster, and the crossover now lies between w=256 and w=512, so from 160 to
+# 256 a session call costs up to 1.5x a plain one. The bound stays at 160,
+# where the pinned w=256 walks keep exercising the incremental path.
 SESSION_MIN_W = 160
 # An input that differs from the cached one in more than this many lifted
 # ids, added plus removed, workers and tasks together, is run in full.

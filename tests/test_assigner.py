@@ -430,6 +430,9 @@ class TestArrayEngine:
             (assigner._TAIL_N, bins_for_round(2**31 - 1, 1), None, "first and last"),
             # Few bins: one bin holds several live workers and tasks in a round.
             (assigner._TAIL_N, 5, 6, "first and last"),
+            # A block the work floor lengthens, crossing an outer round as w=64's
+            # rounds of 59 bins give way to 53: its later rounds hash into fewer bins.
+            pytest.param(8, (59, 53), None, "first and last", id="8-59 then 53-None-first and last"),
         ],
     )
     def test_tail_block_at_its_extremes(self, n, k, B, forced):
@@ -437,9 +440,13 @@ class TestArrayEngine:
         # (round, worker, task) compare; its pairs must come out in that
         # order, round by round and ascending by worker within a round. Ids
         # are past 2**62, and a forced pair shares a bin by its task seed.
+        # A pair of bin counts gives the block's first and second halves.
+        first, then = k if isinstance(k, tuple) else (k, k)
         if B is None:
-            B = assigner._block_size(n, k)
+            B = assigner._block_size(n, first)
             assert B > 1
+        if first != then:  # the floor, not the planned collisions, sets the length
+            assert B == assigner._TAIL_WORK // n > assigner._TAIL_HITS * first // (n * n)
         rng = Random(n * B)
         ids = rng.sample(range(2**62, 2**63), 2 * n)
         wt = np.array([sorted(ids[:n]), sorted(ids[n:])], np.uint64)
@@ -448,35 +455,52 @@ class TestArrayEngine:
         forced_pairs = list(zip(ids[n - 1 :: -1], ids[n:], rounds))  # a different pair in each round
         for x, y, h in forced_pairs:
             seeds[1][h] = seeds[0][h] ^ ((x * GOLDEN) & MASK64) ^ ((y * GOLDEN) & MASK64)
-        ks = np.full(B, k, np.uint64)
+        ks = np.array([first] * (B // 2) + [then] * (B - B // 2), np.uint64)
         start = 777
         pairs = []
         keep = assigner._tail_block(block_bins(seeds, ks, wt), wt, start, pairs)
         want, live = scalar_block(seeds, ks, wt, start)
         assert pairs == want
         assert [sorted(side) for side in live] == [wt[s, keep[s]].tolist() for s in (0, 1)]
-        if k > n:  # collisions are rare, so each forced pair is matched in its round
+        if then > n * n:  # collisions are rare, so each forced pair is matched in its round
             assert {(x, y, start + h) for x, y, h in forced_pairs} <= set(pairs)
-        else:  # n ids in k < n bins: every round matches, and most match several pairs
+        elif then < n:  # n ids in k < n bins: every round matches, and most match several pairs
             assert {r - start for *_, r in pairs} == set(range(B)) and len(pairs) > 2 * B
+        else:  # the block's bin count changes: hashed under its first alone, it pairs otherwise
+            assert pairs != scalar_block(seeds, np.full(B, first, np.uint64), wt, start)[0]
 
     def test_block_size(self):
-        # A tail block runs at most k rounds: within k rounds of k bins even one worker and
-        # one task are expected to meet. Past 3 ids that cap never binds, so from 4 ids on
-        # the size is the rule as it was before the cap. Above the tail a sorted block
-        # plans for _SORT_HITS expected collisions instead of _TAIL_HITS.
+        # A tail block plans for _TAIL_HITS expected collisions, or for n*n over n < 4 ids,
+        # so for at most k rounds, but each side hashes at least _TAIL_WORK ids x rounds, or
+        # 4k rounds if fewer; a round expected to hold more than _TAIL_HITS collisions runs
+        # alone, as a head round. Both tail rules stay within _TAIL_BUDGET comparisons. Above
+        # the tail a sorted block plans for _SORT_HITS expected collisions instead.
         grid_k = [1, 2, 3, 5, 16, 59, 931, 3724, 14895, bins_for_round(2**31 - 1, 1)]
         for n in range(1, 3 * assigner._TAIL_N):
             for k in grid_k:
                 B = assigner._block_size(n, k)
-                if n <= assigner._TAIL_N:
-                    assert 1 <= B <= max(1, k) and B <= max(1, assigner._TAIL_BUDGET // (n * n)), (n, k)
-                if n <= 3:
-                    assert B == max(1, min(k, assigner._TAIL_BUDGET // (n * n))), (n, k)
-                elif n <= assigner._TAIL_N:
-                    assert B == max(1, min(assigner._TAIL_BUDGET, assigner._TAIL_HITS * k) // (n * n)), (n, k)
-                else:
+                assert B >= 1, (n, k)
+                if n > assigner._TAIL_N:
                     assert B == max(1, min(assigner._SORT_HITS * k // (n * n), assigner._TAIL_BUDGET // n)), (n, k)
+                elif n * n > assigner._TAIL_HITS * k:
+                    assert B == 1, (n, k)
+                else:
+                    budget = assigner._TAIL_BUDGET // (n * n)
+                    planned = min(assigner._TAIL_HITS, n * n) * k // (n * n)
+                    floor = min(assigner._TAIL_WORK // n, 4 * k)
+                    assert planned <= k and B <= budget and B >= min(floor, budget), (n, k)
+                    assert B == min(max(planned, floor), budget), (n, k)
+
+    def test_dense_round_stays_a_head_round(self):
+        # w=64, t=256 cut at its first 2-bin round, on a full input: 64 ids in 2 bins
+        # expect 2048 collisions a round, each a step of the tail's Python loop if the
+        # work floor made a tail block of it. The round runs alone, as a head round.
+        s = build_schedule(64, 256, 4, 0)
+        cut = RoundSchedule(64, 256, 4, 0, s.rounds[int(np.argmax(s.rounds.ks == 2)):])
+        T = random_multiset(64, 256, Random(28))
+        wt = assigner._lifted_rows(T, 64)
+        assert assigner._run_block(cut.rounds, wt, 0, [], [])[1:] == (1, "head")
+        assert_matches_scalar_assign(assign(cut, T), cut, T)
 
     @pytest.mark.parametrize(
         ("n", "case"),
@@ -744,7 +768,8 @@ class TestArrayNativeAssign:
         size = data.draw(st.integers(assigner._TAIL_N + 1, bins_for_round(w, 1) // assigner._DENSE_BINS), label="size")
         kinds = data.draw(st.integers(1, min(t, 8)), label="distinct tasks")
         rng = data.draw(st.randoms(use_true_random=False))
-        support = rng.sample(range(1, t + 1), kinds)
+        top = data.draw(st.booleans(), label="tasks from the top")
+        support = sample_ids(rng, t, kinds, top)
         T = TaskMultiset.from_elements((rng.choice(support) for _ in range(size)), t)
         assert_matches_scalar_assign(assign(schedule, T), schedule, T)
 
@@ -1142,8 +1167,13 @@ class TestAssignSession:
         if w > 1000:
             moves = moves[:4]  # each call costs milliseconds at w=1024
         rng = data.draw(st.randoms(use_true_random=False))
+        # A hypothesis rng draws mostly small tasks; reflecting each x to t + 1 - x keeps
+        # every step adjacent and puts the lifted ids at the top of the range.
+        top = data.draw(st.booleans(), label="tasks from the top")
         session = assigner.AssignSession(schedule)
         for T in walk_inputs(rng, w, t, moves):
+            if top:
+                T = TaskMultiset.from_elements((t + 1 - x for x in T), t)
             got, want = session(T), assign(schedule, T)
             assert got.assignment == want.assignment
             assert got.fallback_pairs == want.fallback_pairs
