@@ -33,7 +33,14 @@ from .oracle import (
 )
 
 # Documented CLI-side instance caps for the exact engines; the library itself
-# is bounded only by the search budget.
+# is bounded only by the search budget. oracle exact: w <= 5 and at most
+# 20 000 states (137 MB peak RSS at w=2, t=200 sets, 108 MB at w=5, t=20).
+# oracle audit: at most 100 000 states (328 MB at w=2, t=447 sets; Python
+# 3.11, numpy 2.4). oracle ramsey: at most 10**6 (w+1)-subsets. exact's and
+# audit's memory follows the adjacent pairs, not the states, and at w=1
+# every state is adjacent to every other: the audit takes about 2 * t**2
+# bytes (2 GB at t=32 000), and exact at t=20 000 runs out of memory
+# building 4e8 neighbor entries. These caps do not bound that.
 _MAX_ORACLE_STATES = 20_000
 _MAX_ORACLE_WORKERS = 5
 _MAX_AUDIT_EVALS = 100_000

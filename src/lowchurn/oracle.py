@@ -13,13 +13,21 @@ Four tools live here, all exact within their budgets:
   replayed, not searched again, when they recur; ``nodes`` still counts the
   plain search's tree, node for node.
 * :func:`exhaustive_max_switching` measures the true worst adjacent transition
-  of a concrete assignment function by enumerating every adjacent pair.
+  of a concrete assignment function by comparing every adjacent pair.
 * :func:`disperser_search` hunts for tiny verified strong-disperser tables by
   random restarts, with :func:`verify_disperser` as the exhaustive
   subset-by-subset check.
 * :func:`ramsey_witness` scans for ``w+1`` tasks whose size-``w`` subsets all
   receive the same assignment pattern; such a configuration forces a
   transition that reassigns every worker.
+
+The exact search and the audit take adjacency from :func:`_rest_groups`, the
+one place that knows the rule: two states are adjacent exactly when they
+share a rest, the state less one slot. No tool here caps its instance; the
+CLI does (``oracle exact``: w <= 5 and at most 20 000 states; ``oracle
+audit``: at most 100 000 states; ``oracle ramsey``: at most 10**6
+(w+1)-subsets). The audit's memory grows with its pairs, not its states:
+see :func:`exhaustive_max_switching`.
 
 Each search runs single-threaded; callers may explore independent instances
 in parallel since nothing here shares mutable state.
@@ -97,22 +105,23 @@ def _states(w: int, t: int, multisets: bool) -> list[tuple[int, ...]]:
     return [tuple(s) for s in combinations(range(1, t + 1), w)]
 
 
-def _adjacent_pairs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every adjacent pair ``(a, b)``, ``a < b``, of the rows of ``states``, as index arrays sorted by ``(a, b)``.
+def _rest_groups(states: np.ndarray) -> np.ndarray:
+    """The rows of ``states`` grouped by rest: one row per rest, its members' indices ascending.
 
-    Two sorted rows of one size are adjacent exactly when they share a
-    ``rest``, the row less one slot: swapping one element keeps the rest of
-    the row, and the rest of an adjacent pair is their common part, so each
-    pair has one. Dropping each slot in turn gives every row's rests. One
-    lexsort by rest, then by row, groups them; rests are compared column by
-    column, not folded into one integer code, which overflows int64 (at
-    w=63, t=2 on multisets, for one). Each row is kept once per distinct
-    rest (a repeated element gives one rest twice), and within a group,
-    ascending by row, every row pairs with each one after it.
+    A ``rest`` is a sorted row less one slot. Two sorted rows of one size are
+    adjacent exactly when they share a rest: swapping one element keeps the
+    rest of the row, and the rest of an adjacent pair is their common part,
+    so each pair shares one. Each group is therefore a clique, and every rest
+    has the same number of rows: ``t`` on multisets, ``t - w + 1`` on sets.
+    Dropping each slot in turn gives every row's rests, and one lexsort by
+    rest, then by row, groups them; rests are compared column by column, not
+    folded into one integer code, which overflows int64 (at w=63, t=2 on
+    multisets, for one). A row is kept once per distinct rest: a repeated
+    element gives one rest twice. At w=0 there is no rest and no group.
     """
     count, w = states.shape
     if not w:
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+        return np.zeros((0, 1), np.intp)
     drop = np.arange(1, w) - (np.arange(w - 1) < np.arange(w)[:, None])  # row i: every slot but i
     rests = states[:, drop].reshape(count * w, w - 1)
     owner = np.arange(count).repeat(w)
@@ -122,44 +131,22 @@ def _adjacent_pairs(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     head[1:] = (rests[1:] != rests[:-1]).any(axis=1)
     keep = head.copy()
     keep[1:] |= owner[1:] != owner[:-1]
-    owner, head = owner[keep], head[keep]
-    # Entry i pairs with the ``later[i]`` entries after it in its group: pair k of
-    # them is entry ``i + 1 + k``. Methods, not np.repeat, np.cumsum and np.diff,
-    # whose wrappers cost more than the work on a small instance.
-    group = head.cumsum() - 1
-    at = np.arange(owner.size)
-    later = np.bincount(group).cumsum()[group] - at - 1
-    first = at.repeat(later)
-    second = np.arange(first.size) + (at + 1 - (later.cumsum() - later)).repeat(later)
-    a, b = owner[first], owner[second]
-    order = np.lexsort((b, a))
-    return a[order], b[order]
+    return owner[keep].reshape(np.count_nonzero(head), -1)
 
 
-def _neighbors(states: list[tuple[int, ...]]) -> list[list[int]]:
-    """Each state's adjacent states, as ascending index lists.
+def _neighbors(groups: np.ndarray, count: int) -> list[list[int]]:
+    """Each of ``count`` states' adjacent states, as ascending index lists: the other members of its rest groups.
 
-    Two states of one size are adjacent exactly when they share a ``rest``,
-    a sorted tuple less one element: swapping one element keeps the rest of
-    the tuple. So the states are grouped by each of their rests, and a
-    state's neighbors are the union of its rests' groups, less the state
-    itself. :func:`_adjacent_pairs` groups the same rests in arrays for the
-    audit; the search keeps these dicts, which are the faster on the few
-    dozen states of a small instance and hold one int per state: lists
-    made from the pair arrays took 50-100 us more on each of oracle-small's
-    two smallest instances, and their peak RSS at ``(5, 20)`` sets was
-    148 MB against 106.
+    ``groups`` is :func:`_rest_groups` of the states. The lists hold
+    ``count x degree`` ints in all: 7.9M at w=2, t=200 sets, where ``oracle
+    exact`` peaks at 137 MB.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    member_of = [[groups.setdefault(state[:i] + state[i + 1 :], []) for i in range(len(state))] for state in states]
-    for me, mine in enumerate(member_of):
-        for group in mine:
-            group.append(me)
-    out = []
-    for me, mine in enumerate(member_of):
-        found = set().union(*mine)
-        found.discard(me)
-        out.append(sorted(found))
+    out: list[list[int]] = [[] for _ in range(count)]
+    for group in groups.tolist():
+        for k, me in enumerate(group):
+            out[me] += group[:k] + group[k + 1 :]
+    for found in out:
+        found.sort()  # each adjacent pair shares one group, so no neighbor comes twice
     return out
 
 
@@ -237,7 +224,7 @@ def exact_feasible(
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
 
     states = _states(w, t, multisets)
-    neighbors = _neighbors(states)
+    neighbors = _neighbors(_rest_groups(np.array(states, np.int64).reshape(len(states), w)), len(states))
 
     order = _bfs_order(states, neighbors)
     position = {idx: pos for pos, idx in enumerate(order)}
@@ -380,17 +367,24 @@ def exhaustive_max_switching(
     its rule that a worker assigned in only one of the two differs, is the
     count of columns where its rows differ, taken for all pairs at once.
 
-    The pairs come from one array pass over the states
-    (:func:`_adjacent_pairs`), sorted by ``(a, b)``: ``argmax`` returns the
-    first maximum in that order, so the witness is the one a loop over the
-    pairs in state order finds first.
+    Each pair lies in exactly one rest group (:func:`_rest_groups`), so the
+    rows of each group are compared against each other, one worker column
+    at a time, into a ``(groups, g, g)`` count array of the narrowest type
+    that holds the worker count; no pair list is built. The witness is each
+    ``(group, a)``'s first ``b > a`` at the maximum, by ``argmax``, and then
+    the least of those ``(a, b)``. Memory is about twice the count array,
+    ``groups x g**2`` bytes under 256 workers, with ``g = t`` on multisets
+    and ``t - w + 1`` on sets: at w=2, t=447 sets, 99 681 states, the CLI's
+    audit peaks at 328 MB (Python 3.11, numpy 2.4). At w=1 the one group
+    holds all ``t`` states, so t=100 000 would need 10 GB.
     """
     tuples = _states(w, t, multisets)
     grid = np.array(tuples, np.int64).reshape(len(tuples), w)
     states = TaskMultiset.from_rows(grid, t)
     results = [assignfn(s) for s in states]
-    a, b = _adjacent_pairs(grid)
-    if not a.size:
+    groups = _rest_groups(grid)
+    rests, g = groups.shape
+    if g < 2:
         return 0, None
     universe = results[0].w
     if any(r.w != universe for r in results):
@@ -399,9 +393,17 @@ def exhaustive_max_switching(
     rows = np.arange(len(results)).repeat([r.workers.size for r in results])
     workers = np.concatenate([r.workers for r in results], dtype=np.int64, casting="unsafe")
     tasks[rows, workers - 1] = np.concatenate([r.tasks for r in results], dtype=np.int64, casting="unsafe")
-    costs = np.count_nonzero(tasks[a] != tasks[b], axis=1)
-    i = int(costs.argmax())
-    return int(costs[i]), (states[a[i]], states[b[i]])
+    costs = np.zeros((rests, g, g), np.min_scalar_type(universe))
+    for col in tasks.T:
+        at = col[groups]
+        costs += at[:, :, None] != at[:, None, :]
+    best = costs.max()  # each pair's cost is in both triangles, and the diagonal holds 0
+    hit = costs == best
+    hit &= np.triu(np.ones((g, g), bool), 1)  # each pair once, as (i, j) with i < j
+    row, i = np.nonzero(hit.any(axis=2))
+    a, b = groups[row, i], groups[row, hit.argmax(axis=2)[row, i]]
+    first = np.lexsort((b, a))[0]
+    return int(best), (states[a[first]], states[b[first]])
 
 
 def verify_disperser(family: DisperserFamily) -> bool:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations, permutations
 from operator import ne
 from random import Random
@@ -16,9 +17,9 @@ from lowchurn.oracle import (
     FeasibilityResult,
     RamseyWitness,
     SearchBudget,
-    _adjacent_pairs,
     _bfs_order,
     _neighbors,
+    _rest_groups,
     _states,
     disperser_search,
     exact_feasible,
@@ -29,11 +30,11 @@ from lowchurn.oracle import (
 
 
 # The reference engine: the list-domain search, neighbor scan, every-size
-# disperser check and pair-by-pair audit that the bitset search,
-# ``_neighbors``, ``verify_disperser`` and the task-matrix audit replaced,
-# kept to test them against.
+# disperser check and pair-by-pair audit that the bitset search, the rest
+# groups, ``verify_disperser`` and the task-matrix audit replaced, kept to
+# test them against. None of it calls the library's adjacency code.
 def reference_neighbors(states: list[tuple[int, ...]], t: int) -> list[list[int]]:
-    """The plain neighbor scan: ``_neighbors`` by sorting every swapped tuple."""
+    """The plain neighbor scan: each state's adjacent states, by sorting every swapped tuple."""
     index = {state: i for i, state in enumerate(states)}
     out = []
     for state in states:
@@ -82,7 +83,7 @@ def reference_max_switching(assignfn, w: int, t: int, multisets: bool):
     states = [TaskMultiset.from_elements(s, t) for s in tuples]
     results = [assignfn(s) for s in states]
     best, witness = 0, None
-    for a, adjacent in enumerate(_neighbors(tuples)):
+    for a, adjacent in enumerate(reference_neighbors(tuples, t)):
         for b in adjacent:
             if b < a:
                 continue  # each pair once, as (a, b) with a < b
@@ -107,6 +108,15 @@ def drawn_assignfn(rng: Random, w: int, t: int, spare: int):
         return drawn[T]
 
     return assignfn
+
+
+def rest_group_pairs(groups: np.ndarray) -> list[tuple[int, int]]:
+    """Every pair ``(x, y)``, ``x < y``, within a row of ``groups``, in ``(x, y)`` order, repeats kept."""
+    return sorted(pair for group in groups.tolist() for pair in combinations(group, 2))
+
+
+def reference_pairs(states: list[tuple[int, ...]], t: int) -> list[tuple[int, int]]:
+    return [(x, y) for x, adjacent in enumerate(reference_neighbors(states, t)) for y in adjacent if x < y]
 
 
 def reference_exact_feasible(
@@ -384,7 +394,8 @@ class TestAgainstReference:
         if not multisets and t < w:
             return
         states = _states(w, t, multisets)
-        assert _neighbors(states) == reference_neighbors(states, t)
+        grid = np.array(states, np.int64).reshape(len(states), w)
+        assert _neighbors(_rest_groups(grid), len(states)) == reference_neighbors(states, t)
 
     @settings(max_examples=100, deadline=None)
     @given(w=st.integers(0, 4), t=st.integers(1, 9), multisets=st.booleans())
@@ -394,7 +405,7 @@ class TestAgainstReference:
         if not multisets and t < w:
             return
         states = _states(w, t, multisets)
-        neighbors = _neighbors(states)
+        neighbors = reference_neighbors(states, t)
         assert _bfs_order(states, neighbors) == reference_bfs_order(states, neighbors)
 
     @settings(max_examples=100, deadline=None)
@@ -475,15 +486,13 @@ class TestExhaustiveMaxSwitching:
         # and drops out, so rests that differ only there share a code: such a
         # code would pair states that are not adjacent.
         w, t = 34, 3
-        states = np.array(_states(w, t, True))
+        tuples = _states(w, t, True)
+        states = np.array(tuples)
         drop = np.arange(1, w) - (np.arange(w - 1) < np.arange(w)[:, None])
         rests = np.unique(states[:, drop].reshape(-1, w - 1), axis=0)
         codes = rests @ ((t + 1) ** np.arange(w - 1, dtype=np.uint64)).view(np.int64)
         assert np.unique(codes).size < len(rests)
-        a, b = _adjacent_pairs(states)
-        assert list(zip(a.tolist(), b.tolist())) == [
-            (x, y) for x, adjacent in enumerate(_neighbors(_states(w, t, True))) for y in adjacent if x < y
-        ]
+        assert rest_group_pairs(_rest_groups(states)) == reference_pairs(tuples, t)
         # Sorted order moves at most 2 workers over an adjacent pair here, and 3
         # over a pair whose rests differ only in slot 32.
         assignfn = _sorted_fn(w)
@@ -509,10 +518,28 @@ class TestExhaustiveMaxSwitching:
          (63, 2, True), (40, 2, True), (0, 3, True), (1, 1, True), (3, 3, False)],
     )
     def test_adjacent_pairs_are_the_neighbor_lists(self, w, t, multisets):
+        # Each rest group holds every state that extends its rest, so all
+        # groups have one size; each adjacent pair shares exactly one group.
         states = _states(w, t, multisets)
-        a, b = _adjacent_pairs(np.array(states, np.int64).reshape(len(states), w))
-        want = [(x, y) for x, adjacent in enumerate(_neighbors(states)) for y in adjacent if x < y]
-        assert list(zip(a.tolist(), b.tolist())) == want
+        groups = _rest_groups(np.array(states, np.int64).reshape(len(states), w))
+        if w:
+            assert groups.shape[1] == (t if multisets else t - w + 1)
+        else:  # the one empty state has no rest
+            assert not groups.size
+        assert rest_group_pairs(groups) == reference_pairs(states, t)
+
+    def test_peak_memory_stays_with_the_groups_not_the_pairs(self):
+        # The 11 175 2-sets of [150] have 1.66M adjacent pairs in 150 rest
+        # groups of 149: the audit's count array is 3.3 MB of uint8, where a
+        # list of the pairs as index arrays peaked at about 100 MB.
+        tracemalloc.start()
+        try:
+            worst, witness = exhaustive_max_switching(lambda T: sorted_order(T, 2), 2, 150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (worst, witness[0].format(), witness[1].format()) == (2, "1,2", "2,3")
+        assert peak < 40 << 20, peak
 
     def test_results_over_different_universes_are_refused(self):
         def assignfn(T):
