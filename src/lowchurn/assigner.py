@@ -742,15 +742,15 @@ def _lifted_rows(T: TaskMultiset, w: int) -> np.ndarray:
 # fixed-size / size-varying, restarted every 64 steps, the size-varying ones
 # at a random size; best of four passes of each, in alternating order; two
 # seeds), on a 2-core x86-64 VM with Python 3.11.7 and numpy 2.4.6, with the
-# session's rows and the tail's work floor: w=160 0.71-0.74 / 0.66-0.69,
-# w=192 0.73-0.75 / 0.76-0.79, w=256 0.89-1.03 / 0.77-0.79, w=512 1.13-1.16 /
-# 1.09-1.14, w=1024 (t=64w) 1.44-1.59 / 1.34-1.43 (before the floor, on the
-# same walks: 0.81 / 0.75-0.80, 0.81-0.83 / 0.83-0.85, 0.96-0.97 /
-# 0.78-0.89, 1.13-1.18 / 1.09-1.12, 1.46-1.49 / 1.38-1.47). When the bound
-# was set the session led from w=96 on; the array engine has since got
-# faster, and the crossover now lies between w=256 and w=512, so from 160 to
-# 256 a session call costs up to 1.5x a plain one. The bound stays at 160,
-# where the pinned w=256 walks keep exercising the incremental path.
+# one-element replay: w=160 0.94-0.98 / 0.89-0.93, w=192 1.04-1.06 /
+# 0.91-0.98, w=256 1.17-1.22 / 0.95-1.02, w=512 1.57-1.62 / 1.40-1.50,
+# w=1024 (t=64w) 1.86 / 1.87-1.88 (before it, on the same walks: 0.69-0.74 /
+# 0.66-0.74, 0.80-0.83 / 0.76-0.79, 0.84-0.92 / 0.82-0.86, 1.18-1.37 /
+# 1.06-1.18, 1.44-1.49 / 1.40-1.45). When the bound was set the session led
+# from w=96 on; the array engine has since got faster, and the crossover now
+# lies between w=160 and w=256, so from 160 to 256 a session call costs up
+# to 1.12x a plain one. The bound stays at 160, where the pinned w=256 walks
+# keep exercising the incremental path.
 SESSION_MIN_W = 160
 # An input that differs from the cached one in more than this many lifted
 # ids, added plus removed, workers and tasks together, is run in full.
@@ -865,18 +865,20 @@ class _Cache:
     sorted array of ``(round * K + bin) << shift | slot`` over every round
     each element of side ``s`` is live in: 6 to 7 cells per element at
     w=1024 and t=65536. The cells of one bin form a run of the array, found
-    by bisection.
+    by bisection: :class:`_Replay` reads a bin's members from its run, and
+    whether a bin holds a live element from the first cell at or past it.
 
     An element's row (:meth:`row`) is its bins from round 0 on, as far as
     any call has hashed it, in the narrowest dtype that holds ``K``. The
     build's bins, each element's up to its end, stay as one array,
     ``seed_bins``, and an element's row is a slice of it (``seeded[s]`` maps
-    the element to its index in the build) until :meth:`hashed` first
-    hashes it on; from then on ``rows[s, x]`` holds it, the rows written
-    last at the end. A row is hashed on only past its last round, so a
-    replay hashes no (element, round) twice while the row is kept: an end
-    that moves back leaves the row as it is, ready for the next time the
-    end moves on. A row is dropped when its element leaves the input. Past
+    the element to its index in the build) until :meth:`row_to` first
+    hashes it on, in one ``bins_np`` call for that element alone; from then
+    on ``rows[s, x]`` holds it, the rows written last at the end. A row is
+    hashed on only past its last round, so a replay hashes no (element,
+    round) twice while the row is kept: an end that moves back leaves the
+    row as it is, ready for the next time the end moves on. A row is
+    dropped when its element leaves the input. Past
     ``_ROW_BINS`` bins in ``rows``, after a call, the rows written longest
     ago are dropped, and a dropped row is hashed again from round 0 when it
     is next read. So between calls ``rows`` holds at most ``_ROW_BINS``
@@ -915,42 +917,22 @@ class _Cache:
         i = self.seeded[s].get(x)
         return self.seed_bins[s, self.seed_at[i] : self.seed_at[i + 1]] if i is not None else self.seed_bins[s, :0]
 
-    def hashed(self, s: int, xs: list[int], stop: int) -> list[np.ndarray]:
-        """The rows of ``xs`` on side ``s``, those that end before round ``stop`` first hashed on to it.
-
-        The rows that end at one round are hashed on in one ``bins_np`` call.
-        """
-        out = [self.row(s, x) for x in xs]
-        short: dict[int, list[int]] = {}  # the length of a row that ends before stop -> the indices of xs with one
-        for i, row in enumerate(out):
-            if row.size < stop:
-                short.setdefault(row.size, []).append(i)
-        grid, rows, seeded = self.grid, self.rows, self.seeded[s]
-        for have, at in short.items():
-            ids = np.array([xs[i] for i in at], np.uint64)[:, None]
-            bins = bins_np(grid.seeds[s, have:stop], ids, grid.ks[have:stop]).astype(grid.dtype)
-            for i, part in zip(at, bins):
-                x = xs[i]
-                if have:
-                    part = np.concatenate([out[i], part])
-                    seeded.pop(x, None)
-                    self.row_bins -= len(rows.pop((s, x), ()))
-                rows[s, x] = out[i] = part
-                self.row_bins += stop
-        return out
-
-    def members(self, s: int, r: int, b: int) -> list[int]:
-        """The elements of side ``s`` live in bin ``b`` of round ``r``."""
-        grid, cells, key = self.grid, self.cells[s], r * self.grid.K + b
-        lo, hi = cells.searchsorted([key << grid.shift, (key + 1) << grid.shift]).tolist()
-        elems, mask = self.elems[s], grid.mask
-        return [elems[c & mask] for c in cells[lo:hi].tolist()] if lo < hi else []
-
-    def meets(self, s: int, keys: np.ndarray) -> np.ndarray:
-        """Whether each flat index ``round * K + bin`` in ``keys`` holds a live element of side ``s``."""
-        cells, shift = self.cells[s], self.grid.shift
-        # The first cell at or past a key's lowest cell holds the key if any does.
-        return cells.take(cells.searchsorted(keys << shift), mode="clip") >> shift == keys
+    def row_to(self, s: int, x: int, stop: int) -> np.ndarray:
+        """The row of ``x`` on side ``s``, first hashed on to round ``stop`` if it ends before."""
+        row = self.row(s, x)
+        have = row.size
+        if have >= stop:
+            return row
+        grid = self.grid
+        # A one-element array: a uint64 scalar would overflow with a warning.
+        part = bins_np(grid.seeds[s, have:stop], np.array([x], np.uint64), grid.ks[have:stop]).astype(grid.dtype)
+        if have:
+            part = np.concatenate([row, part])
+            self.seeded[s].pop(x, None)
+            self.row_bins -= len(self.rows.pop((s, x), ()))
+        self.rows[s, x] = part
+        self.row_bins += stop
+        return part
 
     def update(self, s: int, ends: dict[int, int]) -> None:
         """Move the ends of side ``s``'s elements to ``ends``, -1 for one that left the input.
@@ -1044,9 +1026,10 @@ class _Replay:
     element: a new-only one that shares the bin with a live element of the
     other side, or an old-only one that the old run matched there. So the
     unmatched new-only elements are looked up a window of rounds at a time
-    (``_WINDOW`` rounds, then twice as many per window) in the cache's rows,
-    which one ``bins_np`` call per side hashes on where they fall short, and
-    one that turns new-only inside a window over the rest of it. Each bin
+    (``_WINDOW`` rounds, then twice as many per window), and one that turns
+    new-only inside a window over the rest of it. Each lookup is one
+    element's row, a 1-D array hashed on where it falls short
+    (:meth:`_Cache.row_to`), against the other side's cells. Each bin
     where one meets a cached cell of the other side or another new-only
     element is queued, and so is each old-only element's old match, read
     from its row. Events pop in round and bin order, and a bin
@@ -1083,7 +1066,8 @@ class _Replay:
         while start < total and (heap or self.live[0] or self.live[1]):
             self.stop = stop = min(start + size, total)
             for s in (0, 1):
-                self._hash(s, list(self.live[s]), start, s == 1)
+                for x in self.live[s]:
+                    self._hash(s, x, start, s == 1)
             while heap and heap[0][0] < stop:
                 r, b, s, x = heappop(heap)
                 old, new = end[s].get(x, -1), ends[s][x]
@@ -1094,41 +1078,46 @@ class _Replay:
 
     def _kill(self, s: int, x: int) -> None:
         """``x`` is live in the old run only from now on: queue the bin of its old match."""
-        cache, m = self.cache, self.cache.end[s][x]
-        if m < self.grid.total:
-            row = cache.row(s, x)
-            if m >= row.size:  # dropped for the cap
-                row = cache.hashed(s, [x], m + 1)[0]
-            heappush(self.heap, (m, int(row[m]), s, x))
+        m = self.cache.end[s][x]
+        if m < self.grid.total:  # a row dropped for the cap is hashed again
+            heappush(self.heap, (m, self.cache.row_to(s, x, m + 1).item(m), s, x))
 
-    def _hash(self, s: int, xs: list[int], start: int, meet_new: bool) -> None:
-        """Look up the new-only ``xs`` of side ``s`` from round ``start`` to the window's end and queue what they meet.
+    def _hash(self, s: int, x: int, start: int, meet_new: bool) -> None:
+        """Look up the new-only ``x`` of side ``s`` from round ``start`` to the window's end and queue what it meets.
 
         With ``meet_new``, meetings with the other side's new-only elements,
         whose rows reach the window's end, are queued too.
         """
-        if not xs:
-            return
-        cache, rows = self.cache, slice(start, self.stop)
-        hashed = cache.hashed(s, xs, self.stop)
-        bins = hashed[0][None, rows] if len(xs) == 1 else np.array([row[rows] for row in hashed])
-        hits = cache.meets(1 - s, bins + self.grid.base[rows])
+        cache, grid, stop = self.cache, self.grid, self.stop
+        seg = cache.row_to(s, x, stop)[start:stop]
+        keys, cells = seg + grid.base[start:stop], cache.cells[1 - s]
+        # The first cell at or past a key's lowest cell holds the key if any does.
+        hit = cells.take(cells.searchsorted(keys << grid.shift), mode="clip") >> grid.shift == keys
         if meet_new:
             for y in self.live[1 - s]:
-                hits |= bins == cache.row(1 - s, y)[rows]
-        at, j = np.nonzero(hits)
-        for i, r, b in zip(at.tolist(), (j + start).tolist(), bins[at, j].tolist()):
-            heappush(self.heap, (r, b, s, xs[i]))
+                hit |= seg == cache.row(1 - s, y)[start:stop]
+        for j in hit.nonzero()[0].tolist():
+            heappush(self.heap, (start + j, seg.item(j), s, x))
 
     def _resolve(self, r: int, b: int) -> None:
         """Work out bin ``b`` of round ``r`` in the new run and record how it differs."""
-        cache, ends, old, new = self.cache, self.ends, [], []
+        cache, grid, ends, old, new = self.cache, self.grid, self.ends, [], []
+        key = r * grid.K + b
         for s in (0, 1):
-            group = cache.members(s, r, b)
-            here = [x for x in group if x not in ends[s]]  # an old member with a moved end is old-only
-            here += [x for x, first in self.live[s].items() if first <= r and cache.row(s, x)[r] == b]
-            old.append(min(group, default=None))
-            new.append(min(here, default=None))
+            cells, elems, moved = cache.cells[s], cache.elems[s], ends[s]
+            lo, hi = cells.searchsorted((key << grid.shift, (key + 1) << grid.shift)).tolist()
+            least_old = least = None  # the bin's least live element in the old run and in the new
+            for c in cells[lo:hi].tolist():
+                x = elems[c & grid.mask]
+                if least_old is None or x < least_old:
+                    least_old = x
+                if x not in moved and (least is None or x < least):  # an old member with a moved end is old-only
+                    least = x
+            for x, first in self.live[s].items():
+                if first <= r and (least is None or x < least) and cache.row(s, x).item(r) == b:
+                    least = x
+            old.append(least_old)
+            new.append(least)
         old_pair = (None, None) if None in old else tuple(old)
         new_pair = (None, None) if None in new else tuple(new)
         if old_pair == new_pair:
@@ -1144,7 +1133,7 @@ class _Replay:
             if o is not None and o not in ends[s]:  # live in both runs until now: new-only from the next round
                 ends[s][o] = self.grid.total
                 self.live[s][o] = r + 1
-                self._hash(s, [o], r + 1, True)
+                self._hash(s, o, r + 1, True)
             if n is not None and self.live[s].pop(n, None) is None:  # live in both until now: old-only from here
                 self._kill(s, n)
 

@@ -30,20 +30,28 @@ from .oracle import (
     exact_feasible,
     exhaustive_max_switching,
     ramsey_witness,
+    _rest_shape,
 )
 
 # Documented CLI-side instance caps for the exact engines; the library itself
-# is bounded only by the search budget. oracle exact: w <= 5 and at most
-# 20 000 states (137 MB peak RSS at w=2, t=200 sets, 108 MB at w=5, t=20).
-# oracle audit: at most 100 000 states (328 MB at w=2, t=447 sets; Python
-# 3.11, numpy 2.4). oracle ramsey: at most 10**6 (w+1)-subsets. exact's and
-# audit's memory follows the adjacent pairs, not the states, and at w=1
-# every state is adjacent to every other: the audit takes about 2 * t**2
-# bytes (2 GB at t=32 000), and exact at t=20 000 runs out of memory
-# building 4e8 neighbor entries. These caps do not bound that.
+# is bounded only by the search budget. oracle exact: w <= 5, at most 20 000
+# states and at most 10**7 neighbor entries (137 MB peak RSS at w=2, t=200
+# sets, 7.9M entries; 108 MB at w=5, t=20, 1.2M). oracle audit: at most
+# 100 000 states and at most 10**8 entries in its count array (328 MB at w=2,
+# t=447 sets, 88.9M entries; Python 3.11, numpy 2.4). oracle ramsey: at most
+# 10**6 (w+1)-subsets. Both engines' memory follows the adjacent pairs, not
+# the states, so the pair caps are worked out from the rest groups' shape
+# (``oracle._rest_shape``: rests x g rows) before anything is built: the
+# search's neighbor lists hold rests x g x (g - 1) entries, the audit's count
+# array rests x g**2. At w=1 every state is adjacent to every other: the
+# state caps alone admit a 9.3 GiB audit at t=100 000 and 4e8 neighbor
+# entries at t=20 000, while at the pair caps w=1 peaks at 518 MB (audit,
+# t=10 000) and 149 MB (exact, t=3162).
 _MAX_ORACLE_STATES = 20_000
 _MAX_ORACLE_WORKERS = 5
+_MAX_NEIGHBOR_ENTRIES = 10**7
 _MAX_AUDIT_EVALS = 100_000
+_MAX_AUDIT_ENTRIES = 10**8
 _MAX_RAMSEY_SUBSETS = 1_000_000
 # Documented caps on the size arguments of assign, walk, oracle audit, oracle
 # ramsey and embed (whose --k and --n are a w and t). 16384 workers is the
@@ -137,6 +145,11 @@ def _oracle_state_count(w: int, t: int, multisets: bool) -> int:
     return _comb(t + w - 1, w) if multisets else _comb(t, w)
 
 
+def _refuse_over(count: int, what: str, cap: int) -> None:
+    if count > cap:
+        raise ValueError(f"instance over documented limit: {count} {what} > {cap}")
+
+
 def _budget(limit_flag: str, limit: int, time_limit: float | None) -> SearchBudget:
     """``SearchBudget(limit, time_limit)``; a limit below 1 is refused naming ``limit_flag``, the user's flag for it.
 
@@ -155,11 +168,9 @@ def cmd_oracle_exact(args: argparse.Namespace) -> int:
         raise ValueError(
             f"instance over documented limit: w={args.w} > {_MAX_ORACLE_WORKERS}"
         )
-    states = _oracle_state_count(args.w, args.t, multisets)
-    if states > _MAX_ORACLE_STATES:
-        raise ValueError(
-            f"instance over documented limit: {states} states > {_MAX_ORACLE_STATES}"
-        )
+    _refuse_over(_oracle_state_count(args.w, args.t, multisets), "states", _MAX_ORACLE_STATES)
+    rests, g = _rest_shape(args.w, args.t, multisets)
+    _refuse_over(rests * g * (g - 1), "neighbor entries", _MAX_NEIGHBOR_ENTRIES)
     budget = _budget("--node-limit", args.node_limit, args.time_limit)
     res = exact_feasible(args.w, args.t, args.k, multisets=multisets, budget=budget)
     print(res.verdict)
@@ -179,11 +190,9 @@ def cmd_oracle_exact(args: argparse.Namespace) -> int:
 
 def cmd_oracle_audit(args: argparse.Namespace) -> int:
     multisets = bool(args.multisets)
-    states = _oracle_state_count(args.w, args.t, multisets)
-    if states > _MAX_AUDIT_EVALS:
-        raise ValueError(
-            f"instance over documented limit: {states} states > {_MAX_AUDIT_EVALS}"
-        )
+    _refuse_over(_oracle_state_count(args.w, args.t, multisets), "states", _MAX_AUDIT_EVALS)
+    rests, g = _rest_shape(args.w, args.t, multisets)
+    _refuse_over(rests * g * g, "count entries", _MAX_AUDIT_ENTRIES)
     assigner = make_assigner(args.alg, args.w, args.t, args.c, args.seed)
     best, witness = exhaustive_max_switching(
         lambda T: assigner(T).assignment, args.w, args.t, multisets=multisets

@@ -24,10 +24,12 @@ Four tools live here, all exact within their budgets:
 The exact search and the audit take adjacency from :func:`_rest_groups`, the
 one place that knows the rule: two states are adjacent exactly when they
 share a rest, the state less one slot. No tool here caps its instance; the
-CLI does (``oracle exact``: w <= 5 and at most 20 000 states; ``oracle
-audit``: at most 100 000 states; ``oracle ramsey``: at most 10**6
-(w+1)-subsets). The audit's memory grows with its pairs, not its states:
-see :func:`exhaustive_max_switching`.
+CLI does (``oracle exact``: w <= 5, at most 20 000 states and 10**7
+neighbor entries; ``oracle audit``: at most 100 000 states and 10**8 count
+entries; ``oracle ramsey``: at most 10**6 (w+1)-subsets). Both engines'
+memory grows with their pairs, not their states (see
+:func:`exhaustive_max_switching`), so the CLI works the pair counts out from
+:func:`_rest_shape` before it builds anything.
 
 Each search runs single-threaded; callers may explore independent instances
 in parallel since nothing here shares mutable state.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement, permutations
+from math import comb
 from random import Random
 from typing import Callable, Literal
 
@@ -132,6 +135,18 @@ def _rest_groups(states: np.ndarray) -> np.ndarray:
     keep = head.copy()
     keep[1:] |= owner[1:] != owner[:-1]
     return owner[keep].reshape(np.count_nonzero(head), -1)
+
+
+def _rest_shape(w: int, t: int, multisets: bool) -> tuple[int, int]:
+    """The shape of :func:`_rest_groups` over every size-``w`` state of ``[t]``, worked out without building them.
+
+    The rests are the size-``w - 1`` sets or multisets, with ``t - w + 1``
+    or ``t`` rows each. An instance with no rest (w < 1, or no state) gives
+    ``(0, 0)``.
+    """
+    if w < 1 or t < (1 if multisets else w):
+        return 0, 0
+    return (comb(t + w - 2, w - 1), t) if multisets else (comb(t, w - 1), t - w + 1)
 
 
 def _neighbors(groups: np.ndarray, count: int) -> list[list[int]]:

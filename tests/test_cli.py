@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -573,6 +574,27 @@ def test_inputs_past_a_check_exit_2_with_its_message(capsys, tmp_path, argv, lin
         argv = [*argv, "--input", str(path)]
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_oracle_pair_caps_refuse_before_building(capsys, monkeypatch):
+    # At w=1 every state is adjacent to every other, so inside the state caps
+    # the audit would ask for a 9.3 GiB count array and the search for 4e8
+    # neighbor entries: both are refused from the rest groups' shape alone.
+    import lowchurn.cli as cli
+
+    def never(*_a, **_k):
+        raise AssertionError("an over-cap oracle started")
+
+    monkeypatch.setattr(cli, "exhaustive_max_switching", never)
+    monkeypatch.setattr(cli, "exact_feasible", never)
+    start = time.perf_counter()
+    for argv, message in (
+        (["audit", "--w", "1", "--t", "100000", "--alg", "sorted"], "10000000000 count entries > 100000000"),
+        (["exact", "--w", "1", "--t", "20000", "--k", "0"], "399980000 neighbor entries > 10000000"),
+    ):
+        rc, out, err = run_cli(capsys, "oracle", *argv)
+        assert (rc, out, err) == (2, "", f"error: instance over documented limit: {message}\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_readme_cli_examples_parse():

@@ -20,6 +20,7 @@ from lowchurn.oracle import (
     _bfs_order,
     _neighbors,
     _rest_groups,
+    _rest_shape,
     _states,
     disperser_search,
     exact_feasible,
@@ -524,8 +525,9 @@ class TestExhaustiveMaxSwitching:
         groups = _rest_groups(np.array(states, np.int64).reshape(len(states), w))
         if w:
             assert groups.shape[1] == (t if multisets else t - w + 1)
+            assert groups.shape == _rest_shape(w, t, multisets)  # the CLI's pair caps read this
         else:  # the one empty state has no rest
-            assert not groups.size
+            assert not groups.size and _rest_shape(w, t, multisets) == (0, 0)
         assert rest_group_pairs(groups) == reference_pairs(states, t)
 
     def test_peak_memory_stays_with_the_groups_not_the_pairs(self):
