@@ -112,14 +112,7 @@ def outer_round_count(w: int) -> int:
     Computed with exact integer powers (``11**i >= w * 10**i``) so boundary
     worker counts never fall victim to float rounding.
     """
-    if w < 1:
-        raise ValueError("worker count must be >= 1")
-    i, p11, p10 = 1, 11, 10
-    while p11 < w * p10:
-        i += 1
-        p11 *= 11
-        p10 *= 10
-    return i
+    return len(_bins_per_level(w))
 
 
 def bins_for_round(w: int, i: int) -> int:
@@ -127,6 +120,19 @@ def bins_for_round(w: int, i: int) -> int:
     p10 = 10**i
     p11 = 11**i
     return max(1, -((-w * p10) // p11))
+
+
+def _bins_per_level(w: int) -> list[int]:
+    """``bins_for_round(w, i)`` for ``i`` from 1 to ``outer_round_count(w)``, in one pass over running exact powers."""
+    if w < 1:
+        raise ValueError("worker count must be >= 1")
+    out, p11, wp10 = [], 11, w * 10
+    while True:
+        out.append(max(1, -(-wp10 // p11)))
+        if p11 >= wp10:
+            return out
+        p11 *= 11
+        wp10 *= 10
 
 
 class _Rounds:
@@ -285,8 +291,8 @@ def build_schedule(w: int, t: int, c: int = 4, master_seed: int = 0) -> RoundSch
         raise ValueError(f"w={w} workers, past the engine's 2**31 - 1")
     n = w * t
     reps = c * max(1, (n - 1).bit_length())
-    outer = outer_round_count(w)
-    per_outer = [bins_for_round(w, i) for i in range(1, outer + 1)]
+    per_outer = _bins_per_level(w)
+    outer = len(per_outer)
     ks = np.repeat(np.array(per_outer, dtype=id_dtype(w)), reps)
     i = np.arange(1, outer + 1, dtype=np.uint64)
     j = np.arange(1, reps + 1, dtype=np.uint64)

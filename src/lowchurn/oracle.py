@@ -213,7 +213,14 @@ def exact_feasible(
     neighbor with one ``&`` against a mask row that one numpy compare builds
     the first time ``j`` is tried there and keeps until the call returns: at
     most one row per node, so O(nodes x degree) memory. At ``target_k >= w``
-    nothing can be pruned and no row is built.
+    nothing can be pruned and no row is built. A row is reordered as the
+    search runs: when ``j`` fails because neighbor ``q``'s domain empties,
+    ``q``'s entry moves to the front, so the next try of ``j`` fails before
+    it writes and undoes any other domain. That leaves the tree alone: each
+    later neighbor appears once in a row, ``j`` fails exactly when some
+    neighbor's domain empties, whatever the order, and on success the
+    domains, the trail and the cache keys are the same ANDs taken in
+    another order.
 
     Failed subtrees are cached. The subtree below position ``p`` in the
     search order depends only on the domains of positions ``p`` up to
@@ -245,15 +252,17 @@ def exact_feasible(
     position = {idx: pos for pos, idx in enumerate(order)}
 
     # Per position, its state's candidates as the rows of one array, in
-    # ascending order: the state indexed by every permutation of its slots,
-    # which for a set are already distinct and sorted. Worker relabeling
-    # permutes every state's tuple the same way, so the first state is
-    # pinned to sorted order.
+    # ascending order: the state under every permutation of its slots, which
+    # for a set are already distinct and sorted, and for a multiset are
+    # deduplicated as tuples (a repeated task repeats permutations). Worker
+    # relabeling permutes every state's tuple the same way, so the first
+    # state is pinned to sorted order.
     dtype = np.min_scalar_type(t)
-    perms = np.array(list(permutations(range(w))), np.intp)
-    cands = [np.array(states[idx], dtype)[perms] for idx in order]
-    if multisets:  # a repeated task repeats rows
-        cands = [np.unique(c, axis=0) for c in cands]
+    if multisets:
+        cands = [np.array(sorted(set(permutations(states[idx]))), dtype) for idx in order]
+    else:
+        perms = np.array(list(permutations(range(w))), np.intp)
+        cands = [np.array(states[idx], dtype)[perms] for idx in order]
     cands[0] = np.array([states[order[0]]], dtype)
     # Per-position domains, rewritten destructively with an undo trail.
     full = [(1 << len(c)) - 1 for c in cands]
@@ -323,6 +332,7 @@ def exact_feasible(
                 continue
         j = next_cand[pos] - 1
         bits = domains[pos] >> next_cand[pos]
+        rows, prunes = masks[pos], later[pos]
         while bits:
             step = (bits & -bits).bit_length()
             bits >>= step
@@ -332,9 +342,9 @@ def exact_feasible(
                 if nodes > node_limit or time.monotonic() > deadline:
                     return FeasibilityResult("budget_exhausted", None, nodes)
                 check = min(nodes + 4096, node_limit + 1)
-            row = masks[pos].get(j) if later[pos] else ()
+            row = rows.get(j) if prunes else ()
             if row is None:
-                row = masks[pos][j] = mask_row(pos, j)
+                row = rows[j] = mask_row(pos, j)
             trail = []
             for q, mask in row:
                 old = domains[q]
@@ -348,6 +358,9 @@ def exact_feasible(
                 next_cand[pos] = j + 1
                 trails[pos] = trail
                 break
+            if row[0][0] != q:  # q emptied: the next try of j checks it first
+                row.remove((q, mask))
+                row.insert(0, (q, mask))
             for q, old in trail:
                 domains[q] = old
         else:  # every candidate failed: backtrack

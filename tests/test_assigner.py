@@ -79,6 +79,12 @@ class TestScheduleArithmetic:
             for i in (1, 2, 5, outer_round_count(w)):
                 assert bins_for_round(w, i) == oracle_bins(w, i), (w, i)
 
+    def test_one_pass_bins_match_bins_for_round_at_every_level(self):
+        for w in list(range(1, 70)) + [100, 128, 1000, 2**31 - 1]:
+            levels = assigner._bins_per_level(w)
+            assert len(levels) == oracle_outer(w), w
+            assert levels == [bins_for_round(w, i) for i in range(1, len(levels) + 1)], w
+
     def test_bins_non_increasing_and_reach_one(self):
         for w in (1, 2, 7, 16, 64):
             s = build_schedule(w, 3, c=2, master_seed=1)

@@ -374,6 +374,10 @@ class TestAgainstReference:
             ((5, 8, 2), False, 1500),
             ((5, 10, 3), False, 2000),
             ((5, 4, 3), True, 3000),
+            # Whole set searches, where failing candidates reorder mask rows most.
+            ((4, 7, 3), False, None),
+            ((5, 7, 3), False, None),
+            ((4, 9, 3), False, 30_000),
         ],
     )
     def test_wider_instances_match_reference(self, args, multisets, limit):
